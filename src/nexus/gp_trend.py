@@ -3,10 +3,11 @@
 The trend of a dyad's log-fatality series is modeled as a zero-mean GP
 with a Matérn 3/2 kernel plus i.i.d. observation noise. Hyperparameters
 (length scale, amplitude, noise sd) are fit by MAP under a LogNormal
-length-scale prior, optionally with two-stage country-level pooling of
-the length scale. The deliverable per dyad is the posterior mean on the
-monthly grid and its numerical first derivative, which downstream code
-discretizes into escalation states.
+length-scale prior, by scipy's L-BFGS-B in log space from three starts,
+optionally with two-stage country-level pooling of the length scale. The
+deliverable per dyad is the posterior mean on the monthly grid and its
+numerical first derivative, which downstream code discretizes into
+escalation states.
 
 Everything here is dense: series run to a few hundred months at most, so
 a Cholesky factorization per objective evaluation is cheap and exact.
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
+from scipy.optimize import minimize
 
 from . import months
 from .ingest import DyadMonthSeries
@@ -209,56 +211,37 @@ def log_posterior(series: DyadMonthSeries, params: KernelParams, prior: PriorSpe
 
 
 # ---------------------------------------------------------------------------
-# MAP optimization (log-space ascent with finite-difference gradients)
+# MAP optimization (L-BFGS-B in log space)
 # ---------------------------------------------------------------------------
 
-FD_STEP = 1e-5
+def _ascend(func, z0: np.ndarray, max_iter: int = 200):
+    """Maximize func from z0 by L-BFGS-B inside the +-_LOG_BOUND box.
 
-
-def finite_difference_gradient(func, z: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Central finite-difference gradient of func at z."""
-    grad = np.zeros_like(z)
-    for i in range(z.size):
-        zp, zm = z.copy(), z.copy()
-        zp[i] += step
-        zm[i] -= step
-        grad[i] = (func(zp) - func(zm)) / (2.0 * step)
-    return grad
-
-
-def _ascend(func, z0: np.ndarray, max_iter: int = 200, grad_tol: float = 1e-6):
-    """Backtracking gradient ascent; accepted steps strictly improve the objective.
-
-    Returns (z, value, trace) where trace holds the objective after every
-    accepted step, starting value included.
+    scipy estimates the gradient by finite differences. Points where func
+    raises (an unfactorizable Gram matrix, invalid parameters) score -inf.
+    Returns (z, value, trace) where trace holds the objective at the start
+    and after every iteration; L-BFGS-B only accepts improving steps, so
+    it is non-decreasing.
     """
-    z = z0.copy()
-    value = func(z)
-    trace = [value]
-    if not math.isfinite(value):
-        return z, value, trace
-    step = 0.5
-    for _ in range(max_iter):
-        grad = finite_difference_gradient(func, z)
-        gnorm = float(np.linalg.norm(grad))
-        if not math.isfinite(gnorm) or gnorm < grad_tol:
-            break
-        direction = grad / gnorm
-        accepted = False
-        trial = step
-        while trial > 1e-10:
-            z_new = np.clip(z + trial * direction, -_LOG_BOUND, _LOG_BOUND)
-            v_new = func(z_new)
-            if math.isfinite(v_new) and v_new > value:
-                z, value = z_new, v_new
-                trace.append(value)
-                step = min(trial * 1.3, 2.0)
-                accepted = True
-                break
-            trial *= 0.5
-        if not accepted:
-            break
-    return z, value, trace
+
+    def negated(z: np.ndarray) -> float:
+        try:
+            return -func(z)
+        except (FactorizationError, ValueError, OverflowError):
+            return math.inf
+
+    trace = [-negated(z0)]
+    if not math.isfinite(trace[0]):
+        return z0, trace[0], trace
+    result = minimize(
+        negated,
+        z0,
+        method="L-BFGS-B",
+        bounds=[(-_LOG_BOUND, _LOG_BOUND)] * z0.size,
+        options={"maxiter": max_iter},
+        callback=lambda intermediate_result: trace.append(-intermediate_result.fun),
+    )
+    return result.x, -float(result.fun), trace
 
 
 def _default_init(series: DyadMonthSeries) -> KernelParams:
@@ -278,14 +261,14 @@ def fit_map(
     max_iter: int = 200,
     return_trace: bool = False,
 ):
-    """MAP kernel hyperparameters by multi-start log-space gradient ascent.
+    """MAP kernel hyperparameters by multi-start L-BFGS-B in log space.
 
     Three fixed starts: the init vector with its length scale replaced by
     the prior median, plus the init vector scaled by 0.5 and by 2. The
     length-scale posterior is often bimodal (smooth-trend vs noise
     readings), so the starts cover both the prior's basin and the
     data-scale one. With ``return_trace`` the winning start's
-    accepted-objective trace is returned alongside the parameters.
+    per-iteration objective trace is returned alongside the parameters.
     """
     if len(series.months) < 4:
         raise ValueError(f"series too short to fit: {len(series.months)} months")
@@ -294,11 +277,7 @@ def fit_map(
     base = KernelParams(math.exp(prior.log_median), init.amplitude, init.noise_sd)
 
     def objective(z: np.ndarray) -> float:
-        try:
-            params = KernelParams(*np.exp(z))
-            return log_posterior(series, params, prior)
-        except (FactorizationError, ValueError, OverflowError):
-            return -math.inf
+        return log_posterior(series, KernelParams(*np.exp(z)), prior)
 
     best: tuple[float, np.ndarray, list[float]] | None = None
     diagnostics: list[str] = []
@@ -352,19 +331,16 @@ def fit_hierarchical(
 def _fit_country_length_scale(
     group: list[DyadMonthSeries], prior: PriorSpec, max_iter: int = 200
 ) -> float:
-    """Stage-1 shared length scale: joint ascent over (ln l_c, ln eta_d, ln sigma_d)."""
+    """Stage-1 shared length scale: joint L-BFGS-B over (ln l_c, ln eta_d, ln sigma_d)."""
     inits = [_default_init(series) for series in group]
 
     def objective(z: np.ndarray) -> float:
-        try:
-            ell = math.exp(z[0])
-            total = length_scale_log_prior(ell, prior)
-            for i, series in enumerate(group):
-                params = KernelParams(ell, math.exp(z[1 + 2 * i]), math.exp(z[2 + 2 * i]))
-                total += log_marginal(series, params)
-            return total
-        except (FactorizationError, ValueError, OverflowError):
-            return -math.inf
+        ell = math.exp(z[0])
+        total = length_scale_log_prior(ell, prior)
+        for i, series in enumerate(group):
+            params = KernelParams(ell, math.exp(z[1 + 2 * i]), math.exp(z[2 + 2 * i]))
+            total += log_marginal(series, params)
+        return total
 
     data_ell = float(np.mean([init.length_scale for init in inits]))
     best: tuple[float, float] | None = None

@@ -223,7 +223,7 @@ def load_events(
         try:
             fatalities = int(row["fatalities"])
             date = _parse_date(row["date"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             errors.append(RowError(line, f"unparseable row: {exc}"))
             continue
         if fatalities < 0:
@@ -337,18 +337,24 @@ def load_dyad_probs(
         if "article_id" not in row or "probs" not in row:
             errors.append(RowError(line, "missing article_id or probs"))
             continue
+        if not isinstance(row["probs"], dict):
+            errors.append(RowError(line, "probs is not an object"))
+            continue
         probs = {}
-        bad = False
-        for dyad, p in dict(row["probs"]).items():
-            p = float(p)
+        for dyad, p in row["probs"].items():
+            try:
+                p = float(p)
+            except (TypeError, ValueError) as exc:
+                errors.append(RowError(line, f"unparseable probability: {dyad}: {exc}"))
+                break
             if not 0.0 <= p <= 1.0:
                 errors.append(RowError(line, f"probability out of [0,1]: {dyad}={p}"))
-                bad = True
                 break
             probs[str(dyad)] = p
-        if bad:
-            continue
-        out.append(DyadProbabilityRow(article_id=str(row["article_id"]), probabilities=probs))
+        else:
+            out.append(
+                DyadProbabilityRow(article_id=str(row["article_id"]), probabilities=probs)
+            )
     for err in errors:
         logger.warning("%s:%d: %s", path, err.line, err.message)
     return out, errors

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import approx_fprime
 
 from nexus.gp_trend import (
     FactorizationError,
@@ -12,7 +13,6 @@ from nexus.gp_trend import (
     build_gram,
     cholesky_with_jitter,
     derivative,
-    finite_difference_gradient,
     fit_hierarchical,
     fit_map,
     fit_trend,
@@ -208,8 +208,8 @@ class TestGradientCheck:
                     rng.uniform(math.log(0.1), math.log(1.5)),
                 ]
             )
-            g1 = finite_difference_gradient(objective, z, step=1e-5)
-            g2 = finite_difference_gradient(objective, z, step=1e-6)
+            g1 = approx_fprime(z, objective, 1e-5)
+            g2 = approx_fprime(z, objective, 1e-6)
             rel = np.linalg.norm(g1 - g2) / max(np.linalg.norm(g2), 1e-12)
             assert rel < 1e-3
 
@@ -294,6 +294,28 @@ class TestFitHierarchical:
         mean_fast = np.mean([pooled[f"f{i}"].length_scale for i in range(2)])
         mean_slow = np.mean([pooled[f"s{i}"].length_scale for i in range(2)])
         assert mean_fast < mean_slow
+
+
+class TestIterationCap:
+    def test_twenty_iterations_reach_the_default_fit(self):
+        def values(params):
+            return [params.length_scale, params.amplitude, params.noise_sd]
+
+        series = make_series([0, 1, 5, 20, 44, 31, 12, 4, 1, 0, 2, 9])
+        assert values(fit_map(series, PRIOR, max_iter=20)) == pytest.approx(
+            values(fit_map(series, PRIOR)), rel=1e-6
+        )
+        rng = np.random.default_rng(5)
+        fast = [
+            synthetic_series(6.0, rng, dyad_id=f"f{i}", country_id="fast") for i in range(2)
+        ]
+        slow = [
+            synthetic_series(60.0, rng, dyad_id=f"s{i}", country_id="slow") for i in range(2)
+        ]
+        capped = fit_hierarchical(fast + slow, PRIOR, max_iter=20)
+        default = fit_hierarchical(fast + slow, PRIOR)
+        for dyad in default:
+            assert values(capped[dyad]) == pytest.approx(values(default[dyad]), rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,52 @@
+import pytest
+
+from nexus.ingest import load_dyad_probs, load_events
+
+
+def write_jsonl(path, lines):
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+def event_row(event_id, fatalities):
+    """One JSONL event row; ``fatalities`` is written verbatim as a JSON literal."""
+    return (
+        f'{{"event_id":"{event_id}","dyad_id":"d1","country_id":"c1",'
+        f'"date":"2015-03-14","fatalities":{fatalities},"headline":"clash {event_id}"}}'
+    )
+
+
+class TestLoaderContract:
+    """A bad row becomes a RowError; the good rows around it still load."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '{"article_id":"a","probs":{"d1":"x"}}',
+            '{"article_id":"b","probs":[1,2]}',
+        ],
+        ids=["non-numeric-probability", "probs-not-an-object"],
+    )
+    def test_dyad_probs_bad_row(self, tmp_path, bad):
+        path = write_jsonl(
+            tmp_path / "probs.jsonl",
+            [
+                '{"article_id":"g1","probs":{"d1":0.9}}',
+                bad,
+                '{"article_id":"g2","probs":{"d1":0.1,"d2":0.4}}',
+            ],
+        )
+        rows, errors = load_dyad_probs(path)
+        assert [r.article_id for r in rows] == ["g1", "g2"]
+        assert rows[1].probabilities == {"d1": 0.1, "d2": 0.4}
+        assert [e.line for e in errors] == [2]
+
+    def test_events_infinite_fatalities(self, tmp_path):
+        # json parses 1e999 as inf, which int() cannot convert
+        path = write_jsonl(
+            tmp_path / "events.jsonl",
+            [event_row("e1", "3"), event_row("e2", "1e999"), event_row("e3", "0")],
+        )
+        events, errors = load_events(path)
+        assert [e.event_id for e in events] == ["e1", "e3"]
+        assert [e.line for e in errors] == [2]
