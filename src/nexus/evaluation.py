@@ -45,6 +45,8 @@ class ForecastRecord:
     def __post_init__(self) -> None:
         if len(self.probabilities) != N_CLASSES:
             raise ValueError("probabilities must have 4 components")
+        if not all(math.isfinite(p) for p in self.probabilities):
+            raise ValueError(f"probabilities must be finite: {self.probabilities}")
         total = sum(self.probabilities)
         if abs(total - 1.0) > 1e-6:
             raise ValueError(f"probabilities sum to {total}, not 1")
@@ -109,15 +111,20 @@ def conflictology(
 # Count-based metrics
 # ---------------------------------------------------------------------------
 
+def _arrays(records: list[ForecastRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities as an (N, 4) float array and actual states as an (N,) int array."""
+    probs = np.array([r.probabilities for r in records], dtype=float)
+    actual = np.array([r.actual for r in records], dtype=int)
+    return probs.reshape(-1, N_CLASSES), actual
+
+
 def confusion(records: list[ForecastRecord]) -> np.ndarray:
     """4x4 counts, true in rows, argmax prediction in columns (ties -> lowest code)."""
     if not records:
         raise ValueError("no records")
-    matrix = np.zeros((N_CLASSES, N_CLASSES), dtype=int)
-    for record in records:
-        predicted = int(np.argmax(record.probabilities))
-        matrix[record.actual, predicted] += 1
-    return matrix
+    probs, actual = _arrays(records)
+    cells = actual * N_CLASSES + probs.argmax(axis=1)
+    return np.bincount(cells, minlength=N_CLASSES**2).reshape(N_CLASSES, N_CLASSES)
 
 
 def micro_metrics(matrix: np.ndarray) -> dict[str, float]:
@@ -145,15 +152,18 @@ def micro_metrics(matrix: np.ndarray) -> dict[str, float]:
 
 def binarize(records: list[ForecastRecord]) -> tuple[np.ndarray, np.ndarray]:
     """All (record, class) pairs as score = p_class, label = [actual == class]."""
-    scores = np.array([p for r in records for p in r.probabilities], dtype=float)
-    labels = np.array(
-        [1 if r.actual == c else 0 for r in records for c in range(N_CLASSES)], dtype=int
-    )
-    return scores, labels
+    probs, actual = _arrays(records)
+    labels = (actual[:, None] == np.arange(N_CLASSES)).astype(int)
+    return probs.ravel(), labels.ravel()
 
 
 def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Interpolation-free AP; tied scores are resolved at tie-group granularity."""
+    """Interpolation-free AP; tied scores are resolved at tie-group granularity.
+
+    Each tie group adds its positives times the precision at its end. The
+    contributions are summed left to right (``cumsum``, not the pairwise
+    ``sum``), so the result is the same float as a running total.
+    """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
     n_pos = int(labels.sum())
@@ -161,22 +171,10 @@ def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError("average precision undefined without positives")
     order = np.argsort(-scores, kind="stable")
     s, y = scores[order], labels[order]
-    ap = 0.0
-    seen = 0
-    tp = 0
-    i = 0
-    n = len(s)
-    while i < n:
-        j = i
-        while j < n and s[j] == s[i]:
-            j += 1
-        group_pos = int(y[i:j].sum())
-        seen += j - i
-        tp += group_pos
-        if group_pos:
-            ap += group_pos * (tp / seen)
-        i = j
-    return ap / n_pos
+    ends = np.append(np.flatnonzero(s[1:] != s[:-1]), len(s) - 1)
+    tp = np.cumsum(y)[ends]
+    group_pos = np.diff(tp, prepend=0)
+    return float(np.cumsum(group_pos * (tp / (ends + 1)))[-1]) / n_pos
 
 
 def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -217,8 +215,8 @@ def auroc_ovr_micro(records: list[ForecastRecord]) -> float:
 
 def per_class_binary_report(records: list[ForecastRecord], cls: int) -> dict[str, float]:
     """Binary AP and AUROC for one class versus the rest."""
-    scores = np.array([r.probabilities[cls] for r in records], dtype=float)
-    labels = np.array([1 if r.actual == cls else 0 for r in records], dtype=int)
+    probs, actual = _arrays(records)
+    scores, labels = probs[:, cls], (actual == cls).astype(int)
     return {"ap": average_precision(scores, labels), "auroc": auroc(scores, labels)}
 
 

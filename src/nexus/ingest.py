@@ -176,21 +176,25 @@ def _iter_rows(path: Path) -> tuple[list[dict], list[RowError]]:
                 rows.append(dict(row))
                 rows[-1]["__line__"] = lineno
     else:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    errors.append(RowError(lineno, f"invalid JSON: {exc}"))
-                    continue
-                if not isinstance(row, dict):
-                    errors.append(RowError(lineno, "row is not an object"))
-                    continue
-                row["__line__"] = lineno
-                rows.append(row)
+        # bytes.splitlines breaks at \n, \r and \r\n, as text mode does
+        for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                errors.append(RowError(lineno, f"invalid UTF-8: {exc}"))
+                continue
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                errors.append(RowError(lineno, f"invalid JSON: {exc}"))
+                continue
+            if not isinstance(row, dict):
+                errors.append(RowError(lineno, "row is not an object"))
+                continue
+            row["__line__"] = lineno
+            rows.append(row)
     return rows, errors
 
 
@@ -225,6 +229,9 @@ def load_events(
             date = _parse_date(row["date"])
         except (TypeError, ValueError, OverflowError) as exc:
             errors.append(RowError(line, f"unparseable row: {exc}"))
+            continue
+        if isinstance(row["fatalities"], float) and fatalities != row["fatalities"]:
+            errors.append(RowError(line, f"non-integral fatalities: {row['fatalities']}"))
             continue
         if fatalities < 0:
             errors.append(RowError(line, f"negative fatalities: {fatalities}"))

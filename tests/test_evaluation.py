@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nexus.evaluation import (
     ForecastRecord,
@@ -60,6 +62,52 @@ def auroc_pair_enumeration(scores, labels):
     return total / (len(pos) * len(neg))
 
 
+def confusion_loop(records):
+    """Per-record loop version of `confusion`, the reference for the array version."""
+    matrix = np.zeros((4, 4), dtype=int)
+    for r in records:
+        matrix[r.actual, int(np.argmax(r.probabilities))] += 1
+    return matrix
+
+
+def binarize_loop(records):
+    """Per-record loop version of `binarize`."""
+    scores = np.array([p for r in records for p in r.probabilities], dtype=float)
+    labels = np.array([1 if r.actual == c else 0 for r in records for c in range(4)], dtype=int)
+    return scores, labels
+
+
+def average_precision_loop(scores, labels):
+    """Tie-group walk with a running total, the reference for `average_precision`."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    n_pos = int(labels.sum())
+    order = np.argsort(-scores, kind="stable")
+    s, y = scores[order], labels[order]
+    ap, seen, tp, i = 0.0, 0, 0, 0
+    while i < len(s):
+        j = i
+        while j < len(s) and s[j] == s[i]:
+            j += 1
+        group_pos = int(y[i:j].sum())
+        seen += j - i
+        tp += group_pos
+        if group_pos:
+            ap += group_pos * (tp / seen)
+        i = j
+    return ap / n_pos
+
+
+# Probabilities on a grid of eighths (exact in binary, summing exactly to 1),
+# so scores tie heavily within and across records.
+eighths = st.lists(st.integers(0, 8), min_size=3, max_size=3).map(sorted).map(
+    lambda cuts: tuple((b - a) / 8 for a, b in zip([0, *cuts], [*cuts, 8]))
+)
+tied_records = st.lists(st.tuples(st.integers(0, 3), eighths), min_size=1, max_size=60).map(
+    lambda rows: [record(actual, probs, month=24000 + i) for i, (actual, probs) in enumerate(rows)]
+)
+
+
 class TestForecastRecord:
     def test_rejects_bad_probability_sum(self):
         with pytest.raises(ValueError):
@@ -68,6 +116,11 @@ class TestForecastRecord:
     def test_rejects_bad_actual(self):
         with pytest.raises(ValueError):
             record(7, (0.25, 0.25, 0.25, 0.25))
+
+    def test_rejects_nan_probability(self):
+        # every comparison with nan is False, so the sum and range checks pass it
+        with pytest.raises(ValueError, match="finite"):
+            record(1, (math.nan, 0.5, 0.25, 0.25))
 
 
 class TestConflictology:
@@ -344,6 +397,38 @@ class TestBootstrapCI:
             widths_big.append(wb.upper - wb.lower)
             widths_small.append(ws.upper - ws.lower)
         assert np.mean(widths_small) > np.mean(widths_big)
+
+
+class TestArrayKernelsMatchLoops:
+    """The array kernels give exactly the loop references' results, ties included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_records)
+    def test_kernels_equal_references(self, records):
+        assert np.array_equal(confusion(records), confusion_loop(records))
+        scores, labels = binarize(records)
+        ref_scores, ref_labels = binarize_loop(records)
+        assert np.array_equal(scores, ref_scores) and scores.dtype == ref_scores.dtype
+        assert np.array_equal(labels, ref_labels) and labels.dtype == ref_labels.dtype
+        assert average_precision(scores, labels) == average_precision_loop(ref_scores, ref_labels)
+        for cls in {r.actual for r in records}:
+            cls_scores = np.array([r.probabilities[cls] for r in records])
+            cls_labels = np.array([int(r.actual == cls) for r in records])
+            if cls_labels.all():
+                continue  # binary AUROC undefined
+            report = per_class_binary_report(records, cls)
+            assert report["ap"] == average_precision_loop(cls_scores, cls_labels)
+
+    def test_bootstrap_equals_reference_bootstrap(self):
+        rng = np.random.default_rng(37)
+        records = [
+            record(int(rng.integers(0, 4)), onehotish(int(rng.integers(0, 4))))
+            for _ in range(60)
+        ]
+        reference = bootstrap_ci(
+            records, lambda rs: average_precision_loop(*binarize_loop(rs)), n=200, seed=2
+        )
+        assert bootstrap_ci(records, ap_ovr_micro, n=200, seed=2) == reference
 
 
 class TestEmitReport:

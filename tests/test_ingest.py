@@ -50,3 +50,22 @@ class TestLoaderContract:
         events, errors = load_events(path)
         assert [e.event_id for e in events] == ["e1", "e3"]
         assert [e.line for e in errors] == [2]
+
+    def test_events_invalid_utf8_row(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        rows = [event_row("e1", "3").replace("clash", "clash \xff"), event_row("e2", "1")]
+        path.write_bytes(b"".join(r.encode("latin-1") + b"\n" for r in rows))
+        events, errors = load_events(path)
+        assert [e.event_id for e in events] == ["e2"]
+        assert [e.line for e in errors] == [1]
+        assert "UTF-8" in errors[0].message
+
+    def test_events_fractional_fatalities(self, tmp_path):
+        path = write_jsonl(
+            tmp_path / "events.jsonl",
+            [event_row("e1", "2.7"), event_row("e2", "3.0"), event_row("e3", "4")],
+        )
+        events, errors = load_events(path)
+        assert [(e.event_id, e.fatalities) for e in events] == [("e2", 3), ("e3", 4)]
+        assert [e.line for e in errors] == [1]
+        assert type(events[0].fatalities) is int
