@@ -273,21 +273,6 @@ def low_context_digest(
     )
 
 
-def _retrieve_topic_context(
-    query_vec: np.ndarray,
-    topic_members: list[str],
-    index: HnswIndex,
-) -> str | None:
-    """Nearest indexed member of one topic; exact fallback when the beam misses."""
-    allowed = {aid for aid in topic_members if aid in index}
-    if not allowed:
-        return None
-    hits = index.search(query_vec, k=1, allowed=allowed)
-    if not hits:
-        hits = index.brute_force_search(query_vec, k=1, allowed=allowed)
-    return hits[0][0] if hits else None
-
-
 def sample_event_blocks(
     blocks: list[list[Snippet]], context_limit: int, seed: int
 ) -> list[list[list[Snippet]]]:
@@ -335,7 +320,7 @@ def rag_digest(
     snippet_limit: int = DEFAULT_SNIPPET_TOKENS,
     seed: int = 0,
 ) -> list[Digest]:
-    """Event-blocks (event snippet + nearest article per non-violent topic).
+    """Event-blocks (event snippet + exact nearest article per non-violent topic).
 
     Blocks always fit in one digest when their total is within the token
     budget; otherwise whole blocks are sampled without replacement into
@@ -353,9 +338,12 @@ def rag_digest(
         )
         return [fallback] if fallback is not None else []
 
-    non_violent = [
-        t for t in range(topic_model.topic_count) if t != topic_model.violent_topic
-    ]
+    # each non-violent topic's indexed members, as the retrieval filter
+    allowed = {
+        t: {aid for aid in topic_model.members(t) if aid in index}
+        for t in range(topic_model.topic_count)
+        if t != topic_model.violent_topic
+    }
     blocks: list[list[Snippet]] = []
     for eid in event_ids:
         if eid not in embeddings:
@@ -363,9 +351,8 @@ def rag_digest(
             continue
         query = normalize(embeddings.get(eid))
         block = [snippet(articles_by_id[eid], snippet_limit)]
-        for topic in non_violent:
-            found = _retrieve_topic_context(query, topic_model.members(topic), index)
-            if found is None:
+        for topic, members in allowed.items():
+            if not members:
                 logger.warning(
                     "dyad %s topic %d has no indexed members for event %s",
                     dyad_id,
@@ -373,6 +360,7 @@ def rag_digest(
                     eid,
                 )
                 continue
+            found, _ = index.search(query, k=1, allowed=members)[0]
             block.append(snippet(articles_by_id[found], snippet_limit))
         blocks.append(block)
     if not blocks:

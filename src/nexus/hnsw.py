@@ -1,24 +1,18 @@
-"""HNSW approximate nearest-neighbor index over unit vectors, plus an exact
-brute-force oracle.
+"""Exact cosine nearest-neighbour retrieval over unit vectors.
 
-Cosine similarity is realized by L2-normalizing every vector at insertion
-and ranking by dot product; internally the beam search minimizes the
-distance 1 - dot. Construction follows the standard hierarchical
-navigable-small-world procedure: geometric random levels (rate
-1/ln(M)), greedy descent through the upper layers, and diversity-aware
-neighbor selection with at most M links per node above the ground layer
-and 2M at layer 0.
-
-Level draws come from a seeded generator and every tie in the search
-breaks on insertion index, so a fixed construction seed makes both the
-graph and all query answers reproducible. Construction is single-writer;
-once built, concurrent read-only searches are safe (searches allocate
-their own scratch state).
+Vectors are L2-normalized at insertion, so cosine similarity is a dot
+product. :meth:`HnswIndex.search` scores a query against every stored row
+with one matrix-vector product and returns the top k, ties broken by
+ascending id; answers do not depend on insertion order. The digests ask
+for k = 1 inside one topic of one dyad, a few hundred vectors, where an
+exact scan is cheaper than an approximate graph. The module was an HNSW
+graph index once; its names (the module, ``HnswIndex``, the one-field
+``HnswConfig``, ``build_index``, ``save`` and the ``brute_force_search``
+alias) stay because the pipeline benchmark in ``nexus_bench/`` calls them.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import logging
 import math
@@ -35,22 +29,9 @@ _MAGIC = b"HNSW"
 
 @dataclass(frozen=True)
 class HnswConfig:
-    """Graph parameters; defaults follow common HNSW practice."""
+    """Index settings; the seed is recorded in the file and changes no answer."""
 
-    M: int = 16
-    ef_construction: int = 200
-    ef_search: int = 64
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.M < 2:
-            raise ValueError(f"M must be >= 2: {self.M}")
-        if self.ef_construction < 1 or self.ef_search < 1:
-            raise ValueError("ef parameters must be positive")
-
-    @property
-    def level_lambda(self) -> float:
-        return 1.0 / math.log(self.M)
 
 
 def normalize(vector) -> np.ndarray:
@@ -65,21 +46,14 @@ def normalize(vector) -> np.ndarray:
 
 
 class HnswIndex:
-    """Append-only HNSW graph over L2-normalized vectors."""
+    """Append-only matrix of L2-normalized vectors with exact top-k search."""
 
     def __init__(self, dim: int, config: HnswConfig | None = None):
         self.dim = int(dim)
         self.config = config or HnswConfig()
         self.ids: list[str] = []
         self._row: dict[str, int] = {}
-        self._capacity = 256
-        self._vectors = np.zeros((self._capacity, self.dim), dtype=np.float32)
-        self._levels: list[int] = []
-        # _neighbors[i][l] = ordered neighbor indices of node i at layer l
-        self._neighbors: list[list[list[int]]] = []
-        self._entry: int = -1
-        self._max_level: int = -1
-        self._rng = np.random.Generator(np.random.PCG64(self.config.seed))
+        self._vectors = np.zeros((0, self.dim), dtype=np.float32)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -87,25 +61,6 @@ class HnswIndex:
     @property
     def vectors(self) -> np.ndarray:
         return self._vectors[: len(self.ids)]
-
-    def _draw_level(self) -> int:
-        u = float(self._rng.random())
-        while u <= 0.0:  # guard the measure-zero draw
-            u = float(self._rng.random())
-        return int(-math.log(u) * self.config.level_lambda)
-
-    def _grow(self, needed: int) -> None:
-        if needed <= self._capacity:
-            return
-        new_capacity = max(self._capacity * 2, needed)
-        grown = np.zeros((new_capacity, self.dim), dtype=np.float32)
-        grown[: len(self.ids)] = self._vectors[: len(self.ids)]
-        self._vectors = grown
-        self._capacity = new_capacity
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
 
     def insert(self, article_id: str, vector) -> None:
         """Insert one vector; duplicate ids replace the stored vector with a warning."""
@@ -116,161 +71,33 @@ class HnswIndex:
             logger.warning("duplicate id %s: replacing stored vector", article_id)
             self._vectors[self._row[article_id]] = v
             return
-
         idx = len(self.ids)
-        self._grow(idx + 1)
+        if idx == self._vectors.shape[0]:
+            grown = np.zeros((max(2 * idx, 256), self.dim), dtype=np.float32)
+            grown[:idx] = self._vectors
+            self._vectors = grown
         self._vectors[idx] = v
         self.ids.append(article_id)
         self._row[article_id] = idx
-        level = self._draw_level()
-        self._levels.append(level)
-        self._neighbors.append([[] for _ in range(level + 1)])
 
-        if self._entry < 0:
-            self._entry = idx
-            self._max_level = level
-            return
+    def search(self, query, k: int, allowed: set[str] | None = None) -> list[tuple[str, float]]:
+        """Exact top-k (id, cosine similarity), descending, ties by ascending id.
 
-        ep = [self._entry]
-        # greedy descent through layers above the node's level
-        for layer in range(self._max_level, level, -1):
-            ep = [i for _, i in self._search_layer(v, ep, layer, 1)]
-        # connect at the node's layers
-        for layer in range(min(level, self._max_level), -1, -1):
-            cap = 2 * self.config.M if layer == 0 else self.config.M
-            candidates = self._search_layer(v, ep, layer, self.config.ef_construction)
-            chosen = self._select_neighbors(v, candidates, self.config.M)
-            self._neighbors[idx][layer] = list(chosen)
-            for nbr in chosen:
-                nbr_list = self._neighbors[nbr][layer]
-                nbr_list.append(idx)
-                if len(nbr_list) > cap:
-                    base = self._vectors[nbr]
-                    dists = 1.0 - self._vectors[nbr_list] @ base
-                    ranked = sorted(zip(dists.tolist(), nbr_list))
-                    self._neighbors[nbr][layer] = self._select_neighbors(base, ranked, cap)
-            ep = [i for _, i in candidates]
-        if level > self._max_level:
-            self._entry = idx
-            self._max_level = level
-
-    def _select_neighbors(
-        self, base: np.ndarray, candidates: list[tuple[float, int]], m: int
-    ) -> list[int]:
-        """Diversity-aware neighbor choice (closer to base than to any chosen one).
-
-        Pruned candidates refill remaining slots so nodes keep m links when
-        enough candidates exist.
-        """
-        if len(candidates) <= m:
-            return [i for _, i in sorted(candidates)]
-        chosen: list[int] = []
-        pruned: list[tuple[float, int]] = []
-        for dist, cand in sorted(candidates):
-            if len(chosen) == m:
-                break
-            if not chosen:
-                chosen.append(cand)
-                continue
-            d_to_chosen = 1.0 - self._vectors[chosen] @ self._vectors[cand]
-            if dist < float(np.min(d_to_chosen)):
-                chosen.append(cand)
-            else:
-                pruned.append((dist, cand))
-        for dist, cand in pruned:
-            if len(chosen) == m:
-                break
-            chosen.append(cand)
-        return chosen
-
-    # ------------------------------------------------------------------
-    # Search
-    # ------------------------------------------------------------------
-
-    def _search_layer(
-        self, query: np.ndarray, entry_points: list[int], layer: int, ef: int
-    ) -> list[tuple[float, int]]:
-        """Best-first beam of width ef at one layer; returns (distance, idx) ascending."""
-        visited = np.zeros(len(self.ids), dtype=bool)
-        visited[entry_points] = True
-        dists = 1.0 - self._vectors[entry_points] @ query
-        candidates = sorted(zip(dists.astype(float).tolist(), entry_points))
-        best = [(-d, i) for d, i in candidates]
-        heapq.heapify(best)
-        while len(best) > ef:
-            heapq.heappop(best)
-        frontier = list(candidates)
-        heapq.heapify(frontier)
-        while frontier:
-            dist, node = heapq.heappop(frontier)
-            if len(best) >= ef and dist > -best[0][0]:
-                break
-            fresh = [n for n in self._neighbors[node][layer] if not visited[n]]
-            if not fresh:
-                continue
-            visited[fresh] = True
-            fresh_dists = (1.0 - self._vectors[fresh] @ query).astype(float)
-            for nbr, d in zip(fresh, fresh_dists.tolist()):
-                if len(best) < ef:
-                    heapq.heappush(best, (-d, nbr))
-                    heapq.heappush(frontier, (d, nbr))
-                elif d < -best[0][0]:
-                    heapq.heapreplace(best, (-d, nbr))
-                    heapq.heappush(frontier, (d, nbr))
-        return sorted((-negd, i) for negd, i in best)
-
-    def search(
-        self,
-        query,
-        k: int,
-        ef_search: int | None = None,
-        allowed: set[str] | None = None,
-    ) -> list[tuple[str, float]]:
-        """Approximate top-k ids by cosine similarity, descending.
-
-        ``allowed`` restricts the returned ids to a subset without
-        constraining graph traversal; with a restriction the beam may
-        surface fewer than k allowed ids (callers needing exactness fall
-        back to :func:`brute_force_search`).
+        ``allowed`` restricts the candidates; ids in it that are not indexed are ignored.
         """
         if len(self.ids) == 0:
             raise ValueError("search on empty index")
         if k < 1:
             raise ValueError(f"k must be >= 1: {k}")
-        q = normalize(query)
-        ef = max(ef_search or self.config.ef_search, k)
-        ep = [self._entry]
-        for layer in range(self._max_level, 0, -1):
-            ep = [i for _, i in self._search_layer(q, ep, layer, 1)]
-        found = self._search_layer(q, ep, 0, ef)
-        out = []
-        for dist, idx in found:
-            aid = self.ids[idx]
-            if allowed is not None and aid not in allowed:
-                continue
-            out.append((aid, 1.0 - dist))
-        out.sort(key=lambda pair: (-pair[1], pair[0]))
-        return out[:k]
-
-    def brute_force_search(
-        self, query, k: int, allowed: set[str] | None = None
-    ) -> list[tuple[str, float]]:
-        """Exact top-k by full scan; ties break by ascending id."""
-        if len(self.ids) == 0:
-            raise ValueError("search on empty index")
-        if k < 1:
-            raise ValueError(f"k must be >= 1: {k}")
-        q = normalize(query)
-        sims = (self.vectors @ q).astype(float)
-        ranked = sorted(
-            (
-                (aid, sim)
-                for aid, sim in zip(self.ids, sims.tolist())
-                if allowed is None or aid in allowed
-            ),
-            key=lambda pair: (-pair[1], pair[0]),
-        )
+        # every row is scored, so a row's similarity does not depend on `allowed`
+        sims = self.vectors @ normalize(query)
+        names = self.ids if allowed is None else [a for a in allowed if a in self._row]
+        rows = [self._row[aid] for aid in names]
+        ranked = sorted(zip(names, sims[rows].tolist()), key=lambda pair: (-pair[1], pair[0]))
         return ranked[:k]
+
+    # the benchmark's tracer patches and calls the method by this name
+    brute_force_search = search
 
     def get_vector(self, article_id: str) -> np.ndarray:
         return self._vectors[self._row[article_id]]
@@ -278,68 +105,37 @@ class HnswIndex:
     def __contains__(self, article_id: str) -> bool:
         return article_id in self._row
 
-    # ------------------------------------------------------------------
-    # Persistence: JSON header + float32 matrix + flat adjacency lists
-    # ------------------------------------------------------------------
-
     def save(self, path: str | Path) -> None:
-        header = {
-            "dim": self.dim,
-            "count": len(self.ids),
-            "M": self.config.M,
-            "ef_construction": self.config.ef_construction,
-            "ef_search": self.config.ef_search,
-            "seed": self.config.seed,
-            "entry": self._entry,
-            "max_level": self._max_level,
-            "ids": self.ids,
-            "levels": self._levels,
-        }
+        """Write magic, u32 header length, JSON header, little-endian float32 rows."""
+        header = {"dim": self.dim, "count": len(self.ids), "seed": self.config.seed,
+                  "ids": self.ids}
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<I", len(blob)))
             fh.write(blob)
             fh.write(self.vectors.astype("<f4").tobytes())
-            for node in self._neighbors:
-                for layer_list in node:
-                    fh.write(struct.pack("<I", len(layer_list)))
-                    fh.write(np.asarray(layer_list, dtype="<u4").tobytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "HnswIndex":
-        with open(path, "rb") as fh:
-            if fh.read(4) != _MAGIC:
-                raise ValueError(f"{path}: not an index file")
-            (header_len,) = struct.unpack("<I", fh.read(4))
-            header = json.loads(fh.read(header_len).decode("utf-8"))
-            index = cls(
-                dim=header["dim"],
-                config=HnswConfig(
-                    M=header["M"],
-                    ef_construction=header["ef_construction"],
-                    ef_search=header["ef_search"],
-                    seed=header["seed"],
-                ),
-            )
-            count = header["count"]
-            raw = np.frombuffer(fh.read(4 * count * index.dim), dtype="<f4")
-            index._grow(count)
-            index._vectors[:count] = raw.reshape(count, index.dim)
-            index.ids = [str(x) for x in header["ids"]]
-            index._row = {aid: i for i, aid in enumerate(index.ids)}
-            index._levels = [int(x) for x in header["levels"]]
-            index._entry = int(header["entry"])
-            index._max_level = int(header["max_level"])
-            index._neighbors = []
-            for level in index._levels:
-                node = []
-                for _ in range(level + 1):
-                    (degree,) = struct.unpack("<I", fh.read(4))
-                    node.append(
-                        np.frombuffer(fh.read(4 * degree), dtype="<u4").astype(int).tolist()
-                    )
-                index._neighbors.append(node)
+        """Read a saved index; a truncated or inconsistent file raises ValueError naming it."""
+        data = Path(path).read_bytes()
+        try:
+            if data[:4] != _MAGIC:
+                raise ValueError("not an index file")
+            (header_len,) = struct.unpack_from("<I", data, 4)
+            header = json.loads(data[8 : 8 + header_len])
+            dim, count = int(header["dim"]), int(header["count"])
+            ids = [str(x) for x in header["ids"]]
+            matrix = data[8 + header_len :]
+            if len(ids) != count or len(matrix) != 4 * count * dim:
+                raise ValueError(f"{len(ids)} ids, {len(matrix)} bytes for {count} x {dim}")
+            index = cls(dim, HnswConfig(seed=int(header["seed"])))
+        except (struct.error, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: corrupt index file: {exc}") from exc
+        index._vectors = np.frombuffer(matrix, dtype="<f4").reshape(count, dim).astype(np.float32)
+        index.ids = ids
+        index._row = {aid: i for i, aid in enumerate(ids)}
         return index
 
 

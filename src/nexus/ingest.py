@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import json
 import logging
+import re
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +26,7 @@ from . import months
 logger = logging.getLogger(__name__)
 
 _TRAILING_PUNCT = string.punctuation + " "
+_UNDECODED = re.compile("[\udc80-\udcff]")  # bytes that surrogateescape kept
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +173,15 @@ def _iter_rows(path: Path) -> tuple[list[dict], list[RowError]]:
     rows: list[dict] = []
     errors: list[RowError] = []
     if path.suffix.lower() == ".csv":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            for lineno, row in enumerate(reader, start=2):
-                rows.append(dict(row))
-                rows[-1]["__line__"] = lineno
+        # undecodable bytes become lone surrogates, so one bad row spoils only itself
+        text = path.read_bytes().decode("utf-8", errors="surrogateescape")
+        reader = csv.DictReader(io.StringIO(text, newline=""))
+        for lineno, row in enumerate(reader, start=2):
+            if any(isinstance(v, str) and _UNDECODED.search(v) for v in row.values()):
+                errors.append(RowError(lineno, "invalid UTF-8"))
+                continue
+            rows.append(dict(row))
+            rows[-1]["__line__"] = lineno
     else:
         # bytes.splitlines breaks at \n, \r and \r\n, as text mode does
         for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
@@ -196,6 +203,15 @@ def _iter_rows(path: Path) -> tuple[list[dict], list[RowError]]:
             row["__line__"] = lineno
             rows.append(row)
     return rows, errors
+
+
+def _parse_count(value) -> int:
+    """An integral count from a JSON number or a CSV string: 3, 3.0 and "3.0" give 3."""
+    number = float(value) if isinstance(value, str) else value
+    count = int(number)  # OverflowError for inf, ValueError for nan
+    if count != number:
+        raise ValueError(f"non-integral count: {value}")
+    return count
 
 
 def _parse_date(value) -> dt.date:
@@ -225,13 +241,10 @@ def load_events(
             errors.append(RowError(line, f"missing fields: {', '.join(missing)}"))
             continue
         try:
-            fatalities = int(row["fatalities"])
+            fatalities = _parse_count(row["fatalities"])
             date = _parse_date(row["date"])
         except (TypeError, ValueError, OverflowError) as exc:
             errors.append(RowError(line, f"unparseable row: {exc}"))
-            continue
-        if isinstance(row["fatalities"], float) and fatalities != row["fatalities"]:
-            errors.append(RowError(line, f"non-integral fatalities: {row['fatalities']}"))
             continue
         if fatalities < 0:
             errors.append(RowError(line, f"negative fatalities: {fatalities}"))

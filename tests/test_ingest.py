@@ -16,6 +16,13 @@ def event_row(event_id, fatalities):
     )
 
 
+def csv_event_row(event_id, fatalities, headline="clash"):
+    return f"{event_id},d1,c1,2015-03-14,{fatalities},{headline} {event_id}\n".encode("latin-1")
+
+
+CSV_HEADER = b"event_id,dyad_id,country_id,date,fatalities,headline\n"
+
+
 class TestLoaderContract:
     """A bad row becomes a RowError; the good rows around it still load."""
 
@@ -69,3 +76,27 @@ class TestLoaderContract:
         assert [(e.event_id, e.fatalities) for e in events] == [("e2", 3), ("e3", 4)]
         assert [e.line for e in errors] == [1]
         assert type(events[0].fatalities) is int
+
+    def test_csv_events_invalid_utf8_row(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_bytes(
+            CSV_HEADER + csv_event_row("e1", "3", "clash \xff") + csv_event_row("e2", "1")
+        )
+        events, errors = load_events(path)
+        assert [e.event_id for e in events] == ["e2"]
+        assert [e.line for e in errors] == [2]
+        assert "UTF-8" in errors[0].message
+
+    def test_csv_events_fatalities_parse_as_jsonl(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_bytes(
+            CSV_HEADER
+            + csv_event_row("e1", "3.0")
+            + csv_event_row("e2", "2.7")
+            + csv_event_row("e3", "1e999")
+            + csv_event_row("e4", "4")
+        )
+        events, errors = load_events(path)
+        assert [(e.event_id, e.fatalities) for e in events] == [("e1", 3), ("e4", 4)]
+        assert type(events[0].fatalities) is int
+        assert [e.line for e in errors] == [3, 4]
