@@ -247,14 +247,12 @@ def low_context_digest(
         if aid in articles_by_id and _in_month(articles_by_id[aid], month)
     )
     snippets = [snippet(articles_by_id[aid], snippet_limit) for aid in event_ids]
+    in_month_by_topic: dict[int, list[str]] = {}
+    for aid, topic in topic_model.assignment.items():
+        if aid not in gold_ids and aid in articles_by_id and _in_month(articles_by_id[aid], month):
+            in_month_by_topic.setdefault(topic, []).append(aid)
     for topic in range(topic_model.topic_count):
-        in_month = [
-            aid
-            for aid in topic_model.members(topic)
-            if aid not in gold_ids
-            and aid in articles_by_id
-            and _in_month(articles_by_id[aid], month)
-        ]
+        in_month = in_month_by_topic.get(topic)
         if not in_month:
             continue
         centroid = topic_model.centroids[topic]

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import months
 
@@ -177,6 +176,22 @@ def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(np.cumsum(group_pos * (tp / (ends + 1)))[-1]) / n_pos
 
 
+def _average_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based ranks, each tie group at its mean rank (ties then count one half).
+
+    The group at sorted positions [start, end) holds ranks start + 1 ... end,
+    whose mean (start + end + 1) / 2 is exact in floating point.
+    """
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    bounds = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    starts = np.concatenate(([0], bounds))
+    ends = np.concatenate((bounds, [len(scores)]))
+    ranks = np.empty(len(scores))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Mann-Whitney AUROC with ties counted one half."""
     scores = np.asarray(scores, dtype=float)
@@ -185,8 +200,7 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUROC undefined with a single-label pool")
-    ranks = rankdata(scores)  # average ranks resolve ties at one half
-    rank_sum = float(ranks[labels == 1].sum())
+    rank_sum = float(_average_ranks(scores)[labels == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

@@ -175,12 +175,18 @@ def _iter_rows(path: Path) -> tuple[list[dict], list[RowError]]:
     if path.suffix.lower() == ".csv":
         # undecodable bytes become lone surrogates, so one bad row spoils only itself
         text = path.read_bytes().decode("utf-8", errors="surrogateescape")
-        reader = csv.DictReader(io.StringIO(text, newline=""))
-        for lineno, row in enumerate(reader, start=2):
-            if any(isinstance(v, str) and _UNDECODED.search(v) for v in row.values()):
+        reader = csv.reader(io.StringIO(text, newline=""))
+        header = next(reader, [])
+        # a record is numbered by its first physical line: a quoted field may span lines
+        start = reader.line_num + 1
+        for record in reader:
+            lineno, start = start, reader.line_num + 1
+            if not record:  # a blank line
+                continue
+            if any(_UNDECODED.search(v) for v in record):
                 errors.append(RowError(lineno, "invalid UTF-8"))
                 continue
-            rows.append(dict(row))
+            rows.append(dict(zip(header, record)))
             rows[-1]["__line__"] = lineno
     else:
         # bytes.splitlines breaks at \n, \r and \r\n, as text mode does

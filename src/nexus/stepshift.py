@@ -3,19 +3,24 @@
 A pair joins the digest at month m with the escalation state at m + s;
 one model is trained per (step, digest kind). Features are mean-pooled
 member-article embeddings (the interface point where an external encoder
-could supply digest-level vectors instead). Training is full-batch
-gradient descent on class-weighted cross-entropy with L2, deterministic
-from a zero initialization.
+could supply digest-level vectors instead). The head's objective,
+class-weighted cross-entropy plus an L2 penalty, is strictly convex;
+scipy's L-BFGS-B finds its one minimiser from zero weights, so a forecast
+depends on the data and the objective, not on a step size.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import operator
+from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
+from scipy.optimize import OptimizeResult, minimize
 
 from .digests import Digest
 from .evaluation import ForecastRecord
@@ -24,22 +29,24 @@ logger = logging.getLogger(__name__)
 
 N_CLASSES = 4
 DEFAULT_STEPS = (0, 1, 3, 6)
+L2 = 1e-3  # the penalty on ||W||^2 in the training objective
 
 
 class TrainingCollapseError(RuntimeError):
-    """Loss became non-finite during training."""
+    """The loss at the weights training returned is not finite."""
 
-    def __init__(self, epoch: int, loss: float):
-        super().__init__(f"training collapsed at epoch {epoch} (loss {loss})")
-        self.epoch = epoch
+    def __init__(self, n_iter: int, loss: float):
+        super().__init__(f"training collapsed after {n_iter} iterations (loss {loss})")
+        self.n_iter = n_iter
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    lr: float = 0.1
+    """``epochs`` caps the L-BFGS-B iterations; a model stopped by it has
+    ``converged`` False. The name predates the optimiser and is kept
+    because callers pass ``TrainConfig(epochs=...)``."""
+
     epochs: int = 2000
-    l2: float = 1e-3
-    seed: int = 0
 
 
 @dataclass
@@ -59,6 +66,8 @@ class SoftmaxModel:
     class_weights: np.ndarray
     config: TrainConfig
     final_loss: float = float("nan")
+    n_iter: int = 0
+    converged: bool = False
     step: int | None = None
     kind: str | None = None
 
@@ -192,38 +201,49 @@ def train_softmax(
     config: TrainConfig = TrainConfig(),
     weights: np.ndarray | None = None,
 ) -> SoftmaxModel:
-    """Full-batch gradient descent; aborts with diagnostics on collapse.
+    """Minimise ``loss_and_grad`` (penalty ``L2``) with one L-BFGS-B call.
 
-    Deterministic: zero-initialized weights and a fixed epoch count (the
-    seed is recorded for provenance of anything stochastic upstream).
+    Starts from zero weights and stops at scipy's default tolerances or
+    after ``config.epochs`` iterations (zero iterations leave the weights
+    at zero), so the result is deterministic. ``weights`` overrides the
+    balanced class weights. Raises ``TrainingCollapseError`` if the loss
+    at the result is not finite.
     """
     if not pairs:
         raise ValueError("no training pairs")
     features = np.stack([p.features for p in pairs])
     targets = np.array([p.target for p in pairs], dtype=int)
     cw = class_weights(targets) if weights is None else np.asarray(weights, dtype=float)
-    dim = features.shape[1]
-    W = np.zeros((N_CLASSES, dim + 1))
-    for epoch in range(config.epochs):
-        loss, grad = loss_and_grad(W, features, targets, cw, config.l2)
-        if not np.isfinite(loss):
-            raise TrainingCollapseError(epoch, loss)
-        W = W - config.lr * grad
-    loss, _ = loss_and_grad(W, features, targets, cw, config.l2)
+    shape = (N_CLASSES, features.shape[1] + 1)
+
+    def objective(flat: np.ndarray) -> tuple[float, np.ndarray]:
+        loss, grad = loss_and_grad(flat.reshape(shape), features, targets, cw, L2)
+        return loss, grad.ravel()
+
+    start = np.zeros(shape[0] * shape[1])
+    if config.epochs == 0:  # L-BFGS-B takes one step even at maxiter=0
+        result = OptimizeResult(x=start, fun=objective(start)[0], nit=0, success=False)
+    else:
+        result = minimize(objective, start, jac=True, method="L-BFGS-B",
+                          options={"maxiter": config.epochs})
+    loss, n_iter = float(result.fun), int(result.nit)
     if not np.isfinite(loss):
-        raise TrainingCollapseError(config.epochs, loss)
-    return SoftmaxModel(weights=W, class_weights=cw, config=config, final_loss=loss)
+        raise TrainingCollapseError(n_iter, loss)
+    return SoftmaxModel(result.x.reshape(shape), cw, config, final_loss=loss,
+                        n_iter=n_iter, converged=bool(result.success))
 
 
 def predict(model: SoftmaxModel, features) -> np.ndarray:
-    """Probability 4-vector for one pooled feature vector."""
+    """Class probabilities: (4,) for one feature vector, (n, 4) for an (n, D) matrix."""
+    features = np.asarray(features, dtype=float)
     x = _with_bias(features)
     if x.shape[1] != model.weights.shape[1]:
         raise ValueError(
             f"feature dimension {x.shape[1] - 1} does not match model "
             f"{model.weights.shape[1] - 1}"
         )
-    return _softmax(x @ model.weights.T)[0]
+    probs = _softmax(x @ model.weights.T)
+    return probs[0] if features.ndim == 1 else probs
 
 
 # ---------------------------------------------------------------------------
@@ -239,30 +259,19 @@ def _align_test_structure(
     each kind: the minimum count over kinds, with keys missing anywhere
     dropped everywhere.
     """
-    keys_per_kind = {}
-    for kind, pairs in test_by_kind.items():
-        counter: dict[tuple, int] = {}
-        for p in pairs:
-            counter[(p.dyad_id, p.digest_month)] = counter.get((p.dyad_id, p.digest_month), 0) + 1
-        keys_per_kind[kind] = counter
-    shared = None
-    for counter in keys_per_kind.values():
-        keys = set(counter)
-        shared = keys if shared is None else shared & keys
-    shared = shared or set()
-    quota = {
-        key: min(keys_per_kind[kind][key] for kind in test_by_kind) for key in shared
-    }
+    def key(p: TrainingPair) -> tuple[str, int]:
+        return p.dyad_id, p.digest_month
+
+    counts = [Counter(map(key, pairs)) for pairs in test_by_kind.values()]
+    quota = reduce(operator.and_, counts) if counts else Counter()
     aligned = {}
     for kind, pairs in test_by_kind.items():
-        taken: dict[tuple, int] = {key: 0 for key in shared}
-        kept = []
-        for p in sorted(pairs, key=lambda p: (p.dyad_id, p.digest_month)):
-            key = (p.dyad_id, p.digest_month)
-            if key in quota and taken[key] < quota[key]:
-                taken[key] += 1
-                kept.append(p)
-        aligned[kind] = kept
+        taken: Counter = Counter()
+        aligned[kind] = []
+        for p in sorted(pairs, key=key):
+            if taken[key(p)] < quota[key(p)]:
+                taken[key(p)] += 1
+                aligned[kind].append(p)
     return aligned
 
 
@@ -283,42 +292,33 @@ def run_steps(
         train_by_kind: dict[str, list[TrainingPair]] = {}
         test_by_kind: dict[str, list[TrainingPair]] = {}
         for kind in sorted(digests_by_kind):
-            train, test, _ = build_dataset(
-                digests_by_kind[kind],
-                labels_train,
-                labels_val,
-                step,
-                train_end,
-                test_start,
-                val_end,
-                embeddings,
+            train_by_kind[kind], test_by_kind[kind], _ = build_dataset(
+                digests_by_kind[kind], labels_train, labels_val, step,
+                train_end, test_start, val_end, embeddings,
             )
-            train_by_kind[kind] = train
-            test_by_kind[kind] = test
         aligned = _align_test_structure(test_by_kind)
         for kind in sorted(digests_by_kind):
             model = train_softmax(train_by_kind[kind], config)
             model.step, model.kind = step, kind
+            test = aligned[kind]
+            probs = predict(model, np.stack([p.features for p in test])) if test else []
             records = [
                 ForecastRecord(
                     dyad_id=p.dyad_id,
                     month=p.target_month,
                     step=step,
-                    probabilities=tuple(float(v) for v in predict(model, p.features)),
+                    probabilities=tuple(row.tolist()),
                     actual=p.target,
                     source="model",
                     kind=kind,
                 )
-                for p in aligned[kind]
+                for p, row in zip(test, probs)
             ]
             out[(step, kind)] = (model, records)
             logger.info(
-                "step %d kind %s: %d train pairs, %d test records, final loss %.4f",
-                step,
-                kind,
-                len(train_by_kind[kind]),
-                len(records),
-                model.final_loss,
+                "step %d kind %s: %d train pairs, %d test records, final loss %.4f "
+                "after %d iterations (converged: %s)", step, kind, len(train_by_kind[kind]),
+                len(records), model.final_loss, model.n_iter, model.converged,
             )
     return out
 
@@ -331,13 +331,10 @@ def save_model(model: SoftmaxModel, path: str | Path) -> None:
     payload = {
         "weights": [[float(v) for v in row] for row in model.weights],
         "class_weights": [float(v) for v in model.class_weights],
-        "config": {
-            "lr": model.config.lr,
-            "epochs": model.config.epochs,
-            "l2": model.config.l2,
-            "seed": model.config.seed,
-        },
+        "config": {"epochs": model.config.epochs},
         "final_loss": model.final_loss,
+        "n_iter": model.n_iter,
+        "converged": model.converged,
         "step": model.step,
         "kind": model.kind,
     }
@@ -353,6 +350,8 @@ def load_model(path: str | Path) -> SoftmaxModel:
         class_weights=np.array(payload["class_weights"], dtype=float),
         config=TrainConfig(**payload["config"]),
         final_loss=float(payload["final_loss"]),
+        n_iter=int(payload["n_iter"]),
+        converged=bool(payload["converged"]),
         step=payload["step"],
         kind=payload["kind"],
     )

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from nexus.ingest import DyadMonthSeries
+
+# `pytest --hypothesis-profile=ci` draws the same examples on every run, so a
+# failure seen in a CI log reproduces locally with the same command.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 def pytest_addoption(parser):

@@ -2,6 +2,8 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nexus.digests import (
     HIGH_CONTEXT,
@@ -18,7 +20,7 @@ from nexus.digests import (
     save_digests,
     snippet,
 )
-from nexus.hnsw import HnswConfig, HnswIndex
+from nexus.hnsw import HnswConfig, HnswIndex, normalize
 from nexus.ingest import Article, EmbeddingMatrix
 from nexus.months import parse_month
 
@@ -214,6 +216,57 @@ class TestLowContextDigest:
         a = low_context_digest("dy", parse_month("2021-03"), model, articles, gold, matrix)
         b = low_context_digest("dy", parse_month("2021-03"), model, articles, gold, matrix)
         assert a.snippet_ids == b.snippet_ids
+
+
+def low_context_reference(month, topic_model, articles_by_id, gold_ids, embeddings, per_topic=5):
+    """Snippet ids of `low_context_digest` by one `members()` call per topic, its reference."""
+    def in_month(aid):
+        return aid in articles_by_id and articles_by_id[aid].month == month
+
+    ids = sorted(aid for aid in gold_ids if in_month(aid))
+    for topic in range(topic_model.topic_count):
+        members = [aid for aid in topic_model.members(topic) if aid not in gold_ids and in_month(aid)]
+        centroid = topic_model.centroids[topic]
+        sims = [(float(normalize(embeddings.get(aid)) @ centroid), aid) for aid in members]
+        ids += [aid for _, aid in sorted(sims, key=lambda pair: (-pair[0], pair[1]))[:per_topic]]
+    return ids
+
+
+# (month offset, topic, vector on a small grid so similarities tie, gold, has an article)
+article_rows = st.lists(
+    st.tuples(
+        st.integers(0, 1),
+        st.integers(0, 2),
+        st.lists(st.integers(0, 1), min_size=3, max_size=3),
+        st.booleans(),
+        st.booleans(),
+    ),
+    max_size=30,
+)
+
+
+class TestLowContextMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(article_rows)
+    def test_snippet_ids_equal_reference(self, rows):
+        month = parse_month("2021-03")
+        articles, assignment, gold, ids, vectors = {}, {}, set(), [], []
+        for i, (offset, topic, grid, is_gold, present) in enumerate(rows):
+            aid = f"a{99 - i:02d}"  # ids in reverse insertion order
+            assignment[aid] = topic
+            if present:
+                articles[aid] = art(aid, month="2021-03" if offset == 0 else "2021-04")
+            if is_gold:
+                gold.add(aid)
+            ids.append(aid)
+            vectors.append([1.0, *grid])
+        centroids = np.eye(3, 4, k=1, dtype=np.float32) + np.float32(0.5)
+        centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
+        model = TopicModel("dy", centroids, assignment, violent_topic=None)
+        matrix = EmbeddingMatrix(ids=ids, vectors=np.asarray(vectors, dtype=np.float32).reshape(-1, 4))
+        digest = low_context_digest("dy", month, model, articles, gold, matrix)
+        expected = low_context_reference(month, model, articles, gold, matrix)
+        assert (digest.snippet_ids if digest is not None else []) == expected
 
 
 def build_context_index(matrix, gold_ids):

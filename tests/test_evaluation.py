@@ -5,8 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from nexus.evaluation import (
     ForecastRecord,
@@ -60,6 +61,14 @@ def auroc_pair_enumeration(scores, labels):
         elif p == q:
             total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def auroc_rankdata(scores, labels):
+    """`auroc` as it was computed with scipy's tie-averaged ranks, its reference."""
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    rank_sum = float(rankdata(scores)[labels == 1].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def confusion_loop(records):
@@ -297,6 +306,26 @@ class TestAuroc:
     def test_single_label_rejected(self):
         with pytest.raises(ValueError):
             auroc(np.array([0.5, 0.7]), np.array([1, 1]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([-1.5, -0.0, 0.0, 0.125, 0.5, 2.0]), st.integers(0, 1)),
+            min_size=2,
+            max_size=80,
+        )
+    )
+    def test_equals_rankdata_reference_on_ties(self, rows):
+        scores = np.array([s for s, _ in rows])
+        labels = np.array([y for _, y in rows])
+        assume(0 < labels.sum() < len(labels))
+        assert auroc(scores, labels) == auroc_rankdata(scores, labels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_records)
+    def test_micro_equals_rankdata_reference(self, records):
+        assume(len({r.actual for r in records}) > 1)
+        assert auroc_ovr_micro(records) == auroc_rankdata(*binarize_loop(records))
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(23)

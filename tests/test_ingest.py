@@ -100,3 +100,19 @@ class TestLoaderContract:
         assert [(e.event_id, e.fatalities) for e in events] == [("e1", 3), ("e4", 4)]
         assert type(events[0].fatalities) is int
         assert [e.line for e in errors] == [3, 4]
+
+    def test_csv_error_names_first_physical_line(self, tmp_path):
+        # e1's quoted headline spans lines 2-3, so e2 starts on line 4; line 5 is blank
+        path = tmp_path / "events.csv"
+        path.write_bytes(
+            CSV_HEADER
+            + b'e1,d1,c1,2015-03-14,3,"two-line\nheadline"\n'
+            + csv_event_row("e2", "2.7")
+            + b"\n"
+            + csv_event_row("e3", "-1")
+            + b"e4,d1,c1,2015-03-14\n"
+        )
+        events, errors = load_events(path)
+        assert [(e.event_id, e.headline) for e in events] == [("e1", "two-line\nheadline")]
+        assert [e.line for e in errors] == [4, 6, 7]
+        assert "missing fields" in errors[2].message

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from nexus.digests import Digest, Snippet
 from nexus.ingest import EmbeddingMatrix
 from nexus.months import parse_month
 from nexus.stepshift import (
+    L2,
     SoftmaxModel,
     TrainConfig,
     TrainingCollapseError,
@@ -183,6 +185,30 @@ def separable_pairs(n=40, seed=0):
     return pairs
 
 
+def random_fixture(seed, n, dim):
+    """Gaussian features with targets cycling through the four classes."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, dim)), np.arange(n) % 4
+
+
+def pairs_of(features, targets):
+    return [
+        TrainingPair("d", 0, 0, x, int(t), "train", "low_context")
+        for x, t in zip(features, targets)
+    ]
+
+
+def softmax_hessian(W, features, targets, cw):
+    """Hessian of the training objective in the row-major flattening of W."""
+    x = np.hstack([features, np.ones((len(features), 1))])
+    logits = x @ W.T
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    cov = np.einsum("ia,ab->iab", p, np.eye(4)) - np.einsum("ia,ib->iab", p, p)
+    h = np.einsum("i,iab,ij,ik->ajbk", cw[targets] / len(targets), cov, x, x)
+    return h.reshape(W.size, W.size) + 2.0 * L2 * np.eye(W.size)
+
+
 class TestTrainSoftmax:
     def test_separable_data_fits_perfectly(self):
         pairs = separable_pairs()
@@ -219,11 +245,43 @@ class TestTrainSoftmax:
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel < 1e-4
 
-    def test_collapse_raises_with_epoch(self):
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_collapse_raises_on_non_finite_loss(self, bad):
         pairs = separable_pairs()
         with pytest.raises(TrainingCollapseError) as excinfo:
-            train_softmax(pairs, TrainConfig(lr=1e12, epochs=50))
-        assert excinfo.value.epoch >= 0
+            train_softmax(pairs, weights=np.array([bad, 1.0, 0.0, 0.0]))
+        assert excinfo.value.n_iter >= 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_returns_the_minimiser(self, seed):
+        # the objective is strictly convex: a zero gradient marks its one minimum
+        features, targets = random_fixture(seed, n=160, dim=48)
+        model = train_softmax(pairs_of(features, targets))
+        _, grad = loss_and_grad(model.weights, features, targets, model.class_weights, L2)
+        assert model.converged
+        assert 0 < model.n_iter < TrainConfig().epochs
+        assert np.abs(grad).max() < 1e-4
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_final_loss_matches_newton_oracle(self, seed):
+        features, targets = random_fixture(seed, n=12, dim=2)
+        model = train_softmax(pairs_of(features, targets))
+        cw, shape = model.class_weights, model.weights.shape
+
+        def loss(flat):
+            return loss_and_grad(flat.reshape(shape), features, targets, cw, L2)[0]
+
+        def grad(flat):
+            return loss_and_grad(flat.reshape(shape), features, targets, cw, L2)[1].ravel()
+
+        oracle = minimize(
+            loss, np.zeros(model.weights.size), jac=grad,
+            hess=lambda flat: softmax_hessian(flat.reshape(shape), features, targets, cw),
+            method="trust-exact", options={"gtol": 1e-10},
+        )
+        assert np.abs(oracle.jac).max() < 1e-9  # "success" can be False at this precision
+        assert oracle.fun - 1e-12 <= model.final_loss <= oracle.fun + 1e-7
 
     def test_equal_weights_match_unweighted_loss(self):
         rng = np.random.default_rng(2)
@@ -281,6 +339,17 @@ class TestPredict:
         model = SoftmaxModel(np.zeros((4, 3)), np.ones(4), TrainConfig())
         with pytest.raises(ValueError):
             predict(model, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            predict(model, np.ones((5, 3)))
+
+    def test_matrix_rows_match_single_vectors(self):
+        rng = np.random.default_rng(5)
+        model = SoftmaxModel(rng.normal(size=(4, 4)), np.ones(4), TrainConfig())
+        features = rng.normal(size=(7, 3))
+        probs = predict(model, features)
+        assert probs.shape == (7, 4)
+        for x, row in zip(features, probs):
+            assert np.allclose(predict(model, x), row, rtol=0, atol=1e-15)
 
 
 def two_kind_fixture(seed=0):
@@ -376,4 +445,7 @@ class TestModelRoundTrip:
         assert np.allclose(loaded.weights, model.weights)
         assert np.allclose(loaded.class_weights, model.class_weights)
         assert loaded.config == model.config
+        assert loaded.final_loss == model.final_loss
+        assert loaded.n_iter == model.n_iter > 0
+        assert loaded.converged is model.converged is True
         assert loaded.step == 1 and loaded.kind == "low_context"
