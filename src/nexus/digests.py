@@ -6,11 +6,12 @@ and a post-pass merging undersized clusters into their nearest centroid.
 The topic with the highest share of gold event-matched articles is marked
 violent.
 
-Two digest kinds exist per dyad-month: low-context (per topic, the five
-in-month articles closest to the centroid, prefixed by all of the month's
-event snippets) and high-context RAG (per event, the nearest context
-article from each non-violent topic, assembled into event-blocks and
-packed into digests bounded by a token budget).
+Two digest kinds exist per dyad-month, and both hold only articles dated
+in that month: low-context (per topic, the five in-month articles closest
+to the centroid, prefixed by all of the month's event snippets) and
+high-context RAG (per event, the nearest in-month context article from
+each non-violent topic, assembled into event-blocks and packed into
+digests bounded by a token budget).
 """
 
 from __future__ import annotations
@@ -225,6 +226,17 @@ def _in_month(article: Article, month: int) -> bool:
     return article.month == month
 
 
+def _members_in_month(
+    topic_model: TopicModel, articles_by_id: dict[str, Article], month: int, keep
+) -> dict[int, list[str]]:
+    """Each topic's members dated in `month` for which `keep(id)` holds, in one pass."""
+    by_topic: dict[int, list[str]] = {}
+    for aid, topic in topic_model.assignment.items():
+        if keep(aid) and aid in articles_by_id and _in_month(articles_by_id[aid], month):
+            by_topic.setdefault(topic, []).append(aid)
+    return by_topic
+
+
 def low_context_digest(
     dyad_id: str,
     month: int,
@@ -247,10 +259,9 @@ def low_context_digest(
         if aid in articles_by_id and _in_month(articles_by_id[aid], month)
     )
     snippets = [snippet(articles_by_id[aid], snippet_limit) for aid in event_ids]
-    in_month_by_topic: dict[int, list[str]] = {}
-    for aid, topic in topic_model.assignment.items():
-        if aid not in gold_ids and aid in articles_by_id and _in_month(articles_by_id[aid], month):
-            in_month_by_topic.setdefault(topic, []).append(aid)
+    in_month_by_topic = _members_in_month(
+        topic_model, articles_by_id, month, lambda aid: aid not in gold_ids
+    )
     for topic in range(topic_model.topic_count):
         in_month = in_month_by_topic.get(topic)
         if not in_month:
@@ -320,6 +331,8 @@ def rag_digest(
 ) -> list[Digest]:
     """Event-blocks (event snippet + exact nearest article per non-violent topic).
 
+    Retrieval sees only the indexed articles dated in `month`; a topic
+    with none of them is skipped, and the skips are logged once per call.
     Blocks always fit in one digest when their total is within the token
     budget; otherwise whole blocks are sampled without replacement into
     multiple digests. A month without events falls back to the
@@ -336,12 +349,22 @@ def rag_digest(
         )
         return [fallback] if fallback is not None else []
 
-    # each non-violent topic's indexed members, as the retrieval filter
+    # each non-violent topic's indexed members dated in the month, as the retrieval filter
+    in_month = _members_in_month(topic_model, articles_by_id, month, lambda aid: aid in index)
     allowed = {
-        t: {aid for aid in topic_model.members(t) if aid in index}
+        t: set(in_month[t])
         for t in range(topic_model.topic_count)
-        if t != topic_model.violent_topic
+        if t != topic_model.violent_topic and t in in_month
     }
+    skipped = topic_model.topic_count - len(allowed) - (topic_model.violent_topic is not None)
+    if skipped:
+        logger.debug(
+            "dyad %s month %d: %d topics with no in-month article skipped for %d events",
+            dyad_id,
+            month,
+            skipped,
+            len(event_ids),
+        )
     blocks: list[list[Snippet]] = []
     for eid in event_ids:
         if eid not in embeddings:
@@ -349,15 +372,7 @@ def rag_digest(
             continue
         query = normalize(embeddings.get(eid))
         block = [snippet(articles_by_id[eid], snippet_limit)]
-        for topic, members in allowed.items():
-            if not members:
-                logger.warning(
-                    "dyad %s topic %d has no indexed members for event %s",
-                    dyad_id,
-                    topic,
-                    eid,
-                )
-                continue
+        for members in allowed.values():
             found, _ = index.search(query, k=1, allowed=members)[0]
             block.append(snippet(articles_by_id[found], snippet_limit))
         blocks.append(block)

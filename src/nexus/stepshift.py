@@ -13,14 +13,11 @@ from __future__ import annotations
 
 import json
 import logging
-import operator
-from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import OptimizeResult, minimize
+from scipy.optimize import minimize
 
 from .digests import Digest
 from .evaluation import ForecastRecord
@@ -222,15 +219,16 @@ def train_softmax(
 
     start = np.zeros(shape[0] * shape[1])
     if config.epochs == 0:  # L-BFGS-B takes one step even at maxiter=0
-        result = OptimizeResult(x=start, fun=objective(start)[0], nit=0, success=False)
+        model = SoftmaxModel(start.reshape(shape), cw, config, final_loss=objective(start)[0])
     else:
-        result = minimize(objective, start, jac=True, method="L-BFGS-B",
-                          options={"maxiter": config.epochs})
-    loss, n_iter = float(result.fun), int(result.nit)
-    if not np.isfinite(loss):
-        raise TrainingCollapseError(n_iter, loss)
-    return SoftmaxModel(result.x.reshape(shape), cw, config, final_loss=loss,
-                        n_iter=n_iter, converged=bool(result.success))
+        result = minimize(
+            objective, start, jac=True, method="L-BFGS-B", options={"maxiter": config.epochs}
+        )
+        model = SoftmaxModel(result.x.reshape(shape), cw, config, final_loss=float(result.fun),
+                             n_iter=int(result.nit), converged=bool(result.success))
+    if not np.isfinite(model.final_loss):
+        raise TrainingCollapseError(model.n_iter, model.final_loss)
+    return model
 
 
 def predict(model: SoftmaxModel, features) -> np.ndarray:
@@ -259,19 +257,30 @@ def _align_test_structure(
     each kind: the minimum count over kinds, with keys missing anywhere
     dropped everywhere.
     """
-    def key(p: TrainingPair) -> tuple[str, int]:
-        return p.dyad_id, p.digest_month
-
-    counts = [Counter(map(key, pairs)) for pairs in test_by_kind.values()]
-    quota = reduce(operator.and_, counts) if counts else Counter()
+    keys_per_kind = {}
+    for kind, pairs in test_by_kind.items():
+        counter: dict[tuple, int] = {}
+        for p in pairs:
+            counter[(p.dyad_id, p.digest_month)] = counter.get((p.dyad_id, p.digest_month), 0) + 1
+        keys_per_kind[kind] = counter
+    shared = None
+    for counter in keys_per_kind.values():
+        keys = set(counter)
+        shared = keys if shared is None else shared & keys
+    shared = shared or set()
+    quota = {
+        key: min(keys_per_kind[kind][key] for kind in test_by_kind) for key in shared
+    }
     aligned = {}
     for kind, pairs in test_by_kind.items():
-        taken: Counter = Counter()
-        aligned[kind] = []
-        for p in sorted(pairs, key=key):
-            if taken[key(p)] < quota[key(p)]:
-                taken[key(p)] += 1
-                aligned[kind].append(p)
+        taken: dict[tuple, int] = {key: 0 for key in shared}
+        kept = []
+        for p in sorted(pairs, key=lambda p: (p.dyad_id, p.digest_month)):
+            key = (p.dyad_id, p.digest_month)
+            if key in quota and taken[key] < quota[key]:
+                taken[key] += 1
+                kept.append(p)
+        aligned[kind] = kept
     return aligned
 
 
@@ -292,10 +301,18 @@ def run_steps(
         train_by_kind: dict[str, list[TrainingPair]] = {}
         test_by_kind: dict[str, list[TrainingPair]] = {}
         for kind in sorted(digests_by_kind):
-            train_by_kind[kind], test_by_kind[kind], _ = build_dataset(
-                digests_by_kind[kind], labels_train, labels_val, step,
-                train_end, test_start, val_end, embeddings,
+            train, test, _ = build_dataset(
+                digests_by_kind[kind],
+                labels_train,
+                labels_val,
+                step,
+                train_end,
+                test_start,
+                val_end,
+                embeddings,
             )
+            train_by_kind[kind] = train
+            test_by_kind[kind] = test
         aligned = _align_test_structure(test_by_kind)
         for kind in sorted(digests_by_kind):
             model = train_softmax(train_by_kind[kind], config)
@@ -317,8 +334,14 @@ def run_steps(
             out[(step, kind)] = (model, records)
             logger.info(
                 "step %d kind %s: %d train pairs, %d test records, final loss %.4f "
-                "after %d iterations (converged: %s)", step, kind, len(train_by_kind[kind]),
-                len(records), model.final_loss, model.n_iter, model.converged,
+                "after %d iterations (converged: %s)",
+                step,
+                kind,
+                len(train_by_kind[kind]),
+                len(records),
+                model.final_loss,
+                model.n_iter,
+                model.converged,
             )
     return out
 

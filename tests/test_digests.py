@@ -22,7 +22,8 @@ from nexus.digests import (
 )
 from nexus.hnsw import HnswConfig, HnswIndex, normalize
 from nexus.ingest import Article, EmbeddingMatrix
-from nexus.months import parse_month
+from nexus.months import format_month, parse_month
+from nexus.stepshift import build_dataset
 
 
 def art(article_id, n_tokens=20, month="2021-03"):
@@ -328,6 +329,77 @@ class TestRagDigest:
         a = rag_digest("dy", parse_month("2021-03"), model, articles, gold, matrix, index, seed=4)
         b = rag_digest("dy", parse_month("2021-03"), model, articles, gold, matrix, index, seed=4)
         assert [d.snippet_ids for d in a] == [d.snippet_ids for d in b]
+
+
+def all_digests(month_range, model, articles, gold, matrix, index):
+    out = []
+    for month in month_range:
+        low = low_context_digest("dy", month, model, articles, gold, matrix)
+        out += ([low] if low is not None else [])
+        out += rag_digest("dy", month, model, articles, gold, matrix, index, seed=month)
+    return out
+
+
+class TestCausalDigests:
+    @settings(max_examples=100, deadline=None)
+    @given(article_rows)
+    def test_every_snippet_dated_in_its_digest_month(self, rows):
+        articles, assignment, gold, ids, vectors = {}, {}, set(), [], []
+        for i, (offset, topic, grid, is_gold, _) in enumerate(rows):
+            aid = f"a{i:02d}"
+            articles[aid] = art(aid, month=f"2021-0{3 + offset}")
+            assignment[aid] = topic
+            if is_gold:
+                gold.add(aid)
+            ids.append(aid)
+            vectors.append([1.0, *grid])
+        centroids = np.eye(3, 4, k=1, dtype=np.float32) + np.float32(0.5)
+        centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
+        model = TopicModel("dy", centroids, assignment, violent_topic=None)
+        matrix = EmbeddingMatrix(ids=ids, vectors=np.asarray(vectors, dtype=np.float32).reshape(-1, 4))
+        index = build_context_index(matrix, gold)
+        months = range(parse_month("2021-03"), parse_month("2021-05") + 1)
+        for digest in all_digests(months, model, articles, gold, matrix, index):
+            assert all(articles[aid].month == digest.month for aid in digest.snippet_ids)
+
+    @staticmethod
+    def _corpus(later_seed):
+        """Six months of three blob topics plus two events a month near topic 0.
+
+        Articles after 2021-04 are drawn from `later_seed`, the rest from a
+        fixed seed.
+        """
+        d, train_end = 8, parse_month("2021-04")
+        articles, gold, ids, vectors = {}, set(), [], []
+        for month in range(parse_month("2021-01"), parse_month("2021-06") + 1):
+            rng = np.random.default_rng(later_seed if month > train_end else month)
+            for i in range(32):
+                aid = f"{format_month(month)}-{i:02d}"
+                articles[aid] = art(aid, n_tokens=int(rng.integers(5, 30)), month=format_month(month))
+                ids.append(aid)
+                vectors.append(np.eye(d)[0 if i >= 30 else i % 3] + rng.normal(size=d) * 0.3)
+                if i >= 30:
+                    gold.add(aid)
+        return articles, gold, EmbeddingMatrix(ids=ids, vectors=np.asarray(vectors)), train_end
+
+    def _train_pairs(self, later_seed):
+        """Step-1 training pairs; the topics are fixed, so only the articles vary."""
+        articles, gold, matrix, train_end = self._corpus(later_seed)
+        topic = {aid: (0 if aid in gold else int(aid[-2:]) % 3) for aid in matrix.ids}
+        model = TopicModel("dy", np.eye(3, 8, dtype=np.float32), topic, violent_topic=None)
+        months = range(parse_month("2021-01"), parse_month("2021-06") + 1)
+        digests = all_digests(months, model, articles, gold, matrix, build_context_index(matrix, gold))
+        labels_train = {"dy": {m: m % 4 for m in months if m <= train_end}}
+        labels_val = {"dy": {m: m % 4 for m in months}}
+        train, _, _ = build_dataset(
+            digests, labels_train, labels_val, 1, train_end, train_end + 1, months[-1], matrix
+        )
+        return [(p.digest_month, p.kind, p.target, p.features.tobytes()) for p in train]
+
+    def test_training_pairs_immune_to_future_articles(self):
+        pairs = self._train_pairs(later_seed=100)
+        assert len(pairs) > 3
+        assert pairs == self._train_pairs(later_seed=101)
 
 
 class TestSampleEventBlocks:
