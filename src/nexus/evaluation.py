@@ -57,9 +57,11 @@ class ForecastRecord:
 
 @dataclass(frozen=True)
 class MetricValue:
-    point: float
-    lower: float
-    upper: float
+    """A bootstrap CI; tuples in point, lower and upper for a tuple-valued metric."""
+
+    point: float | tuple[float, ...]
+    lower: float | tuple[float, ...]
+    upper: float | tuple[float, ...]
     n_records: int
     n_bootstraps: int
 
@@ -247,6 +249,8 @@ def bootstrap_ci(
 ) -> MetricValue:
     """Percentile bootstrap over record resamples; point from the full set.
 
+    A metric that returns a tuple of floats (several metrics read off one
+    resample) gets tuples for point, lower and upper, in the same order.
     Raises ``ValueError`` when the metric is undefined on the full set, or
     on more than 10% of the `n` resamples. Resamples where it is undefined
     (up to that share) are left out of the percentiles.
@@ -267,7 +271,9 @@ def bootstrap_ci(
     if failures > 0.1 * n:
         raise ValueError(f"metric undefined on {failures}/{n} bootstrap resamples")
     alpha = (1.0 - level) / 2.0
-    lower, upper = np.percentile(values, [100 * alpha, 100 * (1 - alpha)])
+    lower, upper = np.percentile(values, [100 * alpha, 100 * (1 - alpha)], axis=0).tolist()
+    if isinstance(point, tuple):
+        return MetricValue(point, tuple(lower), tuple(upper), len(records), n)
     return MetricValue(
         point=float(point),
         lower=float(lower),
@@ -281,12 +287,13 @@ def bootstrap_ci(
 # Reports
 # ---------------------------------------------------------------------------
 
+# The metrics of metrics.csv, keyed by name, each as a function returning a
+# tuple. Micro recall, precision and F1 come from one confusion matrix, so
+# one bootstrap draws each resample once for all three.
 METRIC_FUNCS = {
-    "recall": lambda rs: micro_metrics(confusion(rs))["recall"],
-    "precision": lambda rs: micro_metrics(confusion(rs))["precision"],
-    "f1": lambda rs: micro_metrics(confusion(rs))["f1"],
-    "auroc": auroc_ovr_micro,
-    "ap": ap_ovr_micro,
+    ("recall", "precision", "f1"): lambda rs: tuple(micro_metrics(confusion(rs)).values()),
+    ("auroc",): lambda rs: (auroc_ovr_micro(rs),),
+    ("ap",): lambda rs: (ap_ovr_micro(rs),),
 }
 
 
@@ -362,29 +369,19 @@ def emit_report(
     for table in (groups, collapsed):
         for (step, kind, source) in sorted(table):
             rows = table[(step, kind, source)]
-            for metric_name in ("recall", "precision", "f1", "auroc", "ap"):
+            for names, metric in METRIC_FUNCS.items():
                 try:
-                    value = bootstrap_ci(
-                        rows, METRIC_FUNCS[metric_name], n=n_boot, seed=seed
-                    )
+                    value = bootstrap_ci(rows, metric, n=n_boot, seed=seed)
+                    bounds = list(zip(value.point, value.lower, value.upper))
                 except ValueError as exc:
                     logger.warning(
                         "%s undefined for step %d, kind %r, source %s (%d records): %s",
-                        metric_name, step, kind, source, len(rows), exc,
+                        "/".join(names), step, kind, source, len(rows), exc,
                     )
-                    value = MetricValue(math.nan, math.nan, math.nan, len(rows), n_boot)
-                metric_rows.append(
-                    [
-                        step,
-                        kind,
-                        source,
-                        metric_name,
-                        _fmt(value.point),
-                        _fmt(value.lower),
-                        _fmt(value.upper),
-                        value.n_records,
-                    ]
-                )
+                    bounds = [(math.nan, math.nan, math.nan)] * len(names)
+                for name, (point, lower, upper) in zip(names, bounds):
+                    bounds_text = [_fmt(point), _fmt(lower), _fmt(upper)]
+                    metric_rows.append([step, kind, source, name, *bounds_text, len(rows)])
     _write_csv(
         out_dir / "metrics.csv",
         ["step", "kind", "source", "metric", "point", "lo", "hi", "n"],

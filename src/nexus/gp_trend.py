@@ -9,8 +9,10 @@ deliverable per dyad is the posterior mean on the monthly grid and its
 numerical first derivative, which downstream code discretizes into
 escalation states.
 
-Everything here is dense: series run to a few hundred months at most, so
-a Cholesky factorization per objective evaluation is cheap and exact.
+Each objective returns its exact gradient in the log-parameters with its
+value (Rasmussen & Williams, *GPML* 2006, eq. 5.9, plus the priors'
+terms), from one dense Cholesky factorization per dyad: series run to a
+few hundred months at most, so that is cheap and exact.
 """
 
 from __future__ import annotations
@@ -103,6 +105,7 @@ class TrendFit:
     mean: np.ndarray
     derivative: np.ndarray
     log_posterior_at_map: float
+    jitter_level: int = 0  # cholesky_with_jitter's level for the posterior factorization
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +140,10 @@ def build_gram(times: np.ndarray, params: KernelParams) -> np.ndarray:
     return gram
 
 
+def _jitter(level: int, amplitude: float) -> float:
+    return 0.0 if level == 0 else _JITTER_BASE * 10 ** (level - 1) * amplitude**2
+
+
 def cholesky_with_jitter(gram: np.ndarray, amplitude: float) -> tuple[np.ndarray, int]:
     """Lower Cholesky factor, escalating diagonal jitter on failure.
 
@@ -145,7 +152,7 @@ def cholesky_with_jitter(gram: np.ndarray, amplitude: float) -> tuple[np.ndarray
     :class:`FactorizationError` once the escalations are exhausted.
     """
     for level in range(_JITTER_LEVELS + 1):
-        jitter = 0.0 if level == 0 else _JITTER_BASE * 10 ** (level - 1) * amplitude**2
+        jitter = _jitter(level, amplitude)
         try:
             L = cholesky(
                 gram + jitter * np.eye(gram.shape[0]), lower=True, check_finite=False
@@ -164,18 +171,51 @@ def cholesky_with_jitter(gram: np.ndarray, amplitude: float) -> tuple[np.ndarray
 # Objective
 # ---------------------------------------------------------------------------
 
+def _series_data(series: DyadMonthSeries) -> tuple[np.ndarray, np.ndarray]:
+    """Month-distance matrix and log-fatalities, checked once per fit."""
+    x = np.asarray(series.months, dtype=float)
+    y = np.asarray(series.log_fatalities, dtype=float)
+    if y.size == 0 or not np.all(np.isfinite(y)):
+        raise ValueError("log-fatalities must be finite and non-empty")
+    if len(np.unique(x)) != len(x):
+        raise ValueError("time points must be distinct")
+    return np.abs(x[:, None] - x[None, :]), y
+
+
+def _log_marginal_and_grad(
+    distance: np.ndarray, y: np.ndarray, params: KernelParams
+) -> tuple[float, np.ndarray, int]:
+    """Log marginal, its gradient in (ln l, ln eta, ln sigma), and the jitter level.
+
+    GPML eq. 5.9: d/d theta = 1/2 tr((alpha alpha^T - K^-1) dK/d theta), where
+    with r = sqrt(3) d / l, dK/d ln l = eta^2 r^2 e^-r, dK/d ln eta = 2 K_f and
+    dK/d ln sigma = 2 sigma^2 I. The jitter of a level above 0 scales with
+    eta^2, so it adds 2 * jitter * I to dK/d ln eta: the gradient is that of
+    the matrix actually factorized.
+    """
+    ell, eta, sigma = params.length_scale, params.amplitude, params.noise_sd
+    r = SQRT3 * distance / ell
+    decay = np.exp(-r)
+    k_f = eta**2 * (1.0 + r) * decay  # the arithmetic of matern32, so build_gram's bits
+    eye = np.eye(y.size)
+    L, level = cholesky_with_jitter(k_f + sigma**2 * eye, eta)
+    alpha = cho_solve((L, True), y, check_finite=False)
+    value = float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * y.size * LOG_2PI)
+    inner = np.outer(alpha, alpha) - cho_solve((L, True), eye, check_finite=False)
+    trace = np.trace(inner)
+    grad = 0.5 * np.array(
+        [
+            np.vdot(inner, eta**2 * r**2 * decay),
+            2.0 * (np.vdot(inner, k_f) + _jitter(level, eta) * trace),
+            2.0 * sigma**2 * trace,
+        ]
+    )
+    return value, grad, level
+
+
 def log_marginal(series: DyadMonthSeries, params: KernelParams) -> float:
     """Zero-mean GP log marginal likelihood of the series under the kernel."""
-    y = np.asarray(series.log_fatalities, dtype=float)
-    if y.size == 0:
-        raise ValueError("series is empty")
-    gram = build_gram(series.months, params)
-    L, _ = cholesky_with_jitter(gram, params.amplitude)
-    alpha = cho_solve((L, True), y, check_finite=False)
-    n = y.size
-    return float(
-        -0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * LOG_2PI
-    )
+    return _log_marginal_and_grad(*_series_data(series), params)[0]
 
 
 def length_scale_log_prior(length_scale: float, prior: PriorSpec) -> float:
@@ -217,29 +257,37 @@ def log_posterior(series: DyadMonthSeries, params: KernelParams, prior: PriorSpe
 def _ascend(func, z0: np.ndarray, max_iter: int = 200):
     """Maximize func from z0 by L-BFGS-B inside the +-_LOG_BOUND box.
 
-    scipy estimates the gradient by finite differences. Points where func
+    func returns (value, gradient); the gradient is analytic, so each
+    iteration costs one call per line-search trial. Points where func
     raises (an unfactorizable Gram matrix, invalid parameters) score -inf.
     Returns (z, value, trace) where trace holds the objective at the start
     and after every iteration; L-BFGS-B only accepts improving steps, so
-    it is non-decreasing.
+    it is non-decreasing. scipy's iteration count and convergence flag
+    are logged at DEBUG.
     """
 
-    def negated(z: np.ndarray) -> float:
+    def negated(z: np.ndarray) -> tuple[float, np.ndarray]:
         try:
-            return -func(z)
+            value, grad = func(z)
         except (FactorizationError, ValueError, OverflowError):
-            return math.inf
+            return math.inf, np.zeros_like(z)
+        return -value, -grad
 
-    trace = [-negated(z0)]
+    trace = [-negated(z0)[0]]
     if not math.isfinite(trace[0]):
         return z0, trace[0], trace
     result = minimize(
         negated,
         z0,
+        jac=True,
         method="L-BFGS-B",
         bounds=[(-_LOG_BOUND, _LOG_BOUND)] * z0.size,
         options={"maxiter": max_iter},
         callback=lambda intermediate_result: trace.append(-intermediate_result.fun),
+    )
+    logger.debug(
+        "L-BFGS-B from z0 %s: nit %d, success %s (%s)",
+        z0, result.nit, result.success, result.message,
     )
     return result.x, -float(result.fun), trace
 
@@ -252,6 +300,40 @@ def _default_init(series: DyadMonthSeries) -> KernelParams:
     # data-scale length scale so the scaled starts probe the short-l basin
     ell = max(2.0, len(y) / 12.0)
     return KernelParams(length_scale=ell, amplitude=eta, noise_sd=sigma)
+
+
+def _map_objective(series: DyadMonthSeries, prior: PriorSpec):
+    """fit_map's objective: z = (ln l, ln eta, ln sigma) -> (log posterior, gradient)."""
+    distance, y = _series_data(series)
+
+    def objective(z: np.ndarray) -> tuple[float, np.ndarray]:
+        params = KernelParams(*np.exp(z))
+        value, grad, _ = _log_marginal_and_grad(distance, y, params)
+        prior_grad = -np.exp(2.0 * z) / AMPLITUDE_NOISE_PRIOR_SD**2  # half-Normal terms
+        prior_grad[0] = -(z[0] - prior.log_median) / prior.log_sd**2
+        return value + log_prior(params, prior), grad + prior_grad
+
+    return objective
+
+
+def _pooled_objective(group: list[DyadMonthSeries], prior: PriorSpec):
+    """Stage 1: (ln l_c, ln eta_1, ln sigma_1, ...) -> (sum of log marginals + prior, gradient)."""
+    data = [_series_data(series) for series in group]
+
+    def objective(z: np.ndarray) -> tuple[float, np.ndarray]:
+        ell = math.exp(z[0])
+        total = length_scale_log_prior(ell, prior)
+        grad = np.empty_like(z)
+        grad[0] = -(z[0] - prior.log_median) / prior.log_sd**2
+        for i, (distance, y) in enumerate(data):
+            params = KernelParams(ell, math.exp(z[1 + 2 * i]), math.exp(z[2 + 2 * i]))
+            value, dyad_grad, _ = _log_marginal_and_grad(distance, y, params)
+            total += value
+            grad[0] += dyad_grad[0]
+            grad[1 + 2 * i : 3 + 2 * i] = dyad_grad[1:]
+        return total, grad
+
+    return objective
 
 
 def fit_map(
@@ -276,9 +358,7 @@ def fit_map(
         init = _default_init(series)
     base = KernelParams(math.exp(prior.log_median), init.amplitude, init.noise_sd)
 
-    def objective(z: np.ndarray) -> float:
-        return log_posterior(series, KernelParams(*np.exp(z)), prior)
-
+    objective = _map_objective(series, prior)
     best: tuple[float, np.ndarray, list[float]] | None = None
     diagnostics: list[str] = []
     for start in (base, init.scaled(0.5), init.scaled(2.0)):
@@ -333,15 +413,7 @@ def _fit_country_length_scale(
 ) -> float:
     """Stage-1 shared length scale: joint L-BFGS-B over (ln l_c, ln eta_d, ln sigma_d)."""
     inits = [_default_init(series) for series in group]
-
-    def objective(z: np.ndarray) -> float:
-        ell = math.exp(z[0])
-        total = length_scale_log_prior(ell, prior)
-        for i, series in enumerate(group):
-            params = KernelParams(ell, math.exp(z[1 + 2 * i]), math.exp(z[2 + 2 * i]))
-            total += log_marginal(series, params)
-        return total
-
+    objective = _pooled_objective(group, prior)
     data_ell = float(np.mean([init.length_scale for init in inits]))
     best: tuple[float, float] | None = None
     for ell0, factor in (
@@ -368,14 +440,21 @@ def posterior_mean(
     series: DyadMonthSeries, params: KernelParams, grid: np.ndarray
 ) -> np.ndarray:
     """GP predictive mean on the grid: K(grid, X) (K(X,X) + sigma^2 I)^-1 y."""
+    return _posterior_mean(series, params, grid)[0]
+
+
+def _posterior_mean(
+    series: DyadMonthSeries, params: KernelParams, grid: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """posterior_mean and the jitter level its factorization needed."""
     x = np.asarray(series.months, dtype=float)
     y = np.asarray(series.log_fatalities, dtype=float)
     g = np.asarray(grid, dtype=float)
     gram = build_gram(series.months, params)
-    L, _ = cholesky_with_jitter(gram, params.amplitude)
+    L, level = cholesky_with_jitter(gram, params.amplitude)
     alpha = cho_solve((L, True), y, check_finite=False)
     k_star = matern32(np.abs(g[:, None] - x[None, :]), params.length_scale, params.amplitude)
-    return k_star @ alpha
+    return k_star @ alpha, level
 
 
 def derivative(mean: np.ndarray) -> np.ndarray:
@@ -403,7 +482,7 @@ def fit_trend(
     """Fit (or reuse) MAP hyperparameters and evaluate mean + derivative."""
     if params is None:
         params = fit_map(series, prior, max_iter=max_iter)
-    mean = posterior_mean(series, params, series.months)
+    mean, level = _posterior_mean(series, params, series.months)
     return TrendFit(
         dyad_id=series.dyad_id,
         params=params,
@@ -411,6 +490,7 @@ def fit_trend(
         mean=mean,
         derivative=derivative(mean),
         log_posterior_at_map=log_posterior(series, params, prior),
+        jitter_level=level,
     )
 
 
@@ -428,6 +508,7 @@ def save_trend_fit(fit: TrendFit, path: str | Path) -> None:
         "mean": [float(v) for v in fit.mean],
         "derivative": [float(v) for v in fit.derivative],
         "log_posterior": fit.log_posterior_at_map,
+        "jitter_level": fit.jitter_level,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True)
@@ -445,4 +526,5 @@ def load_trend_fit(path: str | Path) -> TrendFit:
         mean=np.array(payload["mean"], dtype=float),
         derivative=np.array(payload["derivative"], dtype=float),
         log_posterior_at_map=float(payload["log_posterior"]),
+        jitter_level=int(payload["jitter_level"]),
     )

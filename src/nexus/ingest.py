@@ -147,7 +147,11 @@ class EmbeddingMatrix:
         self.vectors = np.asarray(self.vectors, dtype=np.float32)
         if self.vectors.ndim != 2 or self.vectors.shape[0] != len(self.ids):
             raise ValueError("embedding matrix shape does not match id count")
-        self._row = {aid: i for i, aid in enumerate(self.ids)}
+        self._row: dict[str, int] = {}
+        for i, aid in enumerate(self.ids):
+            if self._row.setdefault(aid, i) != i:
+                first = self._row[aid]
+                raise ValueError(f"duplicate embedding id {aid!r} in rows {first} and {i}")
 
     @property
     def dim(self) -> int:
@@ -240,6 +244,7 @@ def load_events(
         raise FileNotFoundError(f"events file not found: {path}")
     rows, errors = _iter_rows(path)
     events: list[ConflictEvent] = []
+    first_line: dict[str, int] = {}  # event_id -> line of the loaded row
     for row in rows:
         line = row.pop("__line__", 0)
         missing = [f for f in _EVENT_FIELDS if f not in row]
@@ -262,9 +267,17 @@ def load_events(
         if window is not None and not window[0] <= month <= window[1]:
             errors.append(RowError(line, f"date {date} outside data window"))
             continue
+        event_id = str(row["event_id"])
+        if event_id in first_line:
+            first = first_line[event_id]
+            errors.append(
+                RowError(line, f"duplicate event_id {event_id!r}, first on line {first}")
+            )
+            continue
+        first_line[event_id] = line
         events.append(
             ConflictEvent(
-                event_id=str(row["event_id"]),
+                event_id=event_id,
                 dyad_id=str(row["dyad_id"]),
                 country_id=str(row["country_id"]),
                 date=date,
@@ -286,6 +299,7 @@ def load_articles(path: str | Path) -> tuple[list[Article], list[RowError]]:
         raise FileNotFoundError(f"articles file not found: {path}")
     rows, errors = _iter_rows(path)
     articles: list[Article] = []
+    first_line: dict[str, int] = {}  # article_id -> line of the loaded row
     for row in rows:
         line = row.pop("__line__", 0)
         missing = [f for f in _ARTICLE_FIELDS if f not in row]
@@ -297,9 +311,17 @@ def load_articles(path: str | Path) -> tuple[list[Article], list[RowError]]:
         except (TypeError, ValueError) as exc:
             errors.append(RowError(line, f"unparseable date: {exc}"))
             continue
+        article_id = str(row["article_id"])
+        if article_id in first_line:
+            first = first_line[article_id]
+            errors.append(
+                RowError(line, f"duplicate article_id {article_id!r}, first on line {first}")
+            )
+            continue
+        first_line[article_id] = line
         articles.append(
             Article(
-                article_id=str(row["article_id"]),
+                article_id=article_id,
                 date=date,
                 headline=str(row["headline"]),
                 body=str(row["body"]),

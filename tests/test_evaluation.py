@@ -428,6 +428,24 @@ class TestBootstrapCI:
         assert np.mean(widths_small) > np.mean(widths_big)
 
 
+    def test_tuple_metric_equals_one_bootstrap_per_component(self):
+        rng = np.random.default_rng(47)
+        records = [
+            record(int(rng.integers(0, 4)), onehotish(int(rng.integers(0, 4))))
+            for _ in range(60)
+        ]
+        joint = bootstrap_ci(
+            records, lambda rs: tuple(micro_metrics(confusion(rs)).values()), n=200, seed=5
+        )
+        for i, name in enumerate(("recall", "precision", "f1")):
+            alone = bootstrap_ci(
+                records, lambda rs: micro_metrics(confusion(rs))[name], n=200, seed=5
+            )
+            assert (joint.point[i], joint.lower[i], joint.upper[i]) == (
+                alone.point, alone.lower, alone.upper
+            )
+
+
 class TestArrayKernelsMatchLoops:
     """The array kernels give exactly the loop references' results, ties included."""
 

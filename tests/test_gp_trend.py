@@ -1,11 +1,15 @@
+import contextlib
+import itertools
+import logging
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import approx_fprime
 
+from nexus import gp_trend
 from nexus.gp_trend import (
     FactorizationError,
     KernelParams,
@@ -221,6 +225,114 @@ class TestGradientCheck:
 PRIOR = PriorSpec(math.log(122.38), 0.5)
 
 
+@contextlib.contextmanager
+def forced_jitter(level):
+    """Make every factorization fail below `level`, so cholesky_with_jitter returns it."""
+    real = gp_trend.cholesky
+    attempts = itertools.count()
+
+    def cholesky(a, **kwargs):
+        if next(attempts) % (level + 1) < level:
+            raise np.linalg.LinAlgError("forced failure")
+        return real(a, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gp_trend, "cholesky", cholesky)
+        yield
+
+
+def assert_gradient_matches(objective, z):
+    """The analytic gradient against central differences of the objective's value."""
+    h = 1e-5
+    value_of = lambda x: objective(x)[0]  # noqa: E731
+    numeric = (approx_fprime(z, value_of, h) + approx_fprime(z, value_of, -h)) / 2.0
+    _, grad = objective(z)
+    assert np.linalg.norm(grad - numeric) <= 1e-5 * np.linalg.norm(numeric)
+
+
+# ln l, and (ln eta, ln sigma) of one dyad
+log_length = st.floats(math.log(1.5), math.log(200.0))
+log_scales = st.tuples(
+    st.floats(math.log(0.2), math.log(5.0)), st.floats(math.log(0.05), math.log(2.0))
+)
+
+
+class TestAnalyticGradient:
+    """The objectives L-BFGS-B sees return the gradient of the value they return."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ell=log_length, scales=log_scales, level=st.integers(0, 4))
+    @example(ell=math.log(30.0), scales=(0.0, math.log(0.3)), level=4)
+    def test_map_objective(self, ell, scales, level):
+        series = make_series([0, 3, 10, 44, 12, 7, 0, 2, 30, 18])
+        objective = gp_trend._map_objective(series, PRIOR)
+        z = np.array([ell, *scales])
+        with forced_jitter(level):
+            assert gp_trend._log_marginal_and_grad(
+                *gp_trend._series_data(series), KernelParams(*np.exp(z))
+            )[2] == level
+            assert objective(z)[0] == log_posterior(series, KernelParams(*np.exp(z)), PRIOR)
+            assert_gradient_matches(objective, z)
+
+    @settings(max_examples=30, deadline=None)
+    @given(ell=log_length, scales=st.lists(log_scales, min_size=3, max_size=3),
+           level=st.integers(0, 4))
+    @example(ell=math.log(30.0), scales=[(0.0, math.log(0.3))] * 3, level=4)
+    def test_pooled_objective(self, ell, scales, level):
+        group = [
+            make_series([0, 1, 5, 20, 44, 31, 12, 4, 1, 0, 2, 9], dyad_id="a"),
+            make_series([0, 3, 10, 44, 12, 7, 0, 2, 30, 18, 5, 1], dyad_id="b"),
+            make_series([2, 0, 0, 7, 9, 15, 3], dyad_id="c", start_month=24190),
+        ]
+        objective = gp_trend._pooled_objective(group, PRIOR)
+        z = np.array([ell, *itertools.chain.from_iterable(scales)])
+        with forced_jitter(level):
+            assert_gradient_matches(objective, z)
+
+
+class TestReferenceFits:
+    """MAP parameters of the finite-difference fits these objectives replaced."""
+
+    # Fixtures where the fit is well determined. Left out: white noise, and
+    # the pure sines, where the amplitude or the noise sd runs towards zero
+    # or the box on a flat ridge; there the exact gradient climbs further
+    # than the finite-difference fits stopped (a higher objective each).
+    FIT_MAP = {
+        (0, 1, 5, 20, 44, 31, 12, 4, 1, 0, 2, 9):
+            (122.72403327768559, 1.3710993339887725, 1.2800564432354449),
+        (0, 3, 10, 44, 12, 7, 0, 2, 30, 18, 5, 1):
+            (122.9924024105629, 1.4306979478102613, 1.2378740044918857),
+    }
+    HIERARCHICAL = {
+        "f0": (12.313246601039976, 2.9772639009362027, 0.2906352921881679),
+        "f1": (13.416501227968503, 2.8770271789719506, 0.2800617173443629),
+        "s0": (74.40415518089551, 2.1078610262244313, 0.32417878459232335),
+        "s1": (64.25378654033831, 2.161274072133303, 0.27248579832029435),
+    }
+
+    @staticmethod
+    def values(params):
+        return [params.length_scale, params.amplitude, params.noise_sd]
+
+    def test_fit_map(self):
+        for raw, expected in self.FIT_MAP.items():
+            assert self.values(fit_map(make_series(raw), PRIOR)) == pytest.approx(
+                expected, rel=1e-4
+            )
+
+    def test_fit_hierarchical(self):
+        rng = np.random.default_rng(5)
+        fast = [
+            synthetic_series(6.0, rng, dyad_id=f"f{i}", country_id="fast") for i in range(2)
+        ]
+        slow = [
+            synthetic_series(60.0, rng, dyad_id=f"s{i}", country_id="slow") for i in range(2)
+        ]
+        pooled = fit_hierarchical(fast + slow, PRIOR)
+        for dyad, expected in self.HIERARCHICAL.items():
+            assert self.values(pooled[dyad]) == pytest.approx(expected, rel=1e-4)
+
+
 class TestFitMap:
     def test_white_noise_prefers_noise_over_signal(self):
         rng = np.random.default_rng(0)
@@ -257,6 +369,20 @@ class TestFitMap:
     def test_too_short_series_rejected(self):
         with pytest.raises(ValueError):
             fit_map(make_series([1, 2, 3]), PRIOR)
+
+    def test_non_finite_series_rejected(self):
+        series = make_series([0, 3, 1, 7, 2])
+        series.log_fatalities[2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            fit_map(series, PRIOR)
+
+    def test_starts_logged_at_debug(self, caplog):
+        series = make_series([0, 1, 5, 20, 44, 31, 12, 4, 1, 0, 2, 9])
+        with caplog.at_level(logging.DEBUG, logger="nexus.gp_trend"):
+            fit_map(series, PRIOR)
+        starts = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert len(starts) == 3
+        assert all("nit" in m and "success True" in m for m in starts)
 
 
 def synthetic_series(length_scale, rng, n=72, dyad_id="d", country_id="c"):
@@ -378,3 +504,13 @@ class TestTrendFitRoundTrip:
         assert np.array_equal(loaded.grid, fit.grid)
         assert np.allclose(loaded.mean, fit.mean)
         assert np.allclose(loaded.derivative, fit.derivative)
+
+    def test_jitter_level_round_trips(self, tmp_path):
+        series = make_series([0, 1, 5, 20, 44, 31, 12, 4, 1, 0, 2, 9])
+        with forced_jitter(2):
+            fit = fit_trend(series, PRIOR, params=KernelParams(20.0, 1.5, 0.5))
+        assert fit.jitter_level == 2
+        assert fit_trend(series, PRIOR, params=fit.params).jitter_level == 0
+        path = tmp_path / "fit.json"
+        save_trend_fit(fit, path)
+        assert load_trend_fit(path).jitter_level == 2

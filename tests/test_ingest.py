@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from nexus.ingest import load_dyad_probs, load_events
+from nexus.ingest import EmbeddingMatrix, load_articles, load_dyad_probs, load_events
 
 
 def write_jsonl(path, lines):
@@ -116,3 +117,27 @@ class TestLoaderContract:
         assert [(e.event_id, e.headline) for e in events] == [("e1", "two-line\nheadline")]
         assert [e.line for e in errors] == [4, 6, 7]
         assert "missing fields" in errors[2].message
+
+    def test_events_duplicate_id(self, tmp_path):
+        path = write_jsonl(
+            tmp_path / "events.jsonl",
+            [event_row(i, f) for i, f in (("e1", 3), ("e2", 1), ("e1", 5), ("e3", 0))],
+        )
+        events, errors = load_events(path)
+        assert [(e.event_id, e.fatalities) for e in events] == [("e1", 3), ("e2", 1), ("e3", 0)]
+        assert [e.line for e in errors] == [3]
+        assert "'e1'" in errors[0].message and "line 1" in errors[0].message
+
+    def test_articles_duplicate_id(self, tmp_path):
+        row = '{{"article_id":"{}","date":"2015-03-{:02d}","headline":"h","body":"b"}}'
+        rows = [row.format("a1", 1), row.format("a2", 2), row.format("a1", 3)]
+        path = write_jsonl(tmp_path / "articles.jsonl", rows)
+        articles, errors = load_articles(path)
+        assert [(a.article_id, a.date.day) for a in articles] == [("a1", 1), ("a2", 2)]
+        assert [e.line for e in errors] == [3]
+        assert "'a1'" in errors[0].message and "line 1" in errors[0].message
+
+
+def test_embedding_matrix_rejects_duplicate_ids():
+    with pytest.raises(ValueError, match="'b' in rows 1 and 3"):
+        EmbeddingMatrix(ids=["a", "b", "c", "b", "a"], vectors=np.zeros((5, 2)))
