@@ -69,11 +69,8 @@ class KernelParams:
     noise_sd: float
 
     def __post_init__(self) -> None:
-        for name, value in (
-            ("length_scale", self.length_scale),
-            ("amplitude", self.amplitude),
-            ("noise_sd", self.noise_sd),
-        ):
+        for name in ("length_scale", "amplitude", "noise_sd"):
+            value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite: {value}")
 
@@ -182,6 +179,14 @@ def _series_data(series: DyadMonthSeries) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(x[:, None] - x[None, :]), y
 
 
+def _factorize(k_f: np.ndarray, y: np.ndarray, params: KernelParams):
+    """Log marginal, alpha = K^-1 y, the Cholesky factor of K = K_f + sigma^2 I, jitter level."""
+    L, level = cholesky_with_jitter(k_f + params.noise_sd**2 * np.eye(y.size), params.amplitude)
+    alpha = cho_solve((L, True), y, check_finite=False)
+    value = float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * y.size * LOG_2PI)
+    return value, alpha, L, level
+
+
 def _log_marginal_and_grad(
     distance: np.ndarray, y: np.ndarray, params: KernelParams
 ) -> tuple[float, np.ndarray, int]:
@@ -196,12 +201,9 @@ def _log_marginal_and_grad(
     ell, eta, sigma = params.length_scale, params.amplitude, params.noise_sd
     r = SQRT3 * distance / ell
     decay = np.exp(-r)
-    k_f = eta**2 * (1.0 + r) * decay  # the arithmetic of matern32, so build_gram's bits
-    eye = np.eye(y.size)
-    L, level = cholesky_with_jitter(k_f + sigma**2 * eye, eta)
-    alpha = cho_solve((L, True), y, check_finite=False)
-    value = float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * y.size * LOG_2PI)
-    inner = np.outer(alpha, alpha) - cho_solve((L, True), eye, check_finite=False)
+    k_f = eta**2 * (1.0 + r) * decay  # the arithmetic of matern32, so the same bits
+    value, alpha, L, level = _factorize(k_f, y, params)
+    inner = np.outer(alpha, alpha) - cho_solve((L, True), np.eye(y.size), check_finite=False)
     trace = np.trace(inner)
     grad = 0.5 * np.array(
         [
@@ -213,9 +215,16 @@ def _log_marginal_and_grad(
     return value, grad, level
 
 
+def _factorize_series(series: DyadMonthSeries, params: KernelParams):
+    """K_f on the series' own months, then _factorize's (value, alpha, L, level) for it."""
+    distance, y = _series_data(series)
+    k_f = matern32(distance, params.length_scale, params.amplitude)
+    return (k_f, *_factorize(k_f, y, params))
+
+
 def log_marginal(series: DyadMonthSeries, params: KernelParams) -> float:
     """Zero-mean GP log marginal likelihood of the series under the kernel."""
-    return _log_marginal_and_grad(*_series_data(series), params)[0]
+    return _factorize_series(series, params)[1]
 
 
 def length_scale_log_prior(length_scale: float, prior: PriorSpec) -> float:
@@ -440,21 +449,10 @@ def posterior_mean(
     series: DyadMonthSeries, params: KernelParams, grid: np.ndarray
 ) -> np.ndarray:
     """GP predictive mean on the grid: K(grid, X) (K(X,X) + sigma^2 I)^-1 y."""
-    return _posterior_mean(series, params, grid)[0]
-
-
-def _posterior_mean(
-    series: DyadMonthSeries, params: KernelParams, grid: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """posterior_mean and the jitter level its factorization needed."""
-    x = np.asarray(series.months, dtype=float)
-    y = np.asarray(series.log_fatalities, dtype=float)
-    g = np.asarray(grid, dtype=float)
-    gram = build_gram(series.months, params)
-    L, level = cholesky_with_jitter(gram, params.amplitude)
-    alpha = cho_solve((L, True), y, check_finite=False)
-    k_star = matern32(np.abs(g[:, None] - x[None, :]), params.length_scale, params.amplitude)
-    return k_star @ alpha, level
+    alpha = _factorize_series(series, params)[2]
+    g = np.asarray(grid, dtype=float)[:, None]
+    k_star = matern32(np.abs(g - series.months), params.length_scale, params.amplitude)
+    return k_star @ alpha
 
 
 def derivative(mean: np.ndarray) -> np.ndarray:
@@ -482,7 +480,8 @@ def fit_trend(
     """Fit (or reuse) MAP hyperparameters and evaluate mean + derivative."""
     if params is None:
         params = fit_map(series, prior, max_iter=max_iter)
-    mean, level = _posterior_mean(series, params, series.months)
+    k_f, _, alpha, _, level = _factorize_series(series, params)
+    mean = k_f @ alpha
     return TrendFit(
         dyad_id=series.dyad_id,
         params=params,

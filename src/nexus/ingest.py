@@ -1,10 +1,15 @@
 """Corpus loading, headline back-labeling, dyad filtering, monthly aggregation.
 
 Input files are JSONL (or CSV for events) plus a flat little-endian
-float32 embedding matrix with a JSON sidecar. Loaders never abort on a
-bad row: they collect :class:`RowError` diagnostics with line numbers and
-keep going. All downstream operations are pure functions over the loaded
-collections.
+float32 embedding matrix with a JSON sidecar. The three row loaders
+(events, articles, dyad probabilities) share one contract: a bad row
+never aborts the load but becomes a :class:`RowError` naming its line;
+a row that repeats the id of an earlier loaded row (``event_id``, or
+``article_id`` for articles and probability rows) is one such error,
+naming the first line; errors come back, and are logged, in line order.
+Classifier labels need a best-dyad probability of at least
+``DYAD_THRESHOLD``. All downstream operations are pure functions over the
+loaded collections.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import json
 import logging
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +31,7 @@ from . import months
 logger = logging.getLogger(__name__)
 
 _TRAILING_PUNCT = string.punctuation + " "
+DYAD_THRESHOLD = 0.8  # apply_dyad_filter keeps a classifier row whose best dyad has p >= this
 _UNDECODED = re.compile("[\udc80-\udcff]")  # bytes that surrogateescape kept
 
 
@@ -51,13 +57,12 @@ class ConflictEvent:
 
 @dataclass(eq=False)
 class Article:
-    """A newswire article, optionally carrying an embedding vector."""
+    """A dated newswire article; its embedding lives in an EmbeddingMatrix."""
 
     article_id: str
     date: dt.date
     headline: str
     body: str
-    embedding: np.ndarray | None = None
 
     @property
     def month(self) -> int:
@@ -204,8 +209,11 @@ def _iter_rows(path: Path) -> tuple[list[dict], list[RowError]]:
                 continue
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an integer literal past the digit limit
                 errors.append(RowError(lineno, f"invalid JSON: {exc}"))
+                continue
+            except RecursionError:
+                errors.append(RowError(lineno, "invalid JSON: nested too deeply"))
                 continue
             if not isinstance(row, dict):
                 errors.append(RowError(lineno, "row is not an object"))
@@ -230,6 +238,45 @@ def _parse_date(value) -> dt.date:
     return dt.date.fromisoformat(str(value).strip())
 
 
+def _load_rows(path: str | Path, what: str, build, key: str) -> tuple[list, list[RowError]]:
+    """The loop behind every row loader: each row becomes an item or a RowError.
+
+    ``build(row)`` returns the item or raises ValueError with the row's
+    message. An item whose ``key`` attribute repeats an earlier loaded one
+    is rejected, naming the first line.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"{what} file not found: {path}")
+    rows, errors = _iter_rows(path)
+    items = []
+    first_line: dict[str, int] = {}  # key -> line of the loaded row
+    for row in rows:
+        line = row.pop("__line__")
+        try:
+            item = build(row)
+        except ValueError as exc:
+            errors.append(RowError(line, str(exc)))
+            continue
+        item_key = getattr(item, key)
+        if item_key in first_line:
+            first = first_line[item_key]
+            errors.append(RowError(line, f"duplicate {key} {item_key!r}, first on line {first}"))
+            continue
+        first_line[item_key] = line
+        items.append(item)
+    errors.sort(key=lambda err: err.line)
+    for err in errors:
+        logger.warning("%s:%d: %s", path, err.line, err.message)
+    return items, errors
+
+
+def _require(row: dict, fields: tuple[str, ...]) -> None:
+    missing = [f for f in fields if f not in row]
+    if missing:
+        raise ValueError(f"missing fields: {', '.join(missing)}")
+
+
 def load_events(
     path: str | Path,
     window: tuple[int, int] | None = None,
@@ -239,113 +286,63 @@ def load_events(
     ``window`` (inclusive month-index bounds), when given, rejects events
     dated outside the configured data window.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"events file not found: {path}")
-    rows, errors = _iter_rows(path)
-    events: list[ConflictEvent] = []
-    first_line: dict[str, int] = {}  # event_id -> line of the loaded row
-    for row in rows:
-        line = row.pop("__line__", 0)
-        missing = [f for f in _EVENT_FIELDS if f not in row]
-        if missing:
-            errors.append(RowError(line, f"missing fields: {', '.join(missing)}"))
-            continue
+
+    def build(row: dict) -> ConflictEvent:
+        _require(row, _EVENT_FIELDS)
         try:
             fatalities = _parse_count(row["fatalities"])
             date = _parse_date(row["date"])
         except (TypeError, ValueError, OverflowError) as exc:
-            errors.append(RowError(line, f"unparseable row: {exc}"))
-            continue
+            raise ValueError(f"unparseable row: {exc}") from None
         if fatalities < 0:
-            errors.append(RowError(line, f"negative fatalities: {fatalities}"))
-            continue
+            raise ValueError(f"negative fatalities: {fatalities}")
         if not str(row["dyad_id"]).strip():
-            errors.append(RowError(line, "empty dyad_id"))
-            continue
+            raise ValueError("empty dyad_id")
         month = months.month_index(date.year, date.month)
         if window is not None and not window[0] <= month <= window[1]:
-            errors.append(RowError(line, f"date {date} outside data window"))
-            continue
-        event_id = str(row["event_id"])
-        if event_id in first_line:
-            first = first_line[event_id]
-            errors.append(
-                RowError(line, f"duplicate event_id {event_id!r}, first on line {first}")
-            )
-            continue
-        first_line[event_id] = line
-        events.append(
-            ConflictEvent(
-                event_id=event_id,
-                dyad_id=str(row["dyad_id"]),
-                country_id=str(row["country_id"]),
-                date=date,
-                fatalities=fatalities,
-                headline=str(row["headline"]),
-            )
+            raise ValueError(f"date {date} outside data window")
+        return ConflictEvent(
+            event_id=str(row["event_id"]),
+            dyad_id=str(row["dyad_id"]),
+            country_id=str(row["country_id"]),
+            date=date,
+            fatalities=fatalities,
+            headline=str(row["headline"]),
         )
+
+    events, errors = _load_rows(path, "events", build, key="event_id")
     if not events:
         logger.warning("no events loaded from %s", path)
-    for err in errors:
-        logger.warning("%s:%d: %s", path, err.line, err.message)
     return events, errors
 
 
 def load_articles(path: str | Path) -> tuple[list[Article], list[RowError]]:
-    """Load articles from JSONL; embeddings are attached separately."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"articles file not found: {path}")
-    rows, errors = _iter_rows(path)
-    articles: list[Article] = []
-    first_line: dict[str, int] = {}  # article_id -> line of the loaded row
-    for row in rows:
-        line = row.pop("__line__", 0)
-        missing = [f for f in _ARTICLE_FIELDS if f not in row]
-        if missing:
-            errors.append(RowError(line, f"missing fields: {', '.join(missing)}"))
-            continue
+    """Load articles from JSONL; embeddings are loaded separately."""
+
+    def build(row: dict) -> Article:
+        _require(row, _ARTICLE_FIELDS)
         try:
             date = _parse_date(row["date"])
         except (TypeError, ValueError) as exc:
-            errors.append(RowError(line, f"unparseable date: {exc}"))
-            continue
-        article_id = str(row["article_id"])
-        if article_id in first_line:
-            first = first_line[article_id]
-            errors.append(
-                RowError(line, f"duplicate article_id {article_id!r}, first on line {first}")
-            )
-            continue
-        first_line[article_id] = line
-        articles.append(
-            Article(
-                article_id=article_id,
-                date=date,
-                headline=str(row["headline"]),
-                body=str(row["body"]),
-            )
+            raise ValueError(f"unparseable date: {exc}") from None
+        return Article(
+            article_id=str(row["article_id"]),
+            date=date,
+            headline=str(row["headline"]),
+            body=str(row["body"]),
         )
-    for err in errors:
-        logger.warning("%s:%d: %s", path, err.line, err.message)
-    return articles, errors
+
+    return _load_rows(path, "articles", build, key="article_id")
 
 
 def _meta_path(f32_path: Path) -> Path:
-    name = f32_path.name
-    if name.endswith(".f32"):
-        return f32_path.with_name(name[: -len(".f32")] + ".meta.json")
-    return f32_path.with_name(name + ".meta.json")
+    return f32_path.with_name(f32_path.name.removesuffix(".f32") + ".meta.json")
 
 
-def load_embeddings(
-    path: str | Path, meta_path: str | Path | None = None
-) -> EmbeddingMatrix:
+def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     """Load a flat little-endian float32 matrix plus its JSON sidecar."""
     path = Path(path)
-    meta_path = Path(meta_path) if meta_path is not None else _meta_path(path)
-    with open(meta_path, encoding="utf-8") as fh:
+    with open(_meta_path(path), encoding="utf-8") as fh:
         meta = json.load(fh)
     dim = int(meta["dim"])
     ids = [str(x) for x in meta["ids"]]
@@ -375,37 +372,24 @@ def load_dyad_probs(
     path: str | Path,
 ) -> tuple[list[DyadProbabilityRow], list[RowError]]:
     """Load per-article dyad probability rows from JSONL."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"dyad probability file not found: {path}")
-    rows, errors = _iter_rows(path)
-    out: list[DyadProbabilityRow] = []
-    for row in rows:
-        line = row.pop("__line__", 0)
+
+    def build(row: dict) -> DyadProbabilityRow:
         if "article_id" not in row or "probs" not in row:
-            errors.append(RowError(line, "missing article_id or probs"))
-            continue
+            raise ValueError("missing article_id or probs")
         if not isinstance(row["probs"], dict):
-            errors.append(RowError(line, "probs is not an object"))
-            continue
+            raise ValueError("probs is not an object")
         probs = {}
         for dyad, p in row["probs"].items():
             try:
                 p = float(p)
-            except (TypeError, ValueError) as exc:
-                errors.append(RowError(line, f"unparseable probability: {dyad}: {exc}"))
-                break
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"unparseable probability: {dyad}: {exc}") from None
             if not 0.0 <= p <= 1.0:
-                errors.append(RowError(line, f"probability out of [0,1]: {dyad}={p}"))
-                break
+                raise ValueError(f"probability out of [0,1]: {dyad}={p}")
             probs[str(dyad)] = p
-        else:
-            out.append(
-                DyadProbabilityRow(article_id=str(row["article_id"]), probabilities=probs)
-            )
-    for err in errors:
-        logger.warning("%s:%d: %s", path, err.line, err.message)
-    return out, errors
+        return DyadProbabilityRow(article_id=str(row["article_id"]), probabilities=probs)
+
+    return _load_rows(path, "dyad probability", build, key="article_id")
 
 
 # ---------------------------------------------------------------------------
@@ -451,39 +435,26 @@ def match_headlines(
 def apply_dyad_filter(
     articles: list[Article],
     probs: list[DyadProbabilityRow],
-    threshold: float = 0.8,
-    dyads: set[str] | None = None,
     gold_labels: dict[str, ArticleLabel] | None = None,
 ) -> dict[str, ArticleLabel]:
-    """Keep classifier-labeled articles whose best allowed dyad reaches the threshold.
+    """Gold labels unchanged, plus classifier labels whose best dyad reaches DYAD_THRESHOLD.
 
-    Articles already gold-labeled by headline match bypass the filter (their
-    gold dyads are restricted to the allowed set when one is given). The
-    comparison is >= threshold: rows strictly below are eliminated.
+    Articles already gold-labeled by headline match bypass the filter. The
+    comparison is >= DYAD_THRESHOLD: rows strictly below are eliminated.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must be in (0, 1]: {threshold}")
     known = {a.article_id for a in articles}
-    gold_labels = gold_labels or {}
-    out: dict[str, ArticleLabel] = {}
-    for aid, label in gold_labels.items():
-        allowed = label.dyads if dyads is None else tuple(d for d in label.dyads if d in dyads)
-        if allowed:
-            out[aid] = ArticleLabel(aid, allowed, gold=True, ambiguous=len(allowed) > 1)
+    out = dict(gold_labels or {})
     for row in probs:
         if row.article_id not in known:
             logger.warning("probability row for unknown article %s ignored", row.article_id)
             continue
         if row.article_id in out:
             continue  # gold label bypasses the classifier filter
-        candidates = {
-            d: p for d, p in row.probabilities.items() if dyads is None or d in dyads
-        }
-        if not candidates:
+        if not row.probabilities:
             continue
         # deterministic argmax: highest probability, lexicographic tie-break
-        best = min(candidates.items(), key=lambda kv: (-kv[1], kv[0]))
-        if best[1] >= threshold:
+        best = min(row.probabilities.items(), key=lambda kv: (-kv[1], kv[0]))
+        if best[1] >= DYAD_THRESHOLD:
             out[row.article_id] = ArticleLabel(row.article_id, (best[0],), gold=False)
     return out
 
@@ -579,19 +550,7 @@ def load_series(path: str | Path) -> DyadMonthSeries:
 def save_labels_file(labels: dict[str, ArticleLabel], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for aid in sorted(labels):
-            label = labels[aid]
-            fh.write(
-                json.dumps(
-                    {
-                        "article_id": label.article_id,
-                        "dyads": list(label.dyads),
-                        "gold": label.gold,
-                        "ambiguous": label.ambiguous,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            fh.write(json.dumps(asdict(labels[aid]), sort_keys=True) + "\n")
 
 
 def load_labels_file(path: str | Path) -> dict[str, ArticleLabel]:

@@ -1,7 +1,36 @@
+import datetime as dt
+import json
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nexus.ingest import EmbeddingMatrix, load_articles, load_dyad_probs, load_events
+from conftest import make_series
+from nexus import months
+from nexus.ingest import (
+    DYAD_THRESHOLD,
+    Article,
+    ArticleLabel,
+    ConflictEvent,
+    DyadProbabilityRow,
+    EmbeddingMatrix,
+    RowError,
+    aggregate_monthly,
+    apply_dyad_filter,
+    load_articles,
+    load_dyad_probs,
+    load_embeddings,
+    load_events,
+    load_labels_file,
+    load_series,
+    match_headlines,
+    save_embeddings,
+    save_labels_file,
+    save_series,
+    select_top_dyads,
+)
 
 
 def write_jsonl(path, lines):
@@ -141,3 +170,236 @@ class TestLoaderContract:
 def test_embedding_matrix_rejects_duplicate_ids():
     with pytest.raises(ValueError, match="'b' in rows 1 and 3"):
         EmbeddingMatrix(ids=["a", "b", "c", "b", "a"], vectors=np.zeros((5, 2)))
+
+
+# The three row loaders, each with a valid JSONL row for an id, its required
+# fields and the attribute that holds the row's id.
+LOADERS = {
+    "events": (load_events, lambda i: json.loads(event_row(i, 3)),
+               ("event_id", "dyad_id", "country_id", "date", "fatalities", "headline"),
+               "event_id"),
+    "articles": (load_articles,
+                 lambda i: {"article_id": i, "date": "2015-03-14", "headline": "h", "body": "b"},
+                 ("article_id", "date", "headline", "body"), "article_id"),
+    "dyad_probs": (load_dyad_probs, lambda i: {"article_id": i, "probs": {"d1": 0.9}},
+                   ("article_id", "probs"), "article_id"),
+}
+
+
+def _decoded(raw):
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+
+
+def _not_an_object(raw):
+    try:
+        return not isinstance(json.loads(_decoded(raw)), dict)
+    except (TypeError, ValueError, RecursionError):
+        return True
+
+
+# One physical line each: arbitrary bytes or UTF-8 text that is not a JSON
+# object, a valid row, or a valid row without one required field. Ids come
+# from a small pool, so valid rows repeat ids.
+LINES = st.lists(
+    st.one_of(
+        st.tuples(st.just("text"), st.one_of(
+            st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"),
+                    max_size=20).map(str.encode),
+            st.binary(max_size=20).map(lambda raw: raw.replace(b"\n", b"").replace(b"\r", b"")),
+        ).filter(_not_an_object)),
+        st.tuples(st.just("row"), st.sampled_from("abc")),
+        st.tuples(st.just("broken"), st.sampled_from("abc"), st.integers(0, 5)),
+    ),
+    max_size=12,
+)
+
+
+class TestLoaderProperties:
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    @settings(max_examples=60, deadline=None)
+    @given(lines=LINES)
+    # line 2 repeats line 1's id and line 3 is not JSON: errors on lines 2, 3 in that order
+    @example(lines=[("row", "a"), ("row", "a"), ("text", b"{not json")])
+    def test_rows_load_or_become_errors_in_line_order(self, tmp_path_factory, loader, lines):
+        load, make_row, fields, key = LOADERS[loader]
+        raw_lines, loaded, error_lines = [], [], []
+        for lineno, (kind, value, *drop) in enumerate(lines, start=1):
+            if kind == "text":
+                raw_lines.append(value)
+                decoded = _decoded(value)
+                if decoded is None or decoded.strip():
+                    error_lines.append(lineno)
+                continue
+            row = make_row(value)
+            if kind == "broken":
+                del row[fields[drop[0] % len(fields)]]
+                error_lines.append(lineno)
+            elif value in loaded:
+                error_lines.append(lineno)
+            else:
+                loaded.append(value)
+            raw_lines.append(json.dumps(row).encode())
+        path = tmp_path_factory.mktemp(loader) / "rows.jsonl"
+        path.write_bytes(b"".join(raw + b"\n" for raw in raw_lines))
+        items, errors = load(path)
+        assert [getattr(item, key) for item in items] == loaded
+        assert [e.line for e in errors] == error_lines  # ascending, as enumerated
+
+
+class TestLoaderEdgeCases:
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    def test_deeply_nested_json_is_a_row_error(self, tmp_path, loader):
+        load, make_row, _, key = LOADERS[loader]
+        path = write_jsonl(tmp_path / "rows.jsonl", [json.dumps(make_row("a")), "[" * 100_000])
+        items, errors = load(path)
+        assert [getattr(item, key) for item in items] == ["a"]
+        assert errors == [RowError(2, "invalid JSON: nested too deeply")]
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    def test_integer_past_the_digit_limit_is_a_row_error(self, tmp_path, loader):
+        load, make_row, _, key = LOADERS[loader]
+        path = write_jsonl(tmp_path / "rows.jsonl", ["9" * 5000, json.dumps(make_row("a"))])
+        items, errors = load(path)
+        assert [getattr(item, key) for item in items] == ["a"]
+        assert [e.line for e in errors] == [1]
+        assert errors[0].message.startswith("invalid JSON")
+
+    def test_dyad_probs_probability_too_large_for_a_float(self, tmp_path):
+        path = write_jsonl(
+            tmp_path / "probs.jsonl",
+            ['{"article_id":"a","probs":{"d1":' + "1" * 400 + "}}",
+             '{"article_id":"b","probs":{"d1":0.5}}'],
+        )
+        rows, errors = load_dyad_probs(path)
+        assert [r.article_id for r in rows] == ["b"]
+        assert [e.line for e in errors] == [1]
+        assert "unparseable probability: d1" in errors[0].message
+
+    def test_dyad_probs_duplicate_id(self, tmp_path):
+        path = write_jsonl(
+            tmp_path / "probs.jsonl",
+            ['{"article_id":"a","probs":{"d1":0.9}}',
+             '{"article_id":"b","probs":{"d1":0.1}}',
+             '{"article_id":"a","probs":{"d2":0.95}}'],
+        )
+        rows, errors = load_dyad_probs(path)
+        assert [(r.article_id, r.probabilities) for r in rows] == [
+            ("a", {"d1": 0.9}), ("b", {"d1": 0.1})
+        ]
+        assert errors == [RowError(3, "duplicate article_id 'a', first on line 1")]
+
+
+def article(article_id, headline="h", date=dt.date(2015, 3, 14)):
+    return Article(article_id=article_id, date=date, headline=headline, body="b")
+
+
+def event(event_id, dyad_id, headline="h", date=dt.date(2015, 3, 14), fatalities=1):
+    return ConflictEvent(event_id, dyad_id, "c1", date, fatalities, headline)
+
+
+class TestMatchHeadlines:
+    def test_ignores_case_whitespace_and_trailing_punctuation(self):
+        articles = [article("a1", "  Clash\tnear   the RIVER!?. "), article("a2", "clash")]
+        labels = match_headlines(articles, [event("e1", "d1", "clash near the river")])
+        assert labels == {"a1": ArticleLabel("a1", ("d1",), gold=True, ambiguous=False)}
+
+    def test_headline_of_several_dyads_is_ambiguous(self):
+        events = [event("e1", "d2", "Shelling."), event("e2", "d1", "shelling"),
+                  event("e3", "d2", "SHELLING")]
+        labels = match_headlines([article("a1", "shelling")], events)
+        assert labels == {"a1": ArticleLabel("a1", ("d1", "d2"), gold=True, ambiguous=True)}
+
+
+class TestApplyDyadFilter:
+    def test_threshold_is_inclusive(self):
+        below = float(np.nextafter(DYAD_THRESHOLD, 0.0))
+        probs = [DyadProbabilityRow("a1", {"d1": DYAD_THRESHOLD}),
+                 DyadProbabilityRow("a2", {"d1": below, "d2": 0.1})]
+        labels = apply_dyad_filter([article("a1"), article("a2")], probs)
+        assert labels == {"a1": ArticleLabel("a1", ("d1",), gold=False)}
+
+    def test_gold_labels_pass_through_unchanged(self):
+        gold = {"a1": ArticleLabel("a1", ("d1", "d2"), gold=True, ambiguous=True),
+                "a2": ArticleLabel("a2", ("d3",), gold=True)}
+        probs = [DyadProbabilityRow("a1", {"d9": 0.99}), DyadProbabilityRow("a2", {"d3": 0.1})]
+        labels = apply_dyad_filter([article("a1"), article("a2")], probs, gold_labels=gold)
+        assert labels == gold
+
+    def test_tie_broken_lexicographically(self):
+        probs = [DyadProbabilityRow("a1", {"d2": 0.9, "d10": 0.9, "d3": 0.85})]
+        labels = apply_dyad_filter([article("a1")], probs)
+        assert labels["a1"].dyads == ("d10",)
+
+    def test_row_for_unknown_article_ignored(self, caplog):
+        probs = [DyadProbabilityRow("zz", {"d1": 0.99}), DyadProbabilityRow("a1", {"d1": 0.9})]
+        with caplog.at_level(logging.WARNING, logger="nexus.ingest"):
+            labels = apply_dyad_filter([article("a1")], probs)
+        assert list(labels) == ["a1"]
+        assert "unknown article zz" in caplog.text
+
+
+def test_select_top_dyads_ties_broken_by_id():
+    articles = [article(f"a{i}") for i in range(6)]
+    articles.append(article("late", date=dt.date(2016, 1, 5)))
+    dyads = ["d2", "d1", "d2", "d1", "d3", "d0", "d3"]
+    labels = {a.article_id: ArticleLabel(a.article_id, (d,), gold=True)
+              for a, d in zip(articles, dyads)}
+    window = (months.month_index(2015, 1), months.month_index(2015, 12))
+    # in-window counts: d1 2, d2 2, d0 1, d3 1 (its second article is outside)
+    assert select_top_dyads(articles, labels, window, 3) == ["d1", "d2", "d0"]
+
+
+class TestAggregateMonthly:
+    WINDOW = (months.month_index(2015, 1), months.month_index(2015, 12))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 12), st.integers(0, 500), st.booleans()),
+                    max_size=30))
+    def test_conserves_total_fatalities(self, draws):
+        events = [event(f"e{i}", "d1" if mine else "d2", date=dt.date(2015, month, 1),
+                        fatalities=fatalities)
+                  for i, (month, fatalities, mine) in enumerate(draws)]
+        series = aggregate_monthly(events, "d1", self.WINDOW)
+        assert list(series.months) == list(range(self.WINDOW[0], self.WINDOW[1] + 1))
+        assert series.raw_fatalities.sum() == sum(f for _, f, mine in draws if mine)
+        for month, fatalities, mine in draws:
+            assert series.raw_fatalities[month - 1] >= (fatalities if mine else 0)
+        np.testing.assert_array_equal(series.log_fatalities, np.log1p(series.raw_fatalities))
+
+    def test_rejects_event_outside_window(self):
+        events = [event("e1", "d1"), event("e2", "d1", date=dt.date(2016, 1, 1))]
+        with pytest.raises(ValueError, match="e2 dated 2016-01-01 outside window"):
+            aggregate_monthly(events, "d1", self.WINDOW)
+
+
+class TestRoundTrips:
+    def test_series(self, tmp_path):
+        series = make_series([0, 3, 0, 17, 250, 1], dyad_id="d7", country_id="c2")
+        save_series(series, tmp_path / "series.json")
+        loaded = load_series(tmp_path / "series.json")
+        assert (loaded.dyad_id, loaded.country_id) == ("d7", "c2")
+        for name in ("months", "raw_fatalities", "log_fatalities"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(series, name))
+
+    def test_labels_file(self, tmp_path):
+        labels = {
+            "b": ArticleLabel("b", ("d1", "d2"), gold=True, ambiguous=True),
+            "a": ArticleLabel("a", ("d3",), gold=False),
+            "c": ArticleLabel("c", ("d1",), gold=True),
+        }
+        save_labels_file(labels, tmp_path / "labels.jsonl")
+        assert load_labels_file(tmp_path / "labels.jsonl") == labels
+
+    @pytest.mark.parametrize("name, sidecar", [("emb.f32", "emb.meta.json"),
+                                               ("emb.bin", "emb.bin.meta.json")])
+    def test_embeddings(self, tmp_path, name, sidecar):
+        vectors = np.random.default_rng(0).standard_normal((4, 3)).astype(np.float32)
+        save_embeddings(tmp_path / name, ["a", "b", "c", "d"], vectors)
+        assert (tmp_path / sidecar).exists()
+        loaded = load_embeddings(tmp_path / name)
+        assert loaded.ids == ["a", "b", "c", "d"]
+        np.testing.assert_array_equal(loaded.vectors, vectors)
+        np.testing.assert_array_equal(loaded.get("c"), vectors[2])
