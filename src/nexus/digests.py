@@ -11,7 +11,9 @@ in that month: low-context (per topic, the five in-month articles closest
 to the centroid, prefixed by all of the month's event snippets) and
 high-context RAG (per event, the nearest in-month context article from
 each non-violent topic, assembled into event-blocks and packed into
-digests bounded by a token budget).
+digests bounded by a token budget). Snippet length, articles per topic and
+that budget are the module constants ``SNIPPET_TOKENS``, ``PER_TOPIC`` and
+``CONTEXT_LIMIT``.
 """
 
 from __future__ import annotations
@@ -29,10 +31,12 @@ from .ingest import Article
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_SNIPPET_TOKENS = 256
+SNIPPET_TOKENS = 256  # whitespace tokens kept per snippet
+PER_TOPIC = 5  # low-context articles per topic
+CONTEXT_LIMIT = 8192  # token budget of one high-context digest
+KMEANS_MAX_ITER = 100
 DEFAULT_MIN_TOPIC_SIZE = 200
 DEFAULT_MAX_TOPICS = 21
-DEFAULT_CONTEXT_LIMIT = 8192
 
 LOW_CONTEXT = "low_context"
 HIGH_CONTEXT = "high_context"
@@ -68,7 +72,6 @@ class Digest:
     snippets: list[Snippet]
     total_tokens: int
     seed: int | None = None
-    partition: str | None = None
 
     @property
     def snippet_ids(self) -> list[str]:
@@ -83,12 +86,12 @@ class Digest:
 # Snippets
 # ---------------------------------------------------------------------------
 
-def snippet(article: Article, limit: int = DEFAULT_SNIPPET_TOKENS) -> Snippet:
-    """First `limit` whitespace tokens of headline + body, single-spaced."""
+def snippet(article: Article) -> Snippet:
+    """First ``SNIPPET_TOKENS`` whitespace tokens of headline + body, single-spaced."""
     tokens = f"{article.headline} {article.body}".split()
     if not tokens:
         raise ValueError(f"article {article.article_id} has no text")
-    kept = tokens[:limit]
+    kept = tokens[:SNIPPET_TOKENS]
     return Snippet(article.article_id, " ".join(kept), len(kept))
 
 
@@ -133,7 +136,6 @@ def cluster_topics(
     min_topic_size: int = DEFAULT_MIN_TOPIC_SIZE,
     max_topics: int = DEFAULT_MAX_TOPICS,
     seed: int = 0,
-    max_iter: int = 100,
 ) -> TopicModel:
     """Spherical k-means with a minimum-cluster-size merge rule.
 
@@ -166,7 +168,7 @@ def cluster_topics(
     rng = np.random.Generator(np.random.PCG64(seed))
     centroids = _kmeanspp_init(unit, k, rng)
     labels = np.argmax(unit @ centroids.T, axis=1)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         fresh = []
         for t in range(centroids.shape[0]):
             member_vecs = unit[labels == t]
@@ -222,8 +224,11 @@ def cluster_topics(
 # Digest assembly
 # ---------------------------------------------------------------------------
 
-def _in_month(article: Article, month: int) -> bool:
-    return article.month == month
+def _event_ids(articles_by_id: dict[str, Article], gold_ids: set[str], month: int) -> list[str]:
+    """The month's event (gold) articles, sorted by id."""
+    return sorted(
+        aid for aid in gold_ids if aid in articles_by_id and articles_by_id[aid].month == month
+    )
 
 
 def _members_in_month(
@@ -232,7 +237,7 @@ def _members_in_month(
     """Each topic's members dated in `month` for which `keep(id)` holds, in one pass."""
     by_topic: dict[int, list[str]] = {}
     for aid, topic in topic_model.assignment.items():
-        if keep(aid) and aid in articles_by_id and _in_month(articles_by_id[aid], month):
+        if keep(aid) and aid in articles_by_id and articles_by_id[aid].month == month:
             by_topic.setdefault(topic, []).append(aid)
     return by_topic
 
@@ -244,21 +249,15 @@ def low_context_digest(
     articles_by_id: dict[str, Article],
     gold_ids: set[str],
     embeddings,
-    snippet_limit: int = DEFAULT_SNIPPET_TOKENS,
-    per_topic: int = 5,
 ) -> Digest | None:
     """Event snippets first, then per topic the closest in-month articles.
 
-    Topics contribute up to `per_topic` non-event articles each, ranked by
+    Topics contribute up to ``PER_TOPIC`` non-event articles each, ranked by
     cosine similarity to the centroid. A dyad-month with no articles and
     no events yields no digest.
     """
-    event_ids = sorted(
-        aid
-        for aid in gold_ids
-        if aid in articles_by_id and _in_month(articles_by_id[aid], month)
-    )
-    snippets = [snippet(articles_by_id[aid], snippet_limit) for aid in event_ids]
+    event_ids = _event_ids(articles_by_id, gold_ids, month)
+    snippets = [snippet(articles_by_id[aid]) for aid in event_ids]
     in_month_by_topic = _members_in_month(
         topic_model, articles_by_id, month, lambda aid: aid not in gold_ids
     )
@@ -269,8 +268,8 @@ def low_context_digest(
         centroid = topic_model.centroids[topic]
         sims = [(float(normalize(embeddings.get(aid)) @ centroid), aid) for aid in in_month]
         sims.sort(key=lambda pair: (-pair[0], pair[1]))
-        for _, aid in sims[:per_topic]:
-            snippets.append(snippet(articles_by_id[aid], snippet_limit))
+        for _, aid in sims[:PER_TOPIC]:
+            snippets.append(snippet(articles_by_id[aid]))
     if not snippets:
         return None
     return Digest(
@@ -325,27 +324,21 @@ def rag_digest(
     gold_ids: set[str],
     embeddings,
     index: HnswIndex,
-    context_limit: int = DEFAULT_CONTEXT_LIMIT,
-    snippet_limit: int = DEFAULT_SNIPPET_TOKENS,
     seed: int = 0,
 ) -> list[Digest]:
     """Event-blocks (event snippet + exact nearest article per non-violent topic).
 
     Retrieval sees only the indexed articles dated in `month`; a topic
     with none of them is skipped, and the skips are logged once per call.
-    Blocks always fit in one digest when their total is within the token
-    budget; otherwise whole blocks are sampled without replacement into
-    multiple digests. A month without events falls back to the
-    low-context digest.
+    Blocks always fit in one digest when their total is within
+    ``CONTEXT_LIMIT`` tokens; otherwise whole blocks are sampled without
+    replacement into multiple digests. A month without events falls back
+    to the low-context digest.
     """
-    event_ids = sorted(
-        aid
-        for aid in gold_ids
-        if aid in articles_by_id and _in_month(articles_by_id[aid], month)
-    )
+    event_ids = _event_ids(articles_by_id, gold_ids, month)
     if not event_ids:
         fallback = low_context_digest(
-            dyad_id, month, topic_model, articles_by_id, gold_ids, embeddings, snippet_limit
+            dyad_id, month, topic_model, articles_by_id, gold_ids, embeddings
         )
         return [fallback] if fallback is not None else []
 
@@ -371,15 +364,15 @@ def rag_digest(
             logger.warning("event article %s has no embedding, skipped", eid)
             continue
         query = normalize(embeddings.get(eid))
-        block = [snippet(articles_by_id[eid], snippet_limit)]
+        block = [snippet(articles_by_id[eid])]
         for members in allowed.values():
             found, _ = index.search(query, k=1, allowed=members)[0]
-            block.append(snippet(articles_by_id[found], snippet_limit))
+            block.append(snippet(articles_by_id[found]))
         blocks.append(block)
     if not blocks:
         return []
 
-    packed = sample_event_blocks(blocks, context_limit, seed)
+    packed = sample_event_blocks(blocks, CONTEXT_LIMIT, seed)
     out = []
     for group in packed:
         snippets = [s for block in group for s in block]
@@ -401,9 +394,7 @@ def rag_digest(
 # ---------------------------------------------------------------------------
 
 def save_digests(digests: list[Digest], path: str | Path) -> None:
-    ordered = sorted(
-        digests, key=lambda d: (d.kind, d.partition or "", d.dyad_id, d.month)
-    )
+    ordered = sorted(digests, key=lambda d: (d.kind, d.dyad_id, d.month))
     with open(path, "w", encoding="utf-8") as fh:
         for digest in ordered:
             fh.write(
@@ -416,7 +407,6 @@ def save_digests(digests: list[Digest], path: str | Path) -> None:
                         "text": digest.text,
                         "total_tokens": digest.total_tokens,
                         "seed": digest.seed,
-                        "partition": digest.partition,
                     },
                     sort_keys=True,
                 )
@@ -446,7 +436,6 @@ def load_digests(path: str | Path) -> list[Digest]:
                     snippets=snippets,
                     total_tokens=int(row["total_tokens"]),
                     seed=row["seed"],
-                    partition=row.get("partition"),
                 )
             )
     return out

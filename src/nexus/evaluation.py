@@ -9,7 +9,9 @@ depends on neither the resample count nor the seed. Score-based metrics
 (AP, AUROC) pool all (record, class) pairs one-versus-rest before
 computation ("micro-aggregation where probabilities are involved");
 count-based metrics pool TP/FP/FN, which for single-label multiclass
-makes micro recall, precision and F1 all equal accuracy.
+makes micro recall, precision and F1 all equal accuracy, so one bootstrap
+of a tuple-valued metric serves all three. Every interval is a percentile
+bootstrap interval at ``CI_LEVEL``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from . import months
 logger = logging.getLogger(__name__)
 
 N_CLASSES = 4
+CI_LEVEL = 0.95  # coverage of every bootstrap interval
 
 
 @dataclass(frozen=True)
@@ -57,11 +60,11 @@ class ForecastRecord:
 
 @dataclass(frozen=True)
 class MetricValue:
-    """A bootstrap CI; tuples in point, lower and upper for a tuple-valued metric."""
+    """A bootstrap CI of a tuple-valued metric, one entry per component."""
 
-    point: float | tuple[float, ...]
-    lower: float | tuple[float, ...]
-    upper: float | tuple[float, ...]
+    point: tuple[float, ...]
+    lower: tuple[float, ...]
+    upper: tuple[float, ...]
     n_records: int
     n_bootstraps: int
 
@@ -244,16 +247,15 @@ def bootstrap_ci(
     records: list[ForecastRecord],
     metric,
     n: int = 1000,
-    level: float = 0.95,
     seed: int = 0,
 ) -> MetricValue:
-    """Percentile bootstrap over record resamples; point from the full set.
+    """Percentile ``CI_LEVEL`` bootstrap over record resamples; point from the full set.
 
-    A metric that returns a tuple of floats (several metrics read off one
-    resample) gets tuples for point, lower and upper, in the same order.
-    Raises ``ValueError`` when the metric is undefined on the full set, or
-    on more than 10% of the `n` resamples. Resamples where it is undefined
-    (up to that share) are left out of the percentiles.
+    `metric` returns a tuple of floats (several metrics read off one
+    resample, as in ``METRIC_FUNCS``); point, lower and upper are tuples in
+    the same order. Raises ``ValueError`` when the metric is undefined on
+    the full set, or on more than 10% of the `n` resamples. Resamples where
+    it is undefined (up to that share) are left out of the percentiles.
     """
     if not records:
         raise ValueError("no records")
@@ -270,17 +272,9 @@ def bootstrap_ci(
             failures += 1
     if failures > 0.1 * n:
         raise ValueError(f"metric undefined on {failures}/{n} bootstrap resamples")
-    alpha = (1.0 - level) / 2.0
+    alpha = (1.0 - CI_LEVEL) / 2.0
     lower, upper = np.percentile(values, [100 * alpha, 100 * (1 - alpha)], axis=0).tolist()
-    if isinstance(point, tuple):
-        return MetricValue(point, tuple(lower), tuple(upper), len(records), n)
-    return MetricValue(
-        point=float(point),
-        lower=float(lower),
-        upper=float(upper),
-        n_records=len(records),
-        n_bootstraps=n,
-    )
+    return MetricValue(point, tuple(lower), tuple(upper), len(records), n)
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +401,9 @@ def emit_report(
 
     grid_dir = out_dir / "grids"
     grid_dir.mkdir(exist_ok=True)
-    for (step, kind, source), rows in sorted(groups.items()):
-        if source != "model":
+    for (step, kind, source), monthly in sorted(collapsed.items()):
+        if source != "model_monthly":
             continue
-        monthly = collapse_to_dyad_month(rows)
         by_dyad: dict[str, list[ForecastRecord]] = {}
         for r in monthly:
             by_dyad.setdefault(r.dyad_id, []).append(r)

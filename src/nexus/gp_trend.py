@@ -3,11 +3,12 @@
 The trend of a dyad's log-fatality series is modeled as a zero-mean GP
 with a Matérn 3/2 kernel plus i.i.d. observation noise. Hyperparameters
 (length scale, amplitude, noise sd) are fit by MAP under a LogNormal
-length-scale prior, by scipy's L-BFGS-B in log space from three starts,
-optionally with two-stage country-level pooling of the length scale. The
-deliverable per dyad is the posterior mean on the monthly grid and its
-numerical first derivative, which downstream code discretizes into
-escalation states.
+length-scale prior, by scipy's L-BFGS-B in log space from three starts
+(one multi-start driver serves both fits), with two-stage country-level
+pooling of the length scale when a country has several dyads. Given those
+parameters, ``fit_trend`` delivers per dyad the posterior mean on the
+series' own months and its numerical first derivative, which downstream
+code discretizes into escalation states.
 
 Each objective returns its exact gradient in the log-parameters with its
 value (Rasmussen & Williams, *GPML* 2006, eq. 5.9, plus the priors'
@@ -55,10 +56,6 @@ class FactorizationError(RuntimeError):
 class FitError(RuntimeError):
     """Every optimizer start diverged to a non-finite objective."""
 
-    def __init__(self, message: str, diagnostics: list[str] | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or []
-
 
 @dataclass(frozen=True)
 class KernelParams:
@@ -73,11 +70,6 @@ class KernelParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite: {value}")
-
-    def scaled(self, factor: float) -> "KernelParams":
-        return KernelParams(
-            self.length_scale * factor, self.amplitude * factor, self.noise_sd * factor
-        )
 
 
 @dataclass(frozen=True)
@@ -124,17 +116,6 @@ def matern32(distance, length_scale: float, amplitude: float):
     r = SQRT3 * d / length_scale
     out = amplitude**2 * (1.0 + r) * np.exp(-r)
     return out if out.ndim else float(out)
-
-
-def build_gram(times: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Kernel matrix on the given time points, noise variance on the diagonal."""
-    x = np.asarray(times, dtype=float)
-    if len(np.unique(x)) != len(x):
-        raise ValueError("time points must be distinct")
-    d = np.abs(x[:, None] - x[None, :])
-    gram = matern32(d, params.length_scale, params.amplitude)
-    gram[np.diag_indices_from(gram)] += params.noise_sd**2
-    return gram
 
 
 def _jitter(level: int, amplitude: float) -> float:
@@ -345,45 +326,41 @@ def _pooled_objective(group: list[DyadMonthSeries], prior: PriorSpec):
     return objective
 
 
-def fit_map(
-    series: DyadMonthSeries,
-    prior: PriorSpec,
-    init: KernelParams | None = None,
-    max_iter: int = 200,
-    return_trace: bool = False,
-):
+def _best_start(objective, starts: list[np.ndarray], max_iter: int, what: str) -> np.ndarray:
+    """The optimum reached from the best of `starts` by _ascend (the first on ties).
+
+    Raises :class:`FitError`, naming `what` and the number of starts, when
+    every start ends at a non-finite objective.
+    """
+    best: tuple[float, np.ndarray] | None = None
+    for z0 in starts:
+        z, value, _ = _ascend(objective, z0, max_iter=max_iter)
+        if math.isfinite(value) and (best is None or value > best[0]):
+            best = (value, z)
+    if best is None:
+        raise FitError(f"all {len(starts)} optimizer starts diverged for {what}")
+    return best[1]
+
+
+def fit_map(series: DyadMonthSeries, prior: PriorSpec, max_iter: int = 200) -> KernelParams:
     """MAP kernel hyperparameters by multi-start L-BFGS-B in log space.
 
-    Three fixed starts: the init vector with its length scale replaced by
-    the prior median, plus the init vector scaled by 0.5 and by 2. The
+    Three fixed starts from the data-scale init vector: with its length
+    scale replaced by the prior median, then scaled by 0.5 and by 2. The
     length-scale posterior is often bimodal (smooth-trend vs noise
     readings), so the starts cover both the prior's basin and the
-    data-scale one. With ``return_trace`` the winning start's
-    per-iteration objective trace is returned alongside the parameters.
+    data-scale one.
     """
     if len(series.months) < 4:
         raise ValueError(f"series too short to fit: {len(series.months)} months")
-    if init is None:
-        init = _default_init(series)
-    base = KernelParams(math.exp(prior.log_median), init.amplitude, init.noise_sd)
-
-    objective = _map_objective(series, prior)
-    best: tuple[float, np.ndarray, list[float]] | None = None
-    diagnostics: list[str] = []
-    for start in (base, init.scaled(0.5), init.scaled(2.0)):
-        z0 = np.log([start.length_scale, start.amplitude, start.noise_sd])
-        z, value, trace = _ascend(objective, z0, max_iter=max_iter)
-        if not math.isfinite(value):
-            diagnostics.append(f"start {start} diverged (objective {value})")
-            continue
-        if best is None or value > best[0]:
-            best = (value, z, trace)
-    if best is None:
-        raise FitError(f"all starts diverged for dyad {series.dyad_id}", diagnostics)
-    params = KernelParams(*np.exp(best[1]))
-    if return_trace:
-        return params, best[2]
-    return params
+    init = _default_init(series)
+    starts = [np.log([math.exp(prior.log_median), init.amplitude, init.noise_sd])]
+    for factor in (0.5, 2.0):
+        starts.append(
+            np.log([init.length_scale * factor, init.amplitude * factor, init.noise_sd * factor])
+        )
+    z = _best_start(_map_objective(series, prior), starts, max_iter, f"dyad {series.dyad_id}")
+    return KernelParams(*np.exp(z))
 
 
 def fit_hierarchical(
@@ -422,9 +399,8 @@ def _fit_country_length_scale(
 ) -> float:
     """Stage-1 shared length scale: joint L-BFGS-B over (ln l_c, ln eta_d, ln sigma_d)."""
     inits = [_default_init(series) for series in group]
-    objective = _pooled_objective(group, prior)
     data_ell = float(np.mean([init.length_scale for init in inits]))
-    best: tuple[float, float] | None = None
+    starts = []
     for ell0, factor in (
         (math.exp(prior.log_median), 1.0),
         (0.5 * data_ell, 0.5),
@@ -433,27 +409,14 @@ def _fit_country_length_scale(
         z0 = [math.log(ell0)]
         for init in inits:
             z0.extend([math.log(init.amplitude * factor), math.log(init.noise_sd * factor)])
-        z, value, _ = _ascend(objective, np.array(z0), max_iter=max_iter)
-        if math.isfinite(value) and (best is None or value > best[0]):
-            best = (value, math.exp(z[0]))
-    if best is None:
-        raise FitError("country-level length-scale fit diverged on all starts")
-    return best[1]
+        starts.append(np.array(z0))
+    what = f"country {group[0].country_id}"
+    return math.exp(_best_start(_pooled_objective(group, prior), starts, max_iter, what)[0])
 
 
 # ---------------------------------------------------------------------------
 # Posterior mean and derivative
 # ---------------------------------------------------------------------------
-
-def posterior_mean(
-    series: DyadMonthSeries, params: KernelParams, grid: np.ndarray
-) -> np.ndarray:
-    """GP predictive mean on the grid: K(grid, X) (K(X,X) + sigma^2 I)^-1 y."""
-    alpha = _factorize_series(series, params)[2]
-    g = np.asarray(grid, dtype=float)[:, None]
-    k_star = matern32(np.abs(g - series.months), params.length_scale, params.amplitude)
-    return k_star @ alpha
-
 
 def derivative(mean: np.ndarray) -> np.ndarray:
     """Numerical first derivative on a unit monthly grid.
@@ -471,15 +434,12 @@ def derivative(mean: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_trend(
-    series: DyadMonthSeries,
-    prior: PriorSpec,
-    params: KernelParams | None = None,
-    max_iter: int = 200,
-) -> TrendFit:
-    """Fit (or reuse) MAP hyperparameters and evaluate mean + derivative."""
-    if params is None:
-        params = fit_map(series, prior, max_iter=max_iter)
+def fit_trend(series: DyadMonthSeries, prior: PriorSpec, params: KernelParams) -> TrendFit:
+    """Posterior mean K_f (K_f + sigma^2 I)^-1 y on the series' own months, and its derivative.
+
+    `params` come from :func:`fit_map` or :func:`fit_hierarchical`; `prior`
+    only scores them for ``log_posterior_at_map``.
+    """
     k_f, _, alpha, _, level = _factorize_series(series, params)
     mean = k_f @ alpha
     return TrendFit(

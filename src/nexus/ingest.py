@@ -32,6 +32,8 @@ logger = logging.getLogger(__name__)
 
 _TRAILING_PUNCT = string.punctuation + " "
 DYAD_THRESHOLD = 0.8  # apply_dyad_filter keeps a classifier row whose best dyad has p >= this
+# Largest count a row may carry: sums over billions of rows stay inside int64.
+MAX_COUNT = 10**9
 _UNDECODED = re.compile("[\udc80-\udcff]")  # bytes that surrogateescape kept
 
 
@@ -224,11 +226,18 @@ def _iter_rows(path: Path) -> tuple[list[dict], list[RowError]]:
 
 
 def _parse_count(value) -> int:
-    """An integral count from a JSON number or a CSV string: 3, 3.0 and "3.0" give 3."""
+    """An integral count up to MAX_COUNT from a JSON number or a CSV string.
+
+    3, 3.0 and "3.0" give 3; JSON ``true`` and ``false`` are not counts.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"boolean count: {value}")
     number = float(value) if isinstance(value, str) else value
     count = int(number)  # OverflowError for inf, ValueError for nan
     if count != number:
         raise ValueError(f"non-integral count: {value}")
+    if count > MAX_COUNT:
+        raise ValueError(f"count {count} above {MAX_COUNT}")
     return count
 
 

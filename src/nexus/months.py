@@ -8,7 +8,6 @@ form; conversion happens at the boundaries.
 
 from __future__ import annotations
 
-import datetime as _dt
 import re
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
@@ -33,29 +32,3 @@ def format_month(index: int) -> str:
     """Inverse of :func:`parse_month`."""
     year, month0 = divmod(index, 12)
     return f"{year:04d}-{month0 + 1:02d}"
-
-
-def month_of_date(value: str | _dt.date) -> int:
-    """Month index of an ISO-8601 date (or a date object)."""
-    if isinstance(value, str):
-        value = _dt.date.fromisoformat(value.strip())
-    return month_index(value.year, value.month)
-
-
-def parse_window(text: str) -> tuple[int, int]:
-    """Parse an inclusive 'YYYY-MM:YYYY-MM' month window."""
-    try:
-        lo_text, hi_text = text.split(":")
-    except ValueError:
-        raise ValueError(f"not a YYYY-MM:YYYY-MM window: {text!r}") from None
-    lo, hi = parse_month(lo_text), parse_month(hi_text)
-    if hi < lo:
-        raise ValueError(f"window end precedes start: {text!r}")
-    return lo, hi
-
-
-def month_range(start: int, end: int) -> list[int]:
-    """Inclusive contiguous list of month indices."""
-    if end < start:
-        raise ValueError(f"empty month range: {start}..{end}")
-    return list(range(start, end + 1))

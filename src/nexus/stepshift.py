@@ -6,14 +6,19 @@ member-article embeddings (the interface point where an external encoder
 could supply digest-level vectors instead). The head's objective,
 class-weighted cross-entropy plus an L2 penalty, is strictly convex;
 scipy's L-BFGS-B finds its one minimiser from zero weights, so a forecast
-depends on the data and the objective, not on a step size.
+depends on the data and the objective, not on a step size. Test rows are
+aligned across digest kinds, so every kind is scored on the same
+(dyad, month) rows.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import operator
+from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -117,9 +122,9 @@ def build_dataset(
     for digest in sorted(digests, key=lambda d: (d.dyad_id, d.month, d.kind)):
         m = digest.month
         target_month = m + step
-        if digest.partition in (None, "train") and target_month <= train_end:
+        if target_month <= train_end:
             labels, partition = labels_train, "train"
-        elif digest.partition in (None, "val") and m >= test_start and target_month <= val_end:
+        elif m >= test_start and target_month <= val_end:
             labels, partition = labels_val, "test"
         else:
             continue
@@ -193,24 +198,20 @@ def loss_and_grad(
     return loss, grad
 
 
-def train_softmax(
-    pairs: list[TrainingPair],
-    config: TrainConfig = TrainConfig(),
-    weights: np.ndarray | None = None,
-) -> SoftmaxModel:
+def train_softmax(pairs: list[TrainingPair], config: TrainConfig = TrainConfig()) -> SoftmaxModel:
     """Minimise ``loss_and_grad`` (penalty ``L2``) with one L-BFGS-B call.
 
     Starts from zero weights and stops at scipy's default tolerances or
     after ``config.epochs`` iterations (zero iterations leave the weights
-    at zero), so the result is deterministic. ``weights`` overrides the
-    balanced class weights. Raises ``TrainingCollapseError`` if the loss
-    at the result is not finite.
+    at zero), so the result is deterministic. The class weights are the
+    balanced ones of ``class_weights``. Raises ``TrainingCollapseError`` if
+    the loss at the result is not finite.
     """
     if not pairs:
         raise ValueError("no training pairs")
     features = np.stack([p.features for p in pairs])
     targets = np.array([p.target for p in pairs], dtype=int)
-    cw = class_weights(targets) if weights is None else np.asarray(weights, dtype=float)
+    cw = class_weights(targets)
     shape = (N_CLASSES, features.shape[1] + 1)
 
     def objective(flat: np.ndarray) -> tuple[float, np.ndarray]:
@@ -254,31 +255,22 @@ def _align_test_structure(
     """Hold the test structure identical across digest kinds.
 
     Every (dyad, digest month) key contributes the same number of rows to
-    each kind: the minimum count over kinds, with keys missing anywhere
-    dropped everywhere.
+    each kind: the minimum count over kinds (a ``Counter`` intersection),
+    with keys missing anywhere dropped everywhere. Each kind keeps a key's
+    first rows in input order, and returns them sorted by key.
     """
-    keys_per_kind = {}
-    for kind, pairs in test_by_kind.items():
-        counter: dict[tuple, int] = {}
-        for p in pairs:
-            counter[(p.dyad_id, p.digest_month)] = counter.get((p.dyad_id, p.digest_month), 0) + 1
-        keys_per_kind[kind] = counter
-    shared = None
-    for counter in keys_per_kind.values():
-        keys = set(counter)
-        shared = keys if shared is None else shared & keys
-    shared = shared or set()
-    quota = {
-        key: min(keys_per_kind[kind][key] for kind in test_by_kind) for key in shared
-    }
+    def key(p: TrainingPair) -> tuple:
+        return (p.dyad_id, p.digest_month)
+
+    counts = [Counter(map(key, pairs)) for pairs in test_by_kind.values()]
+    quota = reduce(operator.and_, counts) if counts else Counter()
     aligned = {}
     for kind, pairs in test_by_kind.items():
-        taken: dict[tuple, int] = {key: 0 for key in shared}
+        left = quota.copy()
         kept = []
-        for p in sorted(pairs, key=lambda p: (p.dyad_id, p.digest_month)):
-            key = (p.dyad_id, p.digest_month)
-            if key in quota and taken[key] < quota[key]:
-                taken[key] += 1
+        for p in sorted(pairs, key=key):
+            if left[key(p)] > 0:
+                left[key(p)] -= 1
                 kept.append(p)
         aligned[kind] = kept
     return aligned

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import settings
 
 from nexus.ingest import DyadMonthSeries
@@ -7,21 +6,6 @@ from nexus.ingest import DyadMonthSeries
 # `pytest --hypothesis-profile=ci` draws the same examples on every run, so a
 # failure seen in a CI log reproduces locally with the same command.
 settings.register_profile("ci", derandomize=True, deadline=None)
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--runslow", action="store_true", default=False, help="run slow benchmarks"
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--runslow"):
-        return
-    skip = pytest.mark.skip(reason="needs --runslow")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)
 
 
 def make_series(raw, dyad_id="d1", country_id="c1", start_month=24180):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from nexus.digests import (
     HIGH_CONTEXT,
     LOW_CONTEXT,
+    SNIPPET_TOKENS,
     Digest,
     Snippet,
     TopicModel,
@@ -38,16 +39,16 @@ def art(article_id, n_tokens=20, month="2021-03"):
 
 class TestSnippet:
     def test_long_article_truncated(self):
-        s = snippet(art("a", n_tokens=300), limit=256)
-        assert s.token_count == 256
+        s = snippet(art("a", n_tokens=300))
+        assert s.token_count == SNIPPET_TOKENS == 256
         assert len(s.text.split()) == 256
 
     def test_short_article_kept(self):
-        s = snippet(art("a", n_tokens=10), limit=256)
+        s = snippet(art("a", n_tokens=10))
         assert s.token_count == 10
 
     def test_exact_boundary_unchanged(self):
-        s = snippet(art("a", n_tokens=256), limit=256)
+        s = snippet(art("a", n_tokens=256))
         assert s.token_count == 256
 
     def test_empty_article_rejected(self):
@@ -440,7 +441,6 @@ class TestDigestRoundTrip:
         digest = low_context_digest(
             "dy", parse_month("2021-03"), model, articles, gold, matrix
         )
-        digest.partition = "train"
         path = tmp_path / "digests.jsonl"
         save_digests([digest], path)
         loaded = load_digests(path)
@@ -448,5 +448,4 @@ class TestDigestRoundTrip:
         assert loaded[0].snippet_ids == digest.snippet_ids
         assert loaded[0].total_tokens == digest.total_tokens
         assert loaded[0].month == digest.month
-        assert loaded[0].partition == "train"
         assert loaded[0].text == digest.text

@@ -376,8 +376,8 @@ class TestMicroPooling:
 class TestBootstrapCI:
     def test_constant_metric_zero_width(self):
         records = [record(1, onehotish(1))] * 10
-        value = bootstrap_ci(records, lambda rs: 42.0, n=100, seed=1)
-        assert value.lower == value.upper == value.point == 42.0
+        value = bootstrap_ci(records, lambda rs: (42.0,), n=100, seed=1)
+        assert value.lower == value.upper == value.point == (42.0,)
 
     def test_point_within_interval(self):
         rng = np.random.default_rng(37)
@@ -385,7 +385,7 @@ class TestBootstrapCI:
             record(int(rng.integers(0, 4)), onehotish(int(rng.integers(0, 4))))
             for _ in range(60)
         ]
-        value = bootstrap_ci(records, ap_ovr_micro, n=200, seed=2)
+        value = bootstrap_ci(records, lambda rs: (ap_ovr_micro(rs),), n=200, seed=2)
         assert value.lower <= value.point <= value.upper
 
     def test_duplication_leaves_point_unchanged(self):
@@ -394,23 +394,23 @@ class TestBootstrapCI:
             record(int(rng.integers(0, 4)), onehotish(int(rng.integers(0, 4))))
             for _ in range(40)
         ]
-        acc = lambda rs: micro_metrics(confusion(rs))["recall"]
+        acc = lambda rs: (micro_metrics(confusion(rs))["recall"],)
         single = bootstrap_ci(records, acc, n=50, seed=3)
         doubled = bootstrap_ci(records * 2, acc, n=50, seed=3)
-        assert single.point == pytest.approx(doubled.point, abs=1e-15)
+        assert single.point[0] == pytest.approx(doubled.point[0], abs=1e-15)
 
     def test_undefined_metric_fraction_errors(self):
         records = [record(0, onehotish(0))] * 5  # single-class pool: AUROC undefined
 
         with pytest.raises(ValueError):
-            bootstrap_ci(records, auroc_ovr_micro, n=50, seed=4)
+            bootstrap_ci(records, lambda rs: (auroc_ovr_micro(rs),), n=50, seed=4)
 
     def test_undefined_resample_fraction_errors(self):
         # defined on the pool, undefined on the ~1/3 of resamples that miss state 1
         records = [record(0, onehotish(0))] * 4 + [record(1, onehotish(1))]
         assert auroc_ovr_micro(records) == 1.0
         with pytest.raises(ValueError, match="bootstrap resamples"):
-            bootstrap_ci(records, auroc_ovr_micro, n=50, seed=4)
+            bootstrap_ci(records, lambda rs: (auroc_ovr_micro(rs),), n=50, seed=4)
 
     def test_intervals_widen_with_fewer_records(self):
         rng = np.random.default_rng(43)
@@ -419,12 +419,12 @@ class TestBootstrapCI:
             for _ in range(1000)
         ]
         widths_big, widths_small = [], []
-        acc = lambda rs: micro_metrics(confusion(rs))["recall"]
+        acc = lambda rs: (micro_metrics(confusion(rs))["recall"],)
         for seed in range(5):
             wb = bootstrap_ci(big, acc, n=200, seed=seed)
             ws = bootstrap_ci(big[:100], acc, n=200, seed=seed)
-            widths_big.append(wb.upper - wb.lower)
-            widths_small.append(ws.upper - ws.lower)
+            widths_big.append(wb.upper[0] - wb.lower[0])
+            widths_small.append(ws.upper[0] - ws.lower[0])
         assert np.mean(widths_small) > np.mean(widths_big)
 
 
@@ -439,10 +439,10 @@ class TestBootstrapCI:
         )
         for i, name in enumerate(("recall", "precision", "f1")):
             alone = bootstrap_ci(
-                records, lambda rs: micro_metrics(confusion(rs))[name], n=200, seed=5
+                records, lambda rs: (micro_metrics(confusion(rs))[name],), n=200, seed=5
             )
             assert (joint.point[i], joint.lower[i], joint.upper[i]) == (
-                alone.point, alone.lower, alone.upper
+                alone.point[0], alone.lower[0], alone.upper[0]
             )
 
 
@@ -473,9 +473,10 @@ class TestArrayKernelsMatchLoops:
             for _ in range(60)
         ]
         reference = bootstrap_ci(
-            records, lambda rs: average_precision_loop(*binarize_loop(rs)), n=200, seed=2
+            records, lambda rs: (average_precision_loop(*binarize_loop(rs)),), n=200, seed=2
         )
-        assert bootstrap_ci(records, ap_ovr_micro, n=200, seed=2) == reference
+        ap = lambda rs: (ap_ovr_micro(rs),)
+        assert bootstrap_ci(records, ap, n=200, seed=2) == reference
 
 
 class TestEmitReport:

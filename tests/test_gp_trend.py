@@ -12,9 +12,9 @@ from scipy.optimize import approx_fprime
 from nexus import gp_trend
 from nexus.gp_trend import (
     FactorizationError,
+    FitError,
     KernelParams,
     PriorSpec,
-    build_gram,
     cholesky_with_jitter,
     derivative,
     fit_hierarchical,
@@ -25,7 +25,6 @@ from nexus.gp_trend import (
     log_marginal,
     log_posterior,
     matern32,
-    posterior_mean,
     save_trend_fit,
 )
 
@@ -107,14 +106,15 @@ class TestMatern32:
 class TestGram:
     def test_single_point(self):
         params = KernelParams(2.0, 1.5, 0.5)
-        gram = build_gram(np.array([7]), params)
+        gram = oracle_gram([7], params)
         assert gram.shape == (1, 1)
         assert gram[0, 0] == pytest.approx(1.5**2 + 0.5**2, abs=1e-12)
 
     def test_two_points_off_diagonal(self):
         params = KernelParams(1.0, 1.0, 0.5)
-        gram = build_gram(np.array([0, 1]), params)
+        gram = oracle_gram([0, 1], params)
         assert gram[0, 1] == pytest.approx(0.48336, abs=1e-5)
+        assert gram[0, 1] == pytest.approx(matern32(1.0, 1.0, 1.0), abs=1e-15)
         assert gram[0, 1] == gram[1, 0]
 
     def test_random_grids_factorize_at_low_jitter(self):
@@ -127,13 +127,15 @@ class TestGram:
                 float(rng.uniform(0.1, 4.0)),
                 float(rng.uniform(0.01, 2.0)),
             )
-            gram = build_gram(times, params)
+            gram = oracle_gram(times, params)
             _, level = cholesky_with_jitter(gram, params.amplitude)
             assert level <= 1
 
     def test_duplicate_times_rejected(self):
-        with pytest.raises(ValueError):
-            build_gram(np.array([1, 1, 2]), KernelParams(1.0, 1.0, 0.1))
+        series = make_series([1, 1, 2])
+        series.months[1] = series.months[0]
+        with pytest.raises(ValueError, match="distinct"):
+            log_marginal(series, KernelParams(1.0, 1.0, 0.1))
 
     def test_factorization_error_on_broken_matrix(self):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
@@ -154,7 +156,7 @@ class TestLogMarginal:
     def test_zero_y_drops_quadratic_term(self):
         series = make_series([0, 0, 0, 0])
         params = KernelParams(3.0, 1.2, 0.4)
-        gram = build_gram(series.months, params)
+        gram = oracle_gram(series.months, params)
         sign, logdet = np.linalg.slogdet(gram)
         expected = -0.5 * logdet - 0.5 * 4 * math.log(2 * math.pi)
         assert log_marginal(series, params) == pytest.approx(expected, abs=1e-10)
@@ -350,15 +352,22 @@ class TestFitMap:
 
     def test_constant_series_runs(self):
         series = make_log_series(np.full(24, 2.0))
-        params, trace = fit_map(series, PRIOR, return_trace=True)
-        assert math.isfinite(trace[-1])
-        mean = posterior_mean(series, params, series.months)
-        assert np.all(np.abs(mean - 2.0) < 2.0)  # shrinkage toward the zero prior mean
+        params = fit_map(series, PRIOR)
+        fit = fit_trend(series, PRIOR, params)
+        assert math.isfinite(fit.log_posterior_at_map)
+        assert np.all(np.abs(fit.mean - 2.0) < 2.0)  # shrinkage toward the zero prior mean
 
     def test_trace_non_decreasing(self):
+        # from each of fit_map's three starts
         series = make_series([0, 1, 5, 20, 44, 31, 12, 4, 1, 0, 2, 9])
-        _, trace = fit_map(series, PRIOR, return_trace=True)
-        assert all(b >= a for a, b in zip(trace, trace[1:]))
+        objective = gp_trend._map_objective(series, PRIOR)
+        init = gp_trend._default_init(series)
+        z_init = np.log([init.length_scale, init.amplitude, init.noise_sd])
+        for z0 in (np.array([PRIOR.log_median, *z_init[1:]]), z_init + math.log(0.5),
+                   z_init + math.log(2.0)):
+            _, value, trace = gp_trend._ascend(objective, z0)
+            assert len(trace) > 1 and trace[-1] == value
+            assert all(b >= a for a, b in zip(trace, trace[1:]))
 
     def test_prior_pull_limit(self):
         series = make_series([0, 3, 10, 44, 12, 7, 0, 2, 30, 18, 5, 1])
@@ -376,6 +385,24 @@ class TestFitMap:
         with pytest.raises(ValueError, match="finite"):
             fit_map(series, PRIOR)
 
+    def test_all_starts_diverging_raise_fit_error(self):
+        series = make_series(
+            [0, 1, 5, 20, 44, 31, 12, 4, 1, 0, 2, 9], dyad_id="c7-d3", country_id="c7"
+        )
+
+        def cholesky(a, **kwargs):
+            raise np.linalg.LinAlgError("forced failure")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gp_trend, "cholesky", cholesky)
+            with pytest.raises(FitError, match="all 3 optimizer starts diverged for dyad c7-d3"):
+                fit_map(series, PRIOR)
+            with pytest.raises(FitError, match="all 3 optimizer starts diverged for country c7"):
+                fit_hierarchical(
+                    [series, make_series([2, 0, 7, 9, 15, 3], dyad_id="c7-d4", country_id="c7")],
+                    PRIOR,
+                )
+
     def test_starts_logged_at_debug(self, caplog):
         series = make_series([0, 1, 5, 20, 44, 31, 12, 4, 1, 0, 2, 9])
         with caplog.at_level(logging.DEBUG, logger="nexus.gp_trend"):
@@ -389,7 +416,7 @@ def synthetic_series(length_scale, rng, n=72, dyad_id="d", country_id="c"):
     """Draw one GP sample path with the given length scale (for recovery tests)."""
     t = np.arange(n)
     params = KernelParams(length_scale, 1.5, 0.3)
-    gram = build_gram(t, params)
+    gram = oracle_gram(t, params)
     y = rng.multivariate_normal(np.zeros(n), gram)
     return make_log_series(y - y.min(), dyad_id=dyad_id, country_id=country_id)
 
@@ -452,13 +479,13 @@ class TestPosteriorMean:
     def test_near_noiseless_interpolation(self):
         series = make_series([0, 2, 9, 30, 12, 3])
         params = KernelParams(2.0, 2.0, 1e-6)
-        mean = posterior_mean(series, params, series.months)
+        mean = fit_trend(series, PRIOR, params).mean
         assert np.max(np.abs(mean - series.log_fatalities)) < 1e-6
 
     def test_zero_observations_give_zero_mean(self):
         series = make_series([0, 0, 0, 0, 0])
         params = KernelParams(3.0, 1.0, 0.3)
-        mean = posterior_mean(series, params, series.months)
+        mean = fit_trend(series, PRIOR, params).mean
         assert np.max(np.abs(mean)) < 1e-12
 
     def test_matches_dense_oracle(self):
@@ -470,9 +497,8 @@ class TestPosteriorMean:
                 float(rng.uniform(0.2, 3.0)),
                 float(rng.uniform(0.05, 1.0)),
             )
-            grid = np.asarray(series.months, dtype=float) + rng.uniform(-0.4, 0.4, size=n)
-            expected = oracle_posterior_mean(series, params, grid)
-            got = posterior_mean(series, params, grid)
+            expected = oracle_posterior_mean(series, params, series.months)
+            got = fit_trend(series, PRIOR, params).mean
             assert np.max(np.abs(got - expected)) < 1e-8
 
 
@@ -495,7 +521,7 @@ class TestDerivative:
 class TestTrendFitRoundTrip:
     def test_save_load(self, tmp_path):
         series = make_series([0, 1, 5, 20, 44, 31, 12, 4, 1, 0, 2, 9])
-        fit = fit_trend(series, PRIOR)
+        fit = fit_trend(series, PRIOR, fit_map(series, PRIOR))
         path = tmp_path / "fit.json"
         save_trend_fit(fit, path)
         loaded = load_trend_fit(path)

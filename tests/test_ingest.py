@@ -11,6 +11,7 @@ from conftest import make_series
 from nexus import months
 from nexus.ingest import (
     DYAD_THRESHOLD,
+    MAX_COUNT,
     Article,
     ArticleLabel,
     ConflictEvent,
@@ -106,6 +107,38 @@ class TestLoaderContract:
         assert [(e.event_id, e.fatalities) for e in events] == [("e2", 3), ("e3", 4)]
         assert [e.line for e in errors] == [1]
         assert type(events[0].fatalities) is int
+
+    def test_events_boolean_and_oversized_fatalities(self, tmp_path):
+        path = write_jsonl(
+            tmp_path / "events.jsonl",
+            [
+                event_row("e1", "true"),
+                event_row("e2", str(MAX_COUNT)),
+                event_row("e3", str(MAX_COUNT + 1)),
+                event_row("e4", "1e20"),
+                event_row("e5", "100000000000000000000"),
+                event_row("e6", "false"),
+            ],
+        )
+        events, errors = load_events(path)
+        assert [(e.event_id, e.fatalities) for e in events] == [("e2", MAX_COUNT)]
+        assert [e.line for e in errors] == [1, 3, 4, 5, 6]
+
+    def test_loaded_counts_sum_inside_int64(self, tmp_path):
+        # two rows of 9e18 would each fit an int64 but wrap when added
+        path = write_jsonl(
+            tmp_path / "events.jsonl",
+            [
+                event_row("e1", "9000000000000000000"),
+                event_row("e2", "9000000000000000000"),
+                event_row("e3", str(MAX_COUNT)),
+                event_row("e4", str(MAX_COUNT)),
+            ],
+        )
+        events, errors = load_events(path)
+        assert [e.line for e in errors] == [1, 2]
+        window = (months.month_index(2015, 1), months.month_index(2015, 12))
+        assert aggregate_monthly(events, "d1", window).raw_fatalities.sum() == 2 * MAX_COUNT
 
     def test_csv_events_invalid_utf8_row(self, tmp_path):
         path = tmp_path / "events.csv"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nexus.gp_trend import PriorSpec, fit_trend
+from nexus.gp_trend import PriorSpec, fit_map, fit_trend
 from nexus.state_labels import (
     EscalationState,
     LabelerConfig,
@@ -79,10 +79,15 @@ class TestDiscretize:
 PRIOR = PriorSpec(np.log(122.38), 0.5)
 
 
+def map_trend(series):
+    """The trend at the series' own MAP parameters."""
+    return fit_trend(series, PRIOR, fit_map(series, PRIOR))
+
+
 def _fit_pair(series, train_end):
     """Dual fits: train on the truncated series, validation on the full one."""
-    fit_train = fit_trend(series.month_slice(int(series.months[0]), train_end), PRIOR)
-    fit_val = fit_trend(series, PRIOR)
+    fit_train = map_trend(series.month_slice(int(series.months[0]), train_end))
+    fit_val = map_trend(series)
     return fit_train, fit_val
 
 
@@ -125,7 +130,7 @@ class TestLabelWindows:
         raw = [0, 1, 4, 9, 25, 60, 80, 40, 12, 3, 1, 0]
         series = make_series(raw)
         end = int(series.months[-1])
-        fit = fit_trend(series, PRIOR)
+        fit = map_trend(series)
         config = LabelerConfig(tau=0.25, train_end=end, val_end=end)
         train, val = label_windows({"d1": series}, {"d1": fit}, {"d1": fit}, config)
         assert len(train["d1"].months) == len(raw)
@@ -172,7 +177,7 @@ class TestLabelWindows:
     def test_csv_round_trip(self, tmp_path):
         raw = [0, 1, 4, 9, 25, 60, 80, 40, 12, 3, 1, 0]
         series = make_series(raw)
-        fit = fit_trend(series, PRIOR)
+        fit = map_trend(series)
         config = LabelerConfig(0.25, int(series.months[-1]), int(series.months[-1]))
         train, _ = label_windows({"d1": series}, {"d1": fit}, {"d1": fit}, config)
         path = tmp_path / "labels.csv"

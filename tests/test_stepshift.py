@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from nexus import stepshift
 from nexus.digests import Digest, Snippet
 from nexus.ingest import EmbeddingMatrix
 from nexus.months import parse_month
@@ -25,7 +26,7 @@ from nexus.stepshift import (
 )
 
 
-def digest_of(dyad, month_text, member_ids, kind="low_context", partition=None):
+def digest_of(dyad, month_text, member_ids, kind="low_context"):
     snippets = [Snippet(aid, f"text {aid}", 2) for aid in member_ids]
     return Digest(
         dyad_id=dyad,
@@ -33,7 +34,6 @@ def digest_of(dyad, month_text, member_ids, kind="low_context", partition=None):
         kind=kind,
         snippets=snippets,
         total_tokens=2 * len(member_ids),
-        partition=partition,
     )
 
 
@@ -247,10 +247,13 @@ class TestTrainSoftmax:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_collapse_raises_on_non_finite_loss(self, bad):
+    def test_collapse_raises_on_non_finite_loss(self, bad, monkeypatch):
         pairs = separable_pairs()
+        monkeypatch.setattr(
+            stepshift, "class_weights", lambda targets: np.array([bad, 1.0, 0.0, 0.0])
+        )
         with pytest.raises(TrainingCollapseError) as excinfo:
-            train_softmax(pairs, weights=np.array([bad, 1.0, 0.0, 0.0]))
+            train_softmax(pairs)
         assert excinfo.value.n_iter >= 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -295,11 +298,11 @@ class TestTrainSoftmax:
         unweighted = -np.mean(np.log(probs[np.arange(n), targets]))
         assert abs(weighted - unweighted) < 1e-12
 
-    def test_doubling_weights_keeps_decisions(self):
+    def test_doubling_weights_keeps_decisions(self, monkeypatch):
         pairs = separable_pairs()
-        cw = class_weights([p.target for p in pairs])
-        m1 = train_softmax(pairs, TrainConfig(epochs=300), weights=cw)
-        m2 = train_softmax(pairs, TrainConfig(epochs=300), weights=2 * cw)
+        m1 = train_softmax(pairs, TrainConfig(epochs=300))
+        monkeypatch.setattr(stepshift, "class_weights", lambda targets: 2 * class_weights(targets))
+        m2 = train_softmax(pairs, TrainConfig(epochs=300))
         for p in pairs:
             assert np.argmax(predict(m1, p.features)) == np.argmax(predict(m2, p.features))
 
@@ -369,10 +372,7 @@ def two_kind_fixture(seed=0):
             center[states[idx]] = 3.0
             ids.append(aid)
             vectors.append(center + rng.normal(size=6) * 0.1)
-            partition = "train" if idx <= parse_month("2021-12") else "val"
-            digests[kind].append(
-                digest_of("d", m, [aid], kind=kind, partition=partition)
-            )
+            digests[kind].append(digest_of("d", m, [aid], kind=kind))
     matrix = EmbeddingMatrix(ids=ids, vectors=np.asarray(vectors, dtype=np.float32))
     labels = {"d": states}
     return digests, labels, matrix
@@ -432,6 +432,65 @@ class TestRunSteps:
         high = sorted((r.dyad_id, r.month) for r in out[(0, "high_context")][1])
         assert low == high
         assert parse_month("2022-03") not in {m for _, m in low}
+
+
+def align_reference(test_by_kind):
+    """The per-key loop that _align_test_structure replaced, kept as its oracle."""
+    keys_per_kind = {}
+    for kind, pairs in test_by_kind.items():
+        counter = {}
+        for p in pairs:
+            counter[(p.dyad_id, p.digest_month)] = counter.get((p.dyad_id, p.digest_month), 0) + 1
+        keys_per_kind[kind] = counter
+    shared = None
+    for counter in keys_per_kind.values():
+        keys = set(counter)
+        shared = keys if shared is None else shared & keys
+    shared = shared or set()
+    quota = {
+        key: min(keys_per_kind[kind][key] for kind in test_by_kind) for key in shared
+    }
+    aligned = {}
+    for kind, pairs in test_by_kind.items():
+        taken = {key: 0 for key in shared}
+        kept = []
+        for p in sorted(pairs, key=lambda p: (p.dyad_id, p.digest_month)):
+            key = (p.dyad_id, p.digest_month)
+            if key in quota and taken[key] < quota[key]:
+                taken[key] += 1
+                kept.append(p)
+        aligned[kind] = kept
+    return aligned
+
+
+# per kind, the (dyad, month) key of each test pair in input order; a key can
+# repeat, and be missing from other kinds
+kind_keys = st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 3)), max_size=12)
+
+
+class TestAlignTestStructure:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(kind_keys, min_size=1, max_size=3))
+    def test_matches_reference_loop(self, keys_by_kind):
+        serial = iter(range(1000))
+        test_by_kind = {
+            f"kind{i}": [
+                TrainingPair(dyad, month, next(serial), np.zeros(1), 0, "test", f"kind{i}")
+                for dyad, month in keys
+            ]
+            for i, keys in enumerate(keys_by_kind)
+        }
+
+        def rows(aligned):
+            # target_month is a unique serial, so it names the pair kept
+            return {
+                kind: [(p.dyad_id, p.digest_month, p.target_month) for p in pairs]
+                for kind, pairs in aligned.items()
+            }
+
+        assert rows(stepshift._align_test_structure(test_by_kind)) == rows(
+            align_reference(test_by_kind)
+        )
 
 
 class TestModelRoundTrip:
