@@ -12,6 +12,11 @@ count-based metrics pool TP/FP/FN, which for single-label multiclass
 makes micro recall, precision and F1 all equal accuracy, so one bootstrap
 of a tuple-valued metric serves all three. Every interval is a percentile
 bootstrap interval at ``CI_LEVEL``.
+
+Every metric, ``bootstrap_ci`` and ``per_class_binary_report`` take the
+arrays of N records: ``probs``, float (N, 4), and ``actual``, int (N,), the
+observed state codes. A resample indexes both with the same indices.
+``emit_report`` builds them once per report group from its record list.
 """
 
 from __future__ import annotations
@@ -65,7 +70,6 @@ class MetricValue:
     point: tuple[float, ...]
     lower: tuple[float, ...]
     upper: tuple[float, ...]
-    n_records: int
     n_bootstraps: int
 
 
@@ -115,18 +119,8 @@ def conflictology(
 # Count-based metrics
 # ---------------------------------------------------------------------------
 
-def _arrays(records: list[ForecastRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities as an (N, 4) float array and actual states as an (N,) int array."""
-    probs = np.array([r.probabilities for r in records], dtype=float)
-    actual = np.array([r.actual for r in records], dtype=int)
-    return probs.reshape(-1, N_CLASSES), actual
-
-
-def confusion(records: list[ForecastRecord]) -> np.ndarray:
+def confusion(probs: np.ndarray, actual: np.ndarray) -> np.ndarray:
     """4x4 counts, true in rows, argmax prediction in columns (ties -> lowest code)."""
-    if not records:
-        raise ValueError("no records")
-    probs, actual = _arrays(records)
     cells = actual * N_CLASSES + probs.argmax(axis=1)
     return np.bincount(cells, minlength=N_CLASSES**2).reshape(N_CLASSES, N_CLASSES)
 
@@ -154,9 +148,8 @@ def micro_metrics(matrix: np.ndarray) -> dict[str, float]:
 # Score-based metrics (one-versus-rest, micro-pooled)
 # ---------------------------------------------------------------------------
 
-def binarize(records: list[ForecastRecord]) -> tuple[np.ndarray, np.ndarray]:
+def binarize(probs: np.ndarray, actual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All (record, class) pairs as score = p_class, label = [actual == class]."""
-    probs, actual = _arrays(records)
     labels = (actual[:, None] == np.arange(N_CLASSES)).astype(int)
     return probs.ravel(), labels.ravel()
 
@@ -209,16 +202,16 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def ap_ovr_micro(records: list[ForecastRecord]) -> float:
+def ap_ovr_micro(probs: np.ndarray, actual: np.ndarray) -> float:
     """Micro AP over all one-versus-rest (record, class) pairs.
 
     Undefined (``ValueError``) only for a pool without positives, i.e. an
     empty record set: each record contributes one positive pair.
     """
-    return average_precision(*binarize(records))
+    return average_precision(*binarize(probs, actual))
 
 
-def auroc_ovr_micro(records: list[ForecastRecord]) -> float:
+def auroc_ovr_micro(probs: np.ndarray, actual: np.ndarray) -> float:
     """Micro AUROC over all one-versus-rest (record, class) pairs.
 
     Undefined (``ValueError``) when the records hold fewer than two
@@ -227,14 +220,13 @@ def auroc_ovr_micro(records: list[ForecastRecord]) -> float:
     differs across records and the value would only compare scores
     across classes, not tell states apart.
     """
-    if len({r.actual for r in records}) < 2:
+    if np.unique(actual).size < 2:
         raise ValueError("micro AUROC undefined with fewer than two actual states")
-    return auroc(*binarize(records))
+    return auroc(*binarize(probs, actual))
 
 
-def per_class_binary_report(records: list[ForecastRecord], cls: int) -> dict[str, float]:
+def per_class_binary_report(probs: np.ndarray, actual: np.ndarray, cls: int) -> dict[str, float]:
     """Binary AP and AUROC for one class versus the rest."""
-    probs, actual = _arrays(records)
     scores, labels = probs[:, cls], (actual == cls).astype(int)
     return {"ap": average_precision(scores, labels), "auroc": auroc(scores, labels)}
 
@@ -244,50 +236,54 @@ def per_class_binary_report(records: list[ForecastRecord], cls: int) -> dict[str
 # ---------------------------------------------------------------------------
 
 def bootstrap_ci(
-    records: list[ForecastRecord],
+    probs: np.ndarray,
+    actual: np.ndarray,
     metric,
     n: int = 1000,
     seed: int = 0,
 ) -> MetricValue:
     """Percentile ``CI_LEVEL`` bootstrap over record resamples; point from the full set.
 
-    `metric` returns a tuple of floats (several metrics read off one
-    resample, as in ``METRIC_FUNCS``); point, lower and upper are tuples in
-    the same order. Raises ``ValueError`` when the metric is undefined on
-    the full set, or on more than 10% of the `n` resamples. Resamples where
-    it is undefined (up to that share) are left out of the percentiles.
+    Each of the `n` resamples draws N row indices with replacement and
+    scores ``metric(probs[idx], actual[idx])``. `metric` returns a tuple of
+    floats (several metrics read off one resample, as in ``METRIC_FUNCS``);
+    point, lower and upper are tuples in the same order. Raises
+    ``ValueError`` when `n` < 1, when the metric is undefined on the full
+    set, or on more than 10% of the `n` resamples. Resamples where it is
+    undefined (up to that share) are left out of the percentiles.
     """
-    if not records:
+    if n < 1:
+        raise ValueError(f"bootstrap needs at least one resample, got {n}")
+    if not len(actual):
         raise ValueError("no records")
-    point = metric(records)
+    point = metric(probs, actual)
     rng = np.random.Generator(np.random.PCG64(seed))
     values = []
     failures = 0
     for _ in range(n):
-        idx = rng.integers(0, len(records), size=len(records))
-        sample = [records[i] for i in idx]
+        idx = rng.integers(0, len(actual), size=len(actual))
         try:
-            values.append(metric(sample))
+            values.append(metric(probs[idx], actual[idx]))
         except (ValueError, ZeroDivisionError):
             failures += 1
     if failures > 0.1 * n:
         raise ValueError(f"metric undefined on {failures}/{n} bootstrap resamples")
     alpha = (1.0 - CI_LEVEL) / 2.0
     lower, upper = np.percentile(values, [100 * alpha, 100 * (1 - alpha)], axis=0).tolist()
-    return MetricValue(point, tuple(lower), tuple(upper), len(records), n)
+    return MetricValue(point, tuple(lower), tuple(upper), n)
 
 
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
 
-# The metrics of metrics.csv, keyed by name, each as a function returning a
-# tuple. Micro recall, precision and F1 come from one confusion matrix, so
-# one bootstrap draws each resample once for all three.
+# The metrics of metrics.csv, keyed by name, each as a function of
+# (probs, actual) returning a tuple. Micro recall, precision and F1 come from
+# one confusion matrix, so one bootstrap draws each resample once for all three.
 METRIC_FUNCS = {
-    ("recall", "precision", "f1"): lambda rs: tuple(micro_metrics(confusion(rs)).values()),
-    ("auroc",): lambda rs: (auroc_ovr_micro(rs),),
-    ("ap",): lambda rs: (ap_ovr_micro(rs),),
+    ("recall", "precision", "f1"): lambda p, a: tuple(micro_metrics(confusion(p, a)).values()),
+    ("auroc",): lambda p, a: (auroc_ovr_micro(p, a),),
+    ("ap",): lambda p, a: (ap_ovr_micro(p, a),),
 }
 
 
@@ -315,7 +311,7 @@ def collapse_to_dyad_month(records: list[ForecastRecord]) -> list[ForecastRecord
     return out
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -324,6 +320,13 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _arrays(records: list[ForecastRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities as an (N, 4) float array and actual states as an (N,) int array."""
+    probs = np.array([r.probabilities for r in records], dtype=float)
+    actual = np.array([r.actual for r in records], dtype=int)
+    return probs.reshape(-1, N_CLASSES), actual
 
 
 def emit_report(
@@ -343,6 +346,8 @@ def emit_report(
     actual state, gets a row with ``nan`` point and bounds and a warning;
     the rest of the report is written as usual.
     """
+    if n_boot < 1:
+        raise ValueError(f"n_boot must be at least 1, got {n_boot}")
     if structure_key(model_records) != structure_key(baseline_records):
         raise ValueError("model and baseline record structures differ")
     out_dir = Path(out_dir)
@@ -359,13 +364,14 @@ def emit_report(
         monthly = collapse_to_dyad_month(rows)
         collapsed[(step, kind, monthly[0].source)] = monthly
 
-    metric_rows = []
+    metric_rows, per_class_rows = [], []
     for table in (groups, collapsed):
         for (step, kind, source) in sorted(table):
             rows = table[(step, kind, source)]
+            probs, actual = _arrays(rows)
             for names, metric in METRIC_FUNCS.items():
                 try:
-                    value = bootstrap_ci(rows, metric, n=n_boot, seed=seed)
+                    value = bootstrap_ci(probs, actual, metric, n=n_boot, seed=seed)
                     bounds = list(zip(value.point, value.lower, value.upper))
                 except ValueError as exc:
                     logger.warning(
@@ -376,23 +382,21 @@ def emit_report(
                 for name, (point, lower, upper) in zip(names, bounds):
                     bounds_text = [_fmt(point), _fmt(lower), _fmt(upper)]
                     metric_rows.append([step, kind, source, name, *bounds_text, len(rows)])
+            if table is not groups:
+                continue  # per_class.csv is at digest-row level only
+            for cls in range(N_CLASSES):
+                try:
+                    report = per_class_binary_report(probs, actual, cls)
+                except ValueError:
+                    continue  # class absent from this slice
+                per_class_rows.append(
+                    [step, kind, source, cls, _fmt(report["ap"]), _fmt(report["auroc"])]
+                )
     _write_csv(
         out_dir / "metrics.csv",
         ["step", "kind", "source", "metric", "point", "lo", "hi", "n"],
         metric_rows,
     )
-
-    per_class_rows = []
-    for (step, kind, source) in sorted(groups):
-        rows = groups[(step, kind, source)]
-        for cls in range(N_CLASSES):
-            try:
-                report = per_class_binary_report(rows, cls)
-            except ValueError:
-                continue  # class absent from this slice
-            per_class_rows.append(
-                [step, kind, source, cls, _fmt(report["ap"]), _fmt(report["auroc"])]
-            )
     _write_csv(
         out_dir / "per_class.csv",
         ["step", "kind", "source", "class", "ap", "auroc"],
@@ -409,14 +413,7 @@ def emit_report(
             by_dyad.setdefault(r.dyad_id, []).append(r)
         for dyad_id in sorted(by_dyad):
             grid_rows = [
-                [
-                    months.format_month(r.month),
-                    _fmt(r.probabilities[0]),
-                    _fmt(r.probabilities[1]),
-                    _fmt(r.probabilities[2]),
-                    _fmt(r.probabilities[3]),
-                    r.actual,
-                ]
+                [months.format_month(r.month), *(_fmt(p) for p in r.probabilities), r.actual]
                 for r in sorted(by_dyad[dyad_id], key=lambda r: r.month)
             ]
             name = f"dyad_grid_{dyad_id}" + (f"_{kind}" if kind else "") + f"_step{step}.csv"
@@ -435,16 +432,11 @@ _PROB_COLUMNS = ["p_peace", "p_escalation", "p_plateau", "p_deescalation"]
 
 
 def save_forecasts_csv(records: list[ForecastRecord], path: str | Path) -> None:
-    rows = sorted(records, key=lambda r: (r.dyad_id, r.month))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dyad_id", "month"] + _PROB_COLUMNS + ["actual_state"])
-        for r in rows:
-            writer.writerow(
-                [r.dyad_id, months.format_month(r.month)]
-                + [_fmt(p) for p in r.probabilities]
-                + [r.actual]
-            )
+    rows = [
+        [r.dyad_id, months.format_month(r.month), *(_fmt(p) for p in r.probabilities), r.actual]
+        for r in sorted(records, key=lambda r: (r.dyad_id, r.month))
+    ]
+    _write_csv(path, ["dyad_id", "month", *_PROB_COLUMNS, "actual_state"], rows)
 
 
 def load_forecasts_csv(
@@ -452,16 +444,22 @@ def load_forecasts_csv(
 ) -> list[ForecastRecord]:
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                ForecastRecord(
-                    dyad_id=row["dyad_id"],
-                    month=months.parse_month(row["month"]),
-                    step=step,
-                    probabilities=tuple(float(row[c]) for c in _PROB_COLUMNS),
-                    actual=int(row["actual_state"]),
-                    source=source,
-                    kind=kind,
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                if None in row.values():
+                    raise ValueError("missing fields")
+                out.append(
+                    ForecastRecord(
+                        dyad_id=row["dyad_id"],
+                        month=months.parse_month(row["month"]),
+                        step=step,
+                        probabilities=tuple(float(row[c]) for c in _PROB_COLUMNS),
+                        actual=int(row["actual_state"]),
+                        source=source,
+                        kind=kind,
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     return out

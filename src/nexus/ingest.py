@@ -286,15 +286,8 @@ def _require(row: dict, fields: tuple[str, ...]) -> None:
         raise ValueError(f"missing fields: {', '.join(missing)}")
 
 
-def load_events(
-    path: str | Path,
-    window: tuple[int, int] | None = None,
-) -> tuple[list[ConflictEvent], list[RowError]]:
-    """Load events from JSONL or CSV; rejected rows come back as errors.
-
-    ``window`` (inclusive month-index bounds), when given, rejects events
-    dated outside the configured data window.
-    """
+def load_events(path: str | Path) -> tuple[list[ConflictEvent], list[RowError]]:
+    """Load events from JSONL or CSV; rejected rows come back as errors."""
 
     def build(row: dict) -> ConflictEvent:
         _require(row, _EVENT_FIELDS)
@@ -307,9 +300,6 @@ def load_events(
             raise ValueError(f"negative fatalities: {fatalities}")
         if not str(row["dyad_id"]).strip():
             raise ValueError("empty dyad_id")
-        month = months.month_index(date.year, date.month)
-        if window is not None and not window[0] <= month <= window[1]:
-            raise ValueError(f"date {date} outside data window")
         return ConflictEvent(
             event_id=str(row["event_id"]),
             dyad_id=str(row["dyad_id"]),

@@ -62,7 +62,6 @@ class LabeledSeries:
     months: np.ndarray
     states: np.ndarray
     derivatives: np.ndarray
-    source_fit: str  # "train" | "validation"
 
 
 def discretize(derivative, raw_fatalities, tau: float = DEFAULT_TAU) -> np.ndarray:
@@ -81,22 +80,20 @@ def discretize(derivative, raw_fatalities, tau: float = DEFAULT_TAU) -> np.ndarr
 
 
 def _window_states(
-    series: DyadMonthSeries, fit: TrendFit, lo: int, hi: int, tau: float, source: str
+    series: DyadMonthSeries, fit: TrendFit, lo: int, hi: int, tau: float
 ) -> LabeledSeries | None:
     """Labels for series months in [lo, hi] using the given fit's derivative."""
     sel = (series.months >= lo) & (series.months <= hi)
     wanted = series.months[sel]
     if wanted.size == 0:
-        return LabeledSeries(
-            series.dyad_id, wanted, np.array([], dtype=int), np.array([]), source
-        )
+        return LabeledSeries(series.dyad_id, wanted, np.array([], dtype=int), np.array([]))
     grid_pos = {int(m): i for i, m in enumerate(fit.grid)}
     if any(int(m) not in grid_pos for m in wanted):
         return None
     idx = np.array([grid_pos[int(m)] for m in wanted])
     deriv = fit.derivative[idx]
     states = discretize(deriv, series.raw_fatalities[sel], tau)
-    return LabeledSeries(series.dyad_id, wanted, states, deriv, source)
+    return LabeledSeries(series.dyad_id, wanted, states, deriv)
 
 
 def label_windows(
@@ -121,10 +118,8 @@ def label_windows(
             logger.warning("dyad %s missing a fit, skipped", dyad_id)
             continue
         first = int(series.months[0])
-        labeled_t = _window_states(series, fit_t, first, config.train_end, config.tau, "train")
-        labeled_v = _window_states(
-            series, fit_v, config.train_end + 1, config.val_end, config.tau, "validation"
-        )
+        labeled_t = _window_states(series, fit_t, first, config.train_end, config.tau)
+        labeled_v = _window_states(series, fit_v, config.train_end + 1, config.val_end, config.tau)
         if labeled_t is None or labeled_v is None:
             logger.warning("dyad %s fit grid does not cover its window, skipped", dyad_id)
             continue
@@ -156,11 +151,20 @@ def save_labels_csv(labels: dict[str, LabeledSeries], path: str | Path) -> None:
 
 
 def load_labels_csv(path: str | Path) -> dict[str, dict[int, int]]:
-    """Per-dyad month -> state code mapping from a labels CSV."""
+    """Per-dyad month -> state code mapping from a labels CSV.
+
+    A row that does not parse, such as the last row of a cut-off file,
+    raises ``ValueError`` naming the file and line.
+    """
     out: dict[str, dict[int, int]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out.setdefault(row["dyad_id"], {})[months.parse_month(row["month"])] = int(
-                row["state_code"]
-            )
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                if None in row.values():
+                    raise ValueError("missing fields")
+                month, code = months.parse_month(row["month"]), int(row["state_code"])
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+            out.setdefault(row["dyad_id"], {})[month] = code
     return out

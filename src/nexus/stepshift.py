@@ -25,11 +25,10 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .digests import Digest
-from .evaluation import ForecastRecord
+from .evaluation import N_CLASSES, ForecastRecord
 
 logger = logging.getLogger(__name__)
 
-N_CLASSES = 4
 DEFAULT_STEPS = (0, 1, 3, 6)
 L2 = 1e-3  # the penalty on ||W||^2 in the training objective
 
@@ -58,7 +57,6 @@ class TrainingPair:
     target_month: int
     features: np.ndarray
     target: int
-    partition: str  # "train" | "test"
     kind: str
 
 
@@ -123,25 +121,25 @@ def build_dataset(
         m = digest.month
         target_month = m + step
         if target_month <= train_end:
-            labels, partition = labels_train, "train"
+            labels, pairs = labels_train, train
         elif m >= test_start and target_month <= val_end:
-            labels, partition = labels_val, "test"
+            labels, pairs = labels_val, test
         else:
             continue
         state = labels.get(digest.dyad_id, {}).get(target_month)
         if state is None:
             dropped += 1
             continue
-        pair = TrainingPair(
-            dyad_id=digest.dyad_id,
-            digest_month=m,
-            target_month=target_month,
-            features=pool_embedding(digest, embeddings),
-            target=int(state),
-            partition=partition,
-            kind=digest.kind,
+        pairs.append(
+            TrainingPair(
+                dyad_id=digest.dyad_id,
+                digest_month=m,
+                target_month=target_month,
+                features=pool_embedding(digest, embeddings),
+                target=int(state),
+                kind=digest.kind,
+            )
         )
-        (train if partition == "train" else test).append(pair)
     if dropped:
         logger.info("step %d: dropped %d pairs with missing labels", step, dropped)
     return train, test, dropped

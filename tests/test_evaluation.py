@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,10 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from nexus.evaluation import (
+    CI_LEVEL,
+    METRIC_FUNCS,
     ForecastRecord,
+    MetricValue,
     ap_ovr_micro,
     auroc,
     auroc_ovr_micro,
@@ -44,6 +48,12 @@ def record(actual, probs, dyad="d", month="2022-01", step=1, source="model", kin
 def onehotish(cls, p=0.85):
     rest = (1.0 - p) / 3.0
     return tuple(p if c == cls else rest for c in range(4))
+
+
+def arrays(records):
+    """(probs (N, 4), actual (N,)) of a record list: what the metrics and the bootstrap take."""
+    probs = np.array([r.probabilities for r in records], dtype=float).reshape(-1, 4)
+    return probs, np.array([r.actual for r in records], dtype=int)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +117,44 @@ def average_precision_loop(scores, labels):
     return ap / n_pos
 
 
+def auroc_ovr_micro_loop(records):
+    """Micro AUROC of a record list, undefined (as `auroc_ovr_micro`) below two states."""
+    if len({r.actual for r in records}) < 2:
+        raise ValueError("micro AUROC undefined with fewer than two actual states")
+    return auroc_rankdata(*binarize_loop(records))
+
+
+# The record-list references of the METRIC_FUNCS entries, under the same keys.
+REFERENCE_METRICS = {
+    ("recall", "precision", "f1"): lambda rs: tuple(micro_metrics(confusion_loop(rs)).values()),
+    ("auroc",): lambda rs: (auroc_ovr_micro_loop(rs),),
+    ("ap",): lambda rs: (average_precision_loop(*binarize_loop(rs)),),
+}
+
+
+def bootstrap_ci_loop(records, metric, n, seed):
+    """The record-list bootstrap, the reference for `bootstrap_ci`: each resample
+    is a new list of records, and `metric` takes a record list."""
+    if not records:
+        raise ValueError("no records")
+    point = metric(records)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    values = []
+    failures = 0
+    for _ in range(n):
+        idx = rng.integers(0, len(records), size=len(records))
+        sample = [records[i] for i in idx]
+        try:
+            values.append(metric(sample))
+        except (ValueError, ZeroDivisionError):
+            failures += 1
+    if failures > 0.1 * n:
+        raise ValueError(f"metric undefined on {failures}/{n} bootstrap resamples")
+    alpha = (1.0 - CI_LEVEL) / 2.0
+    lower, upper = np.percentile(values, [100 * alpha, 100 * (1 - alpha)], axis=0).tolist()
+    return MetricValue(point, tuple(lower), tuple(upper), n)
+
+
 # Probabilities on a grid of eighths (exact in binary, summing exactly to 1),
 # so scores tie heavily within and across records.
 eighths = st.lists(st.integers(0, 8), min_size=3, max_size=3).map(sorted).map(
@@ -114,6 +162,12 @@ eighths = st.lists(st.integers(0, 8), min_size=3, max_size=3).map(sorted).map(
 )
 tied_records = st.lists(st.tuples(st.integers(0, 3), eighths), min_size=1, max_size=60).map(
     lambda rows: [record(actual, probs, month=24000 + i) for i, (actual, probs) in enumerate(rows)]
+)
+# Pools of one state (micro AUROC undefined), and pools of one state but for
+# the first record (micro AUROC undefined on every resample that misses it).
+single_state_records = tied_records.map(lambda rs: [replace(r, actual=rs[0].actual) for r in rs])
+one_odd_record = tied_records.map(
+    lambda rs: rs[:1] + [replace(r, actual=(rs[0].actual + 1) % 4) for r in rs[1:]]
 )
 
 
@@ -205,19 +259,19 @@ class TestConflictology:
 class TestConfusion:
     def test_perfect_is_diagonal(self):
         records = [record(c, onehotish(c)) for c in range(4)]
-        assert np.array_equal(confusion(records), np.eye(4, dtype=int))
+        assert np.array_equal(confusion(*arrays(records)), np.eye(4, dtype=int))
 
     def test_hand_fixture(self):
         truths = [1, 1, 2, 3]
         preds = [1, 2, 2, 3]
         records = [record(t, onehotish(p)) for t, p in zip(truths, preds)]
-        matrix = confusion(records)
+        matrix = confusion(*arrays(records))
         assert int(np.trace(matrix)) == 3
         assert matrix[1, 2] == 1
 
     def test_tie_goes_to_lowest_class(self):
         records = [record(3, (0.25, 0.25, 0.25, 0.25))]
-        matrix = confusion(records)
+        matrix = confusion(*arrays(records))
         assert matrix[3, 0] == 1
 
 
@@ -229,12 +283,12 @@ class TestMicroMetrics:
         truths = [1, 1, 2, 3]
         preds = [1, 2, 2, 3]
         records = [record(t, onehotish(p)) for t, p in zip(truths, preds)]
-        metrics = micro_metrics(confusion(records))
+        metrics = micro_metrics(confusion(*arrays(records)))
         assert metrics == {"recall": 0.75, "precision": 0.75, "f1": 0.75}
 
     def test_all_wrong_is_zero(self):
         records = [record(0, onehotish(1)), record(1, onehotish(2))]
-        metrics = micro_metrics(confusion(records))
+        metrics = micro_metrics(confusion(*arrays(records)))
         assert metrics["recall"] == 0.0
 
     def test_accuracy_identity_on_random_matrices(self):
@@ -325,7 +379,7 @@ class TestAuroc:
     @given(tied_records)
     def test_micro_equals_rankdata_reference(self, records):
         assume(len({r.actual for r in records}) > 1)
-        assert auroc_ovr_micro(records) == auroc_rankdata(*binarize_loop(records))
+        assert auroc_ovr_micro(*arrays(records)) == auroc_rankdata(*binarize_loop(records))
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(23)
@@ -339,7 +393,7 @@ class TestAuroc:
 class TestMicroPooling:
     def test_binarize_shape(self):
         records = [record(1, onehotish(1)), record(2, onehotish(0))]
-        scores, labels = binarize(records)
+        scores, labels = binarize(*arrays(records))
         assert len(scores) == 8
         assert labels.sum() == 2
 
@@ -349,7 +403,7 @@ class TestMicroPooling:
         for _ in range(30):
             actual = int(rng.integers(0, 2))
             records.append(record(actual, onehotish(int(rng.integers(0, 4)))))
-        report = per_class_binary_report(records, 1)
+        report = per_class_binary_report(*arrays(records), 1)
         scores = np.array([r.probabilities[1] for r in records])
         labels = np.array([int(r.actual == 1) for r in records])
         assert report["ap"] == pytest.approx(average_precision(scores, labels))
@@ -368,15 +422,15 @@ class TestMicroPooling:
             records.append(record(int(actual), tuple(probs)))
             permuted.append(record(int(fake), tuple(probs)))
         assert (
-            per_class_binary_report(records, 1)["ap"]
-            > per_class_binary_report(permuted, 1)["ap"]
+            per_class_binary_report(*arrays(records), 1)["ap"]
+            > per_class_binary_report(*arrays(permuted), 1)["ap"]
         )
 
 
 class TestBootstrapCI:
     def test_constant_metric_zero_width(self):
         records = [record(1, onehotish(1))] * 10
-        value = bootstrap_ci(records, lambda rs: (42.0,), n=100, seed=1)
+        value = bootstrap_ci(*arrays(records), lambda p, a: (42.0,), n=100, seed=1)
         assert value.lower == value.upper == value.point == (42.0,)
 
     def test_point_within_interval(self):
@@ -385,7 +439,7 @@ class TestBootstrapCI:
             record(int(rng.integers(0, 4)), onehotish(int(rng.integers(0, 4))))
             for _ in range(60)
         ]
-        value = bootstrap_ci(records, lambda rs: (ap_ovr_micro(rs),), n=200, seed=2)
+        value = bootstrap_ci(*arrays(records), lambda p, a: (ap_ovr_micro(p, a),), n=200, seed=2)
         assert value.lower <= value.point <= value.upper
 
     def test_duplication_leaves_point_unchanged(self):
@@ -394,23 +448,23 @@ class TestBootstrapCI:
             record(int(rng.integers(0, 4)), onehotish(int(rng.integers(0, 4))))
             for _ in range(40)
         ]
-        acc = lambda rs: (micro_metrics(confusion(rs))["recall"],)
-        single = bootstrap_ci(records, acc, n=50, seed=3)
-        doubled = bootstrap_ci(records * 2, acc, n=50, seed=3)
+        acc = lambda p, a: (micro_metrics(confusion(p, a))["recall"],)
+        single = bootstrap_ci(*arrays(records), acc, n=50, seed=3)
+        doubled = bootstrap_ci(*arrays(records * 2), acc, n=50, seed=3)
         assert single.point[0] == pytest.approx(doubled.point[0], abs=1e-15)
 
     def test_undefined_metric_fraction_errors(self):
         records = [record(0, onehotish(0))] * 5  # single-class pool: AUROC undefined
 
         with pytest.raises(ValueError):
-            bootstrap_ci(records, lambda rs: (auroc_ovr_micro(rs),), n=50, seed=4)
+            bootstrap_ci(*arrays(records), lambda p, a: (auroc_ovr_micro(p, a),), n=50, seed=4)
 
     def test_undefined_resample_fraction_errors(self):
         # defined on the pool, undefined on the ~1/3 of resamples that miss state 1
         records = [record(0, onehotish(0))] * 4 + [record(1, onehotish(1))]
-        assert auroc_ovr_micro(records) == 1.0
+        assert auroc_ovr_micro(*arrays(records)) == 1.0
         with pytest.raises(ValueError, match="bootstrap resamples"):
-            bootstrap_ci(records, lambda rs: (auroc_ovr_micro(rs),), n=50, seed=4)
+            bootstrap_ci(*arrays(records), lambda p, a: (auroc_ovr_micro(p, a),), n=50, seed=4)
 
     def test_intervals_widen_with_fewer_records(self):
         rng = np.random.default_rng(43)
@@ -419,14 +473,13 @@ class TestBootstrapCI:
             for _ in range(1000)
         ]
         widths_big, widths_small = [], []
-        acc = lambda rs: (micro_metrics(confusion(rs))["recall"],)
+        acc = lambda p, a: (micro_metrics(confusion(p, a))["recall"],)
         for seed in range(5):
-            wb = bootstrap_ci(big, acc, n=200, seed=seed)
-            ws = bootstrap_ci(big[:100], acc, n=200, seed=seed)
+            wb = bootstrap_ci(*arrays(big), acc, n=200, seed=seed)
+            ws = bootstrap_ci(*arrays(big[:100]), acc, n=200, seed=seed)
             widths_big.append(wb.upper[0] - wb.lower[0])
             widths_small.append(ws.upper[0] - ws.lower[0])
         assert np.mean(widths_small) > np.mean(widths_big)
-
 
     def test_tuple_metric_equals_one_bootstrap_per_component(self):
         rng = np.random.default_rng(47)
@@ -434,16 +487,40 @@ class TestBootstrapCI:
             record(int(rng.integers(0, 4)), onehotish(int(rng.integers(0, 4))))
             for _ in range(60)
         ]
+        probs, actual = arrays(records)
         joint = bootstrap_ci(
-            records, lambda rs: tuple(micro_metrics(confusion(rs)).values()), n=200, seed=5
+            probs, actual, lambda p, a: tuple(micro_metrics(confusion(p, a)).values()), n=200, seed=5
         )
         for i, name in enumerate(("recall", "precision", "f1")):
             alone = bootstrap_ci(
-                records, lambda rs: (micro_metrics(confusion(rs))[name],), n=200, seed=5
+                probs, actual, lambda p, a: (micro_metrics(confusion(p, a))[name],), n=200, seed=5
             )
             assert (joint.point[i], joint.lower[i], joint.upper[i]) == (
                 alone.point[0], alone.lower[0], alone.upper[0]
             )
+
+    def test_zero_resamples_rejected(self):
+        records = [record(c % 4, onehotish(c % 4)) for c in range(8)]
+        with pytest.raises(ValueError, match="at least one resample"):
+            bootstrap_ci(*arrays(records), lambda p, a: (ap_ovr_micro(p, a),), n=0, seed=1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(tied_records, single_state_records, one_odd_record),
+        st.integers(1, 30),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_every_metric_equals_the_record_loop(self, records, n, seed):
+        assert set(REFERENCE_METRICS) == set(METRIC_FUNCS)
+        probs, actual = arrays(records)
+        for names, metric in METRIC_FUNCS.items():
+            try:
+                expected = bootstrap_ci_loop(records, REFERENCE_METRICS[names], n, seed)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    bootstrap_ci(probs, actual, metric, n=n, seed=seed)
+                continue
+            assert bootstrap_ci(probs, actual, metric, n=n, seed=seed) == expected
 
 
 class TestArrayKernelsMatchLoops:
@@ -452,8 +529,9 @@ class TestArrayKernelsMatchLoops:
     @settings(max_examples=300, deadline=None)
     @given(tied_records)
     def test_kernels_equal_references(self, records):
-        assert np.array_equal(confusion(records), confusion_loop(records))
-        scores, labels = binarize(records)
+        probs, actual = arrays(records)
+        assert np.array_equal(confusion(probs, actual), confusion_loop(records))
+        scores, labels = binarize(probs, actual)
         ref_scores, ref_labels = binarize_loop(records)
         assert np.array_equal(scores, ref_scores) and scores.dtype == ref_scores.dtype
         assert np.array_equal(labels, ref_labels) and labels.dtype == ref_labels.dtype
@@ -463,7 +541,7 @@ class TestArrayKernelsMatchLoops:
             cls_labels = np.array([int(r.actual == cls) for r in records])
             if cls_labels.all():
                 continue  # binary AUROC undefined
-            report = per_class_binary_report(records, cls)
+            report = per_class_binary_report(probs, actual, cls)
             assert report["ap"] == average_precision_loop(cls_scores, cls_labels)
 
     def test_bootstrap_equals_reference_bootstrap(self):
@@ -472,11 +550,11 @@ class TestArrayKernelsMatchLoops:
             record(int(rng.integers(0, 4)), onehotish(int(rng.integers(0, 4))))
             for _ in range(60)
         ]
-        reference = bootstrap_ci(
+        reference = bootstrap_ci_loop(
             records, lambda rs: (average_precision_loop(*binarize_loop(rs)),), n=200, seed=2
         )
-        ap = lambda rs: (ap_ovr_micro(rs),)
-        assert bootstrap_ci(records, ap, n=200, seed=2) == reference
+        ap = lambda p, a: (ap_ovr_micro(p, a),)
+        assert bootstrap_ci(*arrays(records), ap, n=200, seed=2) == reference
 
 
 class TestEmitReport:
@@ -525,6 +603,13 @@ class TestEmitReport:
             rows = list(csv.reader(fh))
         assert rows[0] == ["month", "p0", "p1", "p2", "p3", "actual"]
         assert len(rows) - 1 == 12  # one row per month
+
+    def test_zero_resamples_rejected_before_any_work(self, tmp_path):
+        model = self._records("model")
+        baseline = [replace(r, source="baseline") for r in model]
+        with pytest.raises(ValueError, match="n_boot"):
+            emit_report(model, baseline, tmp_path / "report", n_boot=0, seed=1)
+        assert not (tmp_path / "report").exists()
 
     def test_structure_mismatch_rejected(self, tmp_path):
         model = self._records("model")
@@ -598,3 +683,15 @@ class TestForecastCsvRoundTrip:
         save_forecasts_csv(records, path)
         loaded = load_forecasts_csv(path, step=3, kind="high_context")
         assert loaded == records
+
+    def test_cut_off_file_names_path_and_line(self, tmp_path):
+        records = [record(c, onehotish(c), month=24000 + c) for c in range(3)]
+        path = tmp_path / "forecasts.csv"
+        save_forecasts_csv(records, path)
+        data = path.read_bytes()
+        last_row = data.rindex(b"\n", 0, len(data) - 1) + 1
+        # every cut that leaves the last row short of a field, the actual state included
+        for cut in range(last_row + 1, data.rindex(b",") + 1):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match=re.escape(f"{path}, line 4: ")):
+                load_forecasts_csv(path, step=3, kind="high_context")

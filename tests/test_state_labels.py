@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from nexus.gp_trend import PriorSpec, fit_map, fit_trend
 from nexus.state_labels import (
     EscalationState,
+    LabeledSeries,
     LabelerConfig,
     discretize,
     label_windows,
@@ -185,3 +188,19 @@ class TestLabelWindows:
         loaded = load_labels_csv(path)
         assert set(loaded["d1"].values()) == set(int(s) for s in train["d1"].states)
         assert len(loaded["d1"]) == len(raw)
+
+    def test_cut_off_file_names_path_and_line(self, tmp_path):
+        labels = {
+            "d1": LabeledSeries(
+                "d1", np.arange(24000, 24003), np.array([0, 1, 3]), np.array([0.0, 0.5, -0.5])
+            )
+        }
+        path = tmp_path / "labels.csv"
+        save_labels_csv(labels, path)
+        data = path.read_bytes()
+        last_row = data.rindex(b"\n", 0, len(data) - 1) + 1
+        # every cut that leaves the last row short of a field
+        for cut in range(last_row + 1, data.rindex(b",") + 1):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match=re.escape(f"{path}, line 4: ")):
+                load_labels_csv(path)

@@ -178,7 +178,6 @@ def separable_pairs(n=40, seed=0):
                 target_month=0,
                 features=center + rng.normal(size=2) * 0.1,
                 target=cls,
-                partition="train",
                 kind="low_context",
             )
         )
@@ -193,7 +192,7 @@ def random_fixture(seed, n, dim):
 
 def pairs_of(features, targets):
     return [
-        TrainingPair("d", 0, 0, x, int(t), "train", "low_context")
+        TrainingPair("d", 0, 0, x, int(t), "low_context")
         for x, t in zip(features, targets)
     ]
 
@@ -475,7 +474,7 @@ class TestAlignTestStructure:
         serial = iter(range(1000))
         test_by_kind = {
             f"kind{i}": [
-                TrainingPair(dyad, month, next(serial), np.zeros(1), 0, "test", f"kind{i}")
+                TrainingPair(dyad, month, next(serial), np.zeros(1), 0, f"kind{i}")
                 for dyad, month in keys
             ]
             for i, keys in enumerate(keys_by_kind)
