@@ -12,8 +12,13 @@ code discretizes into escalation states.
 
 Each objective returns its exact gradient in the log-parameters with its
 value (Rasmussen & Williams, *GPML* 2006, eq. 5.9, plus the priors'
-terms), from one dense Cholesky factorization per dyad: series run to a
-few hundred months at most, so that is cheap and exact.
+terms). Series run to a few hundred months at most, so dense LAPACK is
+cheap and exact: per dyad and evaluation one ``potrf`` factorizes
+K = K_f + sigma^2 I (+ jitter), one ``potrs`` gives alpha = K^-1 y and one
+``potri`` gives the lower triangle of K^-1, with nothing else of order n^3.
+Only the length-scale term reads that triangle. dK/d ln eta = 2 (K - sigma^2 I)
+(the jitter scales with eta^2), so the amplitude and noise terms need only
+y^T alpha, alpha^T alpha and tr K^-1 (see ``_log_marginal_and_grad``).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import minimize
 
 from . import months
@@ -118,28 +123,25 @@ def matern32(distance, length_scale: float, amplitude: float):
     return out if out.ndim else float(out)
 
 
-def _jitter(level: int, amplitude: float) -> float:
-    return 0.0 if level == 0 else _JITTER_BASE * 10 ** (level - 1) * amplitude**2
-
-
 def cholesky_with_jitter(gram: np.ndarray, amplitude: float) -> tuple[np.ndarray, int]:
     """Lower Cholesky factor, escalating diagonal jitter on failure.
 
     Returns (L, level) where level 0 means no jitter was needed and level
     k used jitter 1e-8 * 10^(k-1) * amplitude^2. Raises
-    :class:`FactorizationError` once the escalations are exhausted.
+    :class:`FactorizationError` for a non-finite gram (LAPACK would return
+    a NaN factor as a success) and once the escalations are exhausted.
     """
+    if not np.isfinite(gram).all():
+        raise FactorizationError("gram matrix is not finite")
     for level in range(_JITTER_LEVELS + 1):
-        jitter = _jitter(level, amplitude)
-        try:
-            L = cholesky(
-                gram + jitter * np.eye(gram.shape[0]), lower=True, check_finite=False
-            )
+        jittered = gram
+        if level:
+            jittered = gram.copy()
+            jitter = _JITTER_BASE * 10 ** (level - 1) * amplitude**2
+            jittered.flat[:: gram.shape[0] + 1] += jitter
+        L, info = dpotrf(jittered, lower=1, clean=1)
+        if info == 0:
             return L, level
-        except np.linalg.LinAlgError:
-            continue
-        except ValueError:  # scipy raises ValueError for non-finite input
-            break
     raise FactorizationError(
         f"gram matrix not positive definite after {_JITTER_LEVELS} jitter levels"
     )
@@ -160,10 +162,10 @@ def _series_data(series: DyadMonthSeries) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(x[:, None] - x[None, :]), y
 
 
-def _factorize(k_f: np.ndarray, y: np.ndarray, params: KernelParams):
-    """Log marginal, alpha = K^-1 y, the Cholesky factor of K = K_f + sigma^2 I, jitter level."""
-    L, level = cholesky_with_jitter(k_f + params.noise_sd**2 * np.eye(y.size), params.amplitude)
-    alpha = cho_solve((L, True), y, check_finite=False)
+def _factorize(gram: np.ndarray, y: np.ndarray, amplitude: float):
+    """Log marginal, alpha = K^-1 y, the Cholesky factor of K = gram (+ jitter), jitter level."""
+    L, level = cholesky_with_jitter(gram, amplitude)
+    alpha = dpotrs(L, y, lower=1)[0]
     value = float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * y.size * LOG_2PI)
     return value, alpha, L, level
 
@@ -173,24 +175,33 @@ def _log_marginal_and_grad(
 ) -> tuple[float, np.ndarray, int]:
     """Log marginal, its gradient in (ln l, ln eta, ln sigma), and the jitter level.
 
-    GPML eq. 5.9: d/d theta = 1/2 tr((alpha alpha^T - K^-1) dK/d theta), where
-    with r = sqrt(3) d / l, dK/d ln l = eta^2 r^2 e^-r, dK/d ln eta = 2 K_f and
-    dK/d ln sigma = 2 sigma^2 I. The jitter of a level above 0 scales with
-    eta^2, so it adds 2 * jitter * I to dK/d ln eta: the gradient is that of
-    the matrix actually factorized.
+    GPML eq. 5.9: d/d theta = 1/2 tr((alpha alpha^T - K^-1) dK/d theta), for
+    the matrix actually factorized, K = K_f + sigma^2 I + jitter I, where the
+    jitter of a level above 0 scales with eta^2. With r = sqrt(3) d / l:
+      - dK/d ln eta = 2 (K - sigma^2 I), so the term is
+        y^T alpha - sigma^2 alpha^T alpha - n + sigma^2 tr K^-1;
+      - dK/d ln sigma = 2 sigma^2 I, so the term is sigma^2 (alpha^T alpha - tr K^-1);
+      - dK/d ln l = eta^2 r^2 e^-r is zero on the diagonal, so the term is
+        1/2 alpha^T dK alpha - <tril K^-1, dK>.
+    Cost: one potrf, one potrs and one potri (the lower triangle of K^-1,
+    its upper triangle left zero), plus O(n^2) elementwise work.
     """
     ell, eta, sigma = params.length_scale, params.amplitude, params.noise_sd
+    n = y.size
     r = SQRT3 * distance / ell
     decay = np.exp(-r)
-    k_f = eta**2 * (1.0 + r) * decay  # the arithmetic of matern32, so the same bits
-    value, alpha, L, level = _factorize(k_f, y, params)
-    inner = np.outer(alpha, alpha) - cho_solve((L, True), np.eye(y.size), check_finite=False)
-    trace = np.trace(inner)
-    grad = 0.5 * np.array(
+    gram = eta**2 * (1.0 + r) * decay  # the arithmetic of matern32, so the same bits
+    gram.flat[:: n + 1] += sigma**2
+    value, alpha, L, level = _factorize(gram, y, eta)
+    inverse_lower = dpotri(L, lower=1)[0]
+    trace = np.trace(inverse_lower)
+    alpha_sq = alpha @ alpha
+    dk_ell = eta**2 * r**2 * decay
+    grad = np.array(
         [
-            np.vdot(inner, eta**2 * r**2 * decay),
-            2.0 * (np.vdot(inner, k_f) + _jitter(level, eta) * trace),
-            2.0 * sigma**2 * trace,
+            0.5 * alpha @ dk_ell @ alpha - np.vdot(inverse_lower, dk_ell),
+            y @ alpha - sigma**2 * alpha_sq - n + sigma**2 * trace,
+            sigma**2 * (alpha_sq - trace),
         ]
     )
     return value, grad, level
@@ -200,7 +211,9 @@ def _factorize_series(series: DyadMonthSeries, params: KernelParams):
     """K_f on the series' own months, then _factorize's (value, alpha, L, level) for it."""
     distance, y = _series_data(series)
     k_f = matern32(distance, params.length_scale, params.amplitude)
-    return (k_f, *_factorize(k_f, y, params))
+    gram = k_f.copy()
+    gram.flat[:: y.size + 1] += params.noise_sd**2
+    return (k_f, *_factorize(gram, y, params.amplitude))
 
 
 def log_marginal(series: DyadMonthSeries, params: KernelParams) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import io
 import json
 import logging
@@ -52,21 +53,25 @@ class ConflictEvent:
     fatalities: int
     headline: str
 
-    @property
+    @functools.cached_property
     def month(self) -> int:
         return months.month_index(self.date.year, self.date.month)
 
 
 @dataclass(eq=False)
 class Article:
-    """A dated newswire article; its embedding lives in an EmbeddingMatrix."""
+    """A dated newswire article; its embedding lives in an EmbeddingMatrix.
+
+    ``month`` is computed on first access and kept, so ``date`` is fixed
+    once an article is built.
+    """
 
     article_id: str
     date: dt.date
     headline: str
     body: str
 
-    @property
+    @functools.cached_property
     def month(self) -> int:
         return months.month_index(self.date.year, self.date.month)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve, cholesky
 from scipy.optimize import approx_fprime
 
 from nexus import gp_trend
@@ -142,6 +143,13 @@ class TestGram:
         with pytest.raises(FactorizationError):
             cholesky_with_jitter(bad, amplitude=1e-6)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_factorization_error_on_non_finite_matrix(self, bad):
+        # LAPACK factorizes diag(1, nan, 1) "successfully" into a NaN factor
+        gram = np.diag([1.0, bad, 1.0])
+        with pytest.raises(FactorizationError, match="not finite"):
+            cholesky_with_jitter(gram, amplitude=1.0)
+
 
 # ---------------------------------------------------------------------------
 # Marginal likelihood and posterior objective
@@ -230,16 +238,16 @@ PRIOR = PriorSpec(math.log(122.38), 0.5)
 @contextlib.contextmanager
 def forced_jitter(level):
     """Make every factorization fail below `level`, so cholesky_with_jitter returns it."""
-    real = gp_trend.cholesky
+    real = gp_trend.dpotrf
     attempts = itertools.count()
 
-    def cholesky(a, **kwargs):
+    def dpotrf(a, **kwargs):
         if next(attempts) % (level + 1) < level:
-            raise np.linalg.LinAlgError("forced failure")
+            return a, 1  # LAPACK's "leading minor 1 is not positive definite"
         return real(a, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gp_trend, "cholesky", cholesky)
+        patch.setattr(gp_trend, "dpotrf", dpotrf)
         yield
 
 
@@ -290,6 +298,95 @@ class TestAnalyticGradient:
         z = np.array([ell, *itertools.chain.from_iterable(scales)])
         with forced_jitter(level):
             assert_gradient_matches(objective, z)
+
+
+def parent_log_marginal_and_grad(distance, y, params, first_level=0):
+    """The objective as it was before the potri rewrite, kept as the oracle.
+
+    K^-1 comes from solving against the identity and GPML eq. 5.9 is taken
+    term by term as 1/2 <alpha alpha^T - K^-1, dK/d theta>. Jitter levels
+    below `first_level` are skipped, as if their factorization had failed.
+    """
+    ell, eta, sigma = params.length_scale, params.amplitude, params.noise_sd
+    r = math.sqrt(3.0) * distance / ell
+    decay = np.exp(-r)
+    k_f = eta**2 * (1.0 + r) * decay
+    for level in range(first_level, 5):
+        jitter = 0.0 if level == 0 else 1e-8 * 10 ** (level - 1) * eta**2
+        try:
+            L = cholesky(
+                k_f + sigma**2 * np.eye(y.size) + jitter * np.eye(y.size),
+                lower=True, check_finite=False,
+            )
+            break
+        except np.linalg.LinAlgError:
+            continue
+    else:
+        raise FactorizationError("no jitter level factorizes")
+    alpha = cho_solve((L, True), y, check_finite=False)
+    value = float(
+        -0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * y.size * math.log(2 * math.pi)
+    )
+    inner = np.outer(alpha, alpha) - cho_solve((L, True), np.eye(y.size), check_finite=False)
+    trace = np.trace(inner)
+    grad = 0.5 * np.array(
+        [
+            np.vdot(inner, eta**2 * r**2 * decay),
+            2.0 * (np.vdot(inner, k_f) + jitter * trace),
+            2.0 * sigma**2 * trace,
+        ]
+    )
+    return value, grad, level, L
+
+
+@st.composite
+def month_grids(draw):
+    """Distinct months: a regular run of 1-80, or 1-80 scattered over 20 years."""
+    if draw(st.booleans()):
+        return np.arange(draw(st.integers(1, 80)), dtype=float)
+    picked = draw(st.lists(st.integers(0, 239), min_size=1, max_size=80, unique=True))
+    return np.array(sorted(picked), dtype=float)
+
+
+class TestParentKernelOracle:
+    """The potrf + potrs + potri objective against the identity-solve one it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        x=month_grids(),
+        z=st.tuples(*[st.floats(-12.0, 12.0)] * 3),
+        level=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(x=np.arange(72.0), z=(math.log(12.0), 0.3, math.log(0.4)), level=0, seed=1)
+    @example(x=np.arange(24.0), z=(math.log(30.0), 0.0, math.log(0.3)), level=4, seed=2)
+    def test_value_level_and_gradient(self, x, z, level, seed):
+        distance = np.abs(x[:, None] - x[None, :])
+        y = np.log1p(np.random.default_rng(seed).poisson(5.0, x.size).astype(float))
+        params = KernelParams(*np.exp(z))
+        real, attempts = gp_trend.dpotrf, itertools.count()
+
+        def dpotrf(a, **kwargs):  # the first `level` attempts of this one call fail
+            return (a, 1) if next(attempts) < level else real(a, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gp_trend, "dpotrf", dpotrf)
+            try:
+                expected, expected_grad, expected_level, L = parent_log_marginal_and_grad(
+                    distance, y, params, first_level=level
+                )
+            except FactorizationError:
+                with pytest.raises(FactorizationError):
+                    gp_trend._log_marginal_and_grad(distance, y, params)
+                return
+            value, grad, got_level = gp_trend._log_marginal_and_grad(distance, y, params)
+        assert value == expected
+        assert got_level == expected_level
+        # Where K is so ill-conditioned that the identity solve itself keeps
+        # fewer than 9 digits, ask for agreement to a few times cond(K) * eps.
+        kappa = np.linalg.cond(L) ** 2
+        tolerance = max(1e-9, 10.0 * kappa * np.finfo(float).eps)
+        assert np.linalg.norm(grad - expected_grad) <= tolerance * np.linalg.norm(expected_grad)
 
 
 class TestReferenceFits:
@@ -390,11 +487,11 @@ class TestFitMap:
             [0, 1, 5, 20, 44, 31, 12, 4, 1, 0, 2, 9], dyad_id="c7-d3", country_id="c7"
         )
 
-        def cholesky(a, **kwargs):
-            raise np.linalg.LinAlgError("forced failure")
+        def dpotrf(a, **kwargs):
+            return a, 1  # every factorization fails
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(gp_trend, "cholesky", cholesky)
+            patch.setattr(gp_trend, "dpotrf", dpotrf)
             with pytest.raises(FitError, match="all 3 optimizer starts diverged for dyad c7-d3"):
                 fit_map(series, PRIOR)
             with pytest.raises(FitError, match="all 3 optimizer starts diverged for country c7"):
