@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import itertools
 import math
 import re
@@ -134,7 +135,8 @@ REFERENCE_METRICS = {
 
 def bootstrap_ci_loop(records, metric, n, seed):
     """The record-list bootstrap, the reference for `bootstrap_ci`: each resample
-    is a new list of records, and `metric` takes a record list."""
+    is a new list of records, and `metric` takes a record list. Resamples where
+    the metric raises are counted and left out."""
     if not records:
         raise ValueError("no records")
     point = metric(records)
@@ -152,7 +154,38 @@ def bootstrap_ci_loop(records, metric, n, seed):
         raise ValueError(f"metric undefined on {failures}/{n} bootstrap resamples")
     alpha = (1.0 - CI_LEVEL) / 2.0
     lower, upper = np.percentile(values, [100 * alpha, 100 * (1 - alpha)], axis=0).tolist()
-    return MetricValue(point, tuple(lower), tuple(upper), n)
+    return MetricValue(point, tuple(lower), tuple(upper), n, failures)
+
+
+def collapse_loop(records):
+    """The record-list dyad-month collapse, the reference for `collapse_to_dyad_month`."""
+    groups = {}
+    for r in records:
+        groups.setdefault((r.dyad_id, r.month, r.step, r.kind), []).append(r)
+    out = []
+    for key in sorted(groups, key=lambda k: (k[0], k[1], k[2], k[3] or "")):
+        rows = groups[key]
+        probs = np.mean([r.probabilities for r in rows], axis=0)
+        probs = probs / probs.sum()
+        out.append(
+            replace(
+                rows[0],
+                probabilities=tuple(float(p) for p in probs),
+                source=rows[0].source + "_monthly",
+            )
+        )
+    return out
+
+
+# The weights-contract form of each metric: (probs, actual, weights) -> (B, k).
+COUNTS = METRIC_FUNCS[("recall", "precision", "f1")]
+MICRO_AUROC = METRIC_FUNCS[("auroc",)]
+MICRO_AP = METRIC_FUNCS[("ap",)]
+
+
+def accuracy(p, a, w):
+    """Micro recall alone, (B, 1)."""
+    return COUNTS(p, a, w)[:, :1]
 
 
 # Probabilities on a grid of eighths (exact in binary, summing exactly to 1),
@@ -184,6 +217,22 @@ class TestForecastRecord:
         # every comparison with nan is False, so the sum and range checks pass it
         with pytest.raises(ValueError, match="finite"):
             record(1, (math.nan, 0.5, 0.25, 0.25))
+
+    @pytest.mark.parametrize(
+        "actual", [2.0, np.float64(2.0), True, False, np.bool_(True), "2", None, -1, 4, np.int64(4)]
+    )
+    def test_rejects_non_integer_or_out_of_range_actual(self, actual):
+        with pytest.raises(ValueError, match="actual state"):
+            record(actual, (0.25, 0.25, 0.25, 0.25))
+
+    def test_integer_actuals_round_trip(self, tmp_path):
+        records = [
+            record(actual, onehotish(c), month=24000 + c, step=1)
+            for c, actual in enumerate([0, 3, np.int64(2), np.int8(1)])
+        ]
+        path = tmp_path / "forecasts.csv"
+        save_forecasts_csv(records, path)
+        assert load_forecasts_csv(path, step=1, kind="low_context") == records
 
 
 class TestConflictology:
@@ -430,7 +479,7 @@ class TestMicroPooling:
 class TestBootstrapCI:
     def test_constant_metric_zero_width(self):
         records = [record(1, onehotish(1))] * 10
-        value = bootstrap_ci(*arrays(records), lambda p, a: (42.0,), n=100, seed=1)
+        value = bootstrap_ci(*arrays(records), lambda p, a, w: np.full((len(w), 1), 42.0), n=100, seed=1)
         assert value.lower == value.upper == value.point == (42.0,)
 
     def test_point_within_interval(self):
@@ -439,7 +488,7 @@ class TestBootstrapCI:
             record(int(rng.integers(0, 4)), onehotish(int(rng.integers(0, 4))))
             for _ in range(60)
         ]
-        value = bootstrap_ci(*arrays(records), lambda p, a: (ap_ovr_micro(p, a),), n=200, seed=2)
+        value = bootstrap_ci(*arrays(records), MICRO_AP, n=200, seed=2)
         assert value.lower <= value.point <= value.upper
 
     def test_duplication_leaves_point_unchanged(self):
@@ -448,23 +497,22 @@ class TestBootstrapCI:
             record(int(rng.integers(0, 4)), onehotish(int(rng.integers(0, 4))))
             for _ in range(40)
         ]
-        acc = lambda p, a: (micro_metrics(confusion(p, a))["recall"],)
-        single = bootstrap_ci(*arrays(records), acc, n=50, seed=3)
-        doubled = bootstrap_ci(*arrays(records * 2), acc, n=50, seed=3)
+        single = bootstrap_ci(*arrays(records), accuracy, n=50, seed=3)
+        doubled = bootstrap_ci(*arrays(records * 2), accuracy, n=50, seed=3)
         assert single.point[0] == pytest.approx(doubled.point[0], abs=1e-15)
 
     def test_undefined_metric_fraction_errors(self):
         records = [record(0, onehotish(0))] * 5  # single-class pool: AUROC undefined
 
         with pytest.raises(ValueError):
-            bootstrap_ci(*arrays(records), lambda p, a: (auroc_ovr_micro(p, a),), n=50, seed=4)
+            bootstrap_ci(*arrays(records), MICRO_AUROC, n=50, seed=4)
 
     def test_undefined_resample_fraction_errors(self):
         # defined on the pool, undefined on the ~1/3 of resamples that miss state 1
         records = [record(0, onehotish(0))] * 4 + [record(1, onehotish(1))]
         assert auroc_ovr_micro(*arrays(records)) == 1.0
         with pytest.raises(ValueError, match="bootstrap resamples"):
-            bootstrap_ci(*arrays(records), lambda p, a: (auroc_ovr_micro(p, a),), n=50, seed=4)
+            bootstrap_ci(*arrays(records), MICRO_AUROC, n=50, seed=4)
 
     def test_intervals_widen_with_fewer_records(self):
         rng = np.random.default_rng(43)
@@ -473,10 +521,9 @@ class TestBootstrapCI:
             for _ in range(1000)
         ]
         widths_big, widths_small = [], []
-        acc = lambda p, a: (micro_metrics(confusion(p, a))["recall"],)
         for seed in range(5):
-            wb = bootstrap_ci(*arrays(big), acc, n=200, seed=seed)
-            ws = bootstrap_ci(*arrays(big[:100]), acc, n=200, seed=seed)
+            wb = bootstrap_ci(*arrays(big), accuracy, n=200, seed=seed)
+            ws = bootstrap_ci(*arrays(big[:100]), accuracy, n=200, seed=seed)
             widths_big.append(wb.upper[0] - wb.lower[0])
             widths_small.append(ws.upper[0] - ws.lower[0])
         assert np.mean(widths_small) > np.mean(widths_big)
@@ -488,13 +535,9 @@ class TestBootstrapCI:
             for _ in range(60)
         ]
         probs, actual = arrays(records)
-        joint = bootstrap_ci(
-            probs, actual, lambda p, a: tuple(micro_metrics(confusion(p, a)).values()), n=200, seed=5
-        )
-        for i, name in enumerate(("recall", "precision", "f1")):
-            alone = bootstrap_ci(
-                probs, actual, lambda p, a: (micro_metrics(confusion(p, a))[name],), n=200, seed=5
-            )
+        joint = bootstrap_ci(probs, actual, COUNTS, n=200, seed=5)
+        for i in range(3):
+            alone = bootstrap_ci(probs, actual, lambda p, a, w: COUNTS(p, a, w)[:, [i]], n=200, seed=5)
             assert (joint.point[i], joint.lower[i], joint.upper[i]) == (
                 alone.point[0], alone.lower[0], alone.upper[0]
             )
@@ -502,7 +545,7 @@ class TestBootstrapCI:
     def test_zero_resamples_rejected(self):
         records = [record(c % 4, onehotish(c % 4)) for c in range(8)]
         with pytest.raises(ValueError, match="at least one resample"):
-            bootstrap_ci(*arrays(records), lambda p, a: (ap_ovr_micro(p, a),), n=0, seed=1)
+            bootstrap_ci(*arrays(records), MICRO_AP, n=0, seed=1)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -536,6 +579,7 @@ class TestArrayKernelsMatchLoops:
         assert np.array_equal(scores, ref_scores) and scores.dtype == ref_scores.dtype
         assert np.array_equal(labels, ref_labels) and labels.dtype == ref_labels.dtype
         assert average_precision(scores, labels) == average_precision_loop(ref_scores, ref_labels)
+        assert ap_ovr_micro(probs, actual) == average_precision_loop(ref_scores, ref_labels)
         for cls in {r.actual for r in records}:
             cls_scores = np.array([r.probabilities[cls] for r in records])
             cls_labels = np.array([int(r.actual == cls) for r in records])
@@ -553,8 +597,7 @@ class TestArrayKernelsMatchLoops:
         reference = bootstrap_ci_loop(
             records, lambda rs: (average_precision_loop(*binarize_loop(rs)),), n=200, seed=2
         )
-        ap = lambda p, a: (ap_ovr_micro(p, a),)
-        assert bootstrap_ci(*arrays(records), ap, n=200, seed=2) == reference
+        assert bootstrap_ci(*arrays(records), MICRO_AP, n=200, seed=2) == reference
 
 
 class TestEmitReport:
@@ -661,17 +704,116 @@ class TestEmitReport:
         assert (tmp_path / "per_class.csv").exists()
         assert len(list((tmp_path / "grids").glob("dyad_grid_*.csv"))) == 4
 
+    def test_undefined_resamples_are_counted_and_logged(self, tmp_path, caplog):
+        # micro AUROC is undefined on the 2 of 50 resamples (seed 0) that miss state 1
+        model = [record(int(i >= 7), onehotish(0), dyad=f"d{i}") for i in range(10)]
+        baseline = [replace(r, source="baseline") for r in model]
+        value = bootstrap_ci(*arrays(model), MICRO_AUROC, n=50, seed=0)
+        assert value.n_undefined == 2
+        with caplog.at_level("WARNING"):
+            emit_report(model, baseline, tmp_path, n_boot=50, seed=0)
+        assert "auroc undefined on 2 of 50 resamples for step 1, kind 'low_context', source model " in caplog.text
+
+
+def pinned_report_records(seed=12):
+    """Model and conflictology records over 5 dyads x 16 months, steps 0 and 3, two
+    kinds. Low-context model scores lie on a grid of eighths, so they tie; a
+    high-context dyad-month holds 1-3 rows with uneven probabilities, so its mean
+    rounds; every step-3 low-context record has actual state 2."""
+    rng = np.random.default_rng(seed)
+    model, baseline = [], []
+    for step in (0, 3):
+        for kind in ("low_context", "high_context"):
+            for d in range(5):
+                for m in range(16):
+                    single_state = (step, kind) == (3, "low_context")
+                    actual = 2 if single_state else int(rng.integers(0, 4))
+                    for _ in range(1 if kind == "low_context" else int(rng.integers(1, 4))):
+                        if kind == "low_context":
+                            cuts = np.sort(rng.integers(0, 9, size=3))
+                            probs = np.diff(np.concatenate(([0], cuts, [8]))) / 8
+                        else:
+                            weights = rng.integers(1, 30, size=4)
+                            probs = weights / weights.sum()
+                        shares = np.bincount(rng.integers(0, 4, size=12), minlength=4) / 12
+                        for records, source, p in ((model, "model", probs), (baseline, "conflictology", shares)):
+                            records.append(
+                                ForecastRecord(
+                                    f"d{d}", 24_000 + m, step, tuple(float(x) for x in p), actual, source, kind
+                                )
+                            )
+    return model, baseline
+
+
+class TestPinnedReport:
+    """emit_report's files, byte for byte, as the record-per-resample bootstrap and
+    the record-list collapse wrote them."""
+
+    METRICS_SHA256 = "b4e5532cfe2a2f7582d491b2d695394ae2f83d4181430934852f8603d13e1142"
+    PER_CLASS_SHA256 = "44e61e5fb75cb56523cb1977ab209791a56de43d38ff744c1cf87f944a998bcf"
+    # sha256 of the lines "<grid file name> <its sha256>\n", in name order
+    GRIDS_SHA256 = "b1efdbc716b113c9e08c677eb1844768ea7e1cdfecce825fd9456303a2951e68"
+
+    def test_outputs_hash_to_pinned_values(self, tmp_path):
+        model, baseline = pinned_report_records()
+        emit_report(model, baseline, tmp_path, n_boot=20, seed=3)
+
+        def sha256(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        grids = sorted((tmp_path / "grids").glob("*.csv"))
+        assert len(grids) == 5 * 2 * 2
+        listing = "".join(f"{g.name} {sha256(g)}\n" for g in grids)
+        assert sha256(tmp_path / "metrics.csv") == self.METRICS_SHA256
+        assert sha256(tmp_path / "per_class.csv") == self.PER_CLASS_SHA256
+        assert hashlib.sha256(listing.encode()).hexdigest() == self.GRIDS_SHA256
+
 
 class TestCollapse:
-    def test_mean_over_digest_rows(self):
+    def test_mean_over_digest_rows(self, tmp_path):
         rows = [
             record(1, (0.7, 0.1, 0.1, 0.1)),
             record(1, (0.1, 0.7, 0.1, 0.1)),
         ]
-        collapsed = collapse_to_dyad_month(rows)
-        assert len(collapsed) == 1
-        assert collapsed[0].probabilities == pytest.approx((0.4, 0.4, 0.1, 0.1))
-        assert collapsed[0].source == "model_monthly"
+        keys, probs, actual = collapse_to_dyad_month([("d", 24_000)] * 2, *arrays(rows))
+        assert keys == [("d", 24_000)] and actual.tolist() == [1]
+        assert tuple(probs[0]) == pytest.approx((0.4, 0.4, 0.1, 0.1))
+        baseline = [replace(r, source="baseline") for r in rows]
+        emit_report(rows, baseline, tmp_path, n_boot=5, seed=1)
+        with open(tmp_path / "metrics.csv", newline="") as fh:
+            monthly = [row for row in csv.DictReader(fh) if row["source"] == "model_monthly"]
+        assert monthly and all(row["n"] == "1" for row in monthly)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["d0", "d1", "d2"]),
+                st.integers(24_000, 24_003),
+                st.integers(0, 3),
+                st.lists(st.integers(1, 10**6), min_size=4, max_size=4),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_equals_the_record_loop(self, rows):
+        records = [
+            record(actual, np.array(counts) / sum(counts), dyad=dyad, month=month)
+            for dyad, month, actual, counts in rows
+        ]
+        keys, probs, actual = collapse_to_dyad_month(
+            [(r.dyad_id, r.month) for r in records], *arrays(records)
+        )
+        expected = collapse_loop(records)
+        assert keys == [(r.dyad_id, r.month) for r in expected]
+        assert [tuple(p) for p in probs.tolist()] == [r.probabilities for r in expected]
+        assert actual.tolist() == [r.actual for r in expected]
+
+    @pytest.mark.parametrize("row", [(-0.5, 0.5, 0.5, 0.5), (math.nan, 0.5, 0.25, 0.25)])
+    def test_rejects_invalid_rows(self, row):
+        with pytest.raises(ValueError, match="collapsed"):
+            collapse_to_dyad_month([("d", 24_000)], np.array([row]), np.array([0]))
 
 
 class TestForecastCsvRoundTrip:
