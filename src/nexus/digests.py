@@ -9,18 +9,21 @@ violent.
 Two digest kinds exist per dyad-month, and both hold only articles dated
 in that month: low-context (per topic, the five in-month articles closest
 to the centroid, prefixed by all of the month's event snippets) and
-high-context RAG (per event, the nearest in-month context article from
-each non-violent topic, assembled into event-blocks and packed into
-digests bounded by a token budget). Snippet length, articles per topic and
-that budget are the module constants ``SNIPPET_TOKENS``, ``PER_TOPIC`` and
-``CONTEXT_LIMIT``.
+high-context RAG (one digest of event-blocks: per event, the event snippet
+and the nearest in-month context article from each non-violent topic).
+Neither kind has a token budget: the digest encoder,
+``stepshift.pool_embedding``, is a mean with no context window. A month
+with no embedded event article takes the low-context snippets as its
+high-context digest, so the two kinds cover the same dyad-months. Snippet
+length and articles per topic are the module constants ``SNIPPET_TOKENS``
+and ``PER_TOPIC``.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +36,6 @@ logger = logging.getLogger(__name__)
 
 SNIPPET_TOKENS = 256  # whitespace tokens kept per snippet
 PER_TOPIC = 5  # low-context articles per topic
-CONTEXT_LIMIT = 8192  # token budget of one high-context digest
 KMEANS_MAX_ITER = 100
 DEFAULT_MIN_TOPIC_SIZE = 200
 DEFAULT_MAX_TOPICS = 21
@@ -71,7 +73,6 @@ class Digest:
     kind: str
     snippets: list[Snippet]
     total_tokens: int
-    seed: int | None = None
 
     @property
     def snippet_ids(self) -> list[str]:
@@ -281,41 +282,6 @@ def low_context_digest(
     )
 
 
-def sample_event_blocks(
-    blocks: list[list[Snippet]], context_limit: int, seed: int
-) -> list[list[list[Snippet]]]:
-    """Partition whole event-blocks into digests of at most context_limit tokens.
-
-    A seeded uniform shuffle orders the blocks, which are then packed
-    greedily in that order; every block lands in exactly one digest, so
-    the union of emitted digests always covers all blocks.
-    """
-    def block_tokens(block: list[Snippet]) -> int:
-        return sum(s.token_count for s in block)
-
-    oversized = [b for b in blocks if block_tokens(b) > context_limit]
-    if oversized:
-        raise ValueError(
-            f"event-block of {block_tokens(oversized[0])} tokens exceeds "
-            f"context_limit {context_limit}"
-        )
-    order = np.random.Generator(np.random.PCG64(seed)).permutation(len(blocks))
-    digests: list[list[list[Snippet]]] = []
-    current: list[list[Snippet]] = []
-    used = 0
-    for i in order:
-        block = blocks[int(i)]
-        tokens = block_tokens(block)
-        if current and used + tokens > context_limit:
-            digests.append(current)
-            current, used = [], 0
-        current.append(block)
-        used += tokens
-    if current:
-        digests.append(current)
-    return digests
-
-
 def rag_digest(
     dyad_id: str,
     month: int,
@@ -326,21 +292,25 @@ def rag_digest(
     index: HnswIndex,
     seed: int = 0,
 ) -> list[Digest]:
-    """Event-blocks (event snippet + exact nearest article per non-violent topic).
+    """The month's high-context digest, as a list of at most one.
 
-    Retrieval sees only the indexed articles dated in `month`; a topic
-    with none of them is skipped, and the skips are logged once per call.
-    Blocks always fit in one digest when their total is within
-    ``CONTEXT_LIMIT`` tokens; otherwise whole blocks are sampled without
-    replacement into multiple digests. A month without events falls back
-    to the low-context digest.
+    Per event, in id order, an event-block: the event snippet, then the
+    exact nearest article of each non-violent topic. Retrieval sees only
+    the indexed articles dated in `month`; a topic with none of them is
+    skipped, and the skips are logged once per call. A month with no
+    event article that has an embedding takes the low-context digest's
+    snippets, tagged high-context. ``seed`` is unused; it is kept because
+    the benchmark's stage adapter passes it.
     """
-    event_ids = _event_ids(articles_by_id, gold_ids, month)
+    event_ids = []
+    for eid in _event_ids(articles_by_id, gold_ids, month):
+        if eid in embeddings:
+            event_ids.append(eid)
+        else:
+            logger.warning("event article %s has no embedding, skipped", eid)
     if not event_ids:
-        fallback = low_context_digest(
-            dyad_id, month, topic_model, articles_by_id, gold_ids, embeddings
-        )
-        return [fallback] if fallback is not None else []
+        low = low_context_digest(dyad_id, month, topic_model, articles_by_id, gold_ids, embeddings)
+        return [replace(low, kind=HIGH_CONTEXT)] if low is not None else []
 
     # each non-violent topic's indexed members dated in the month, as the retrieval filter
     in_month = _members_in_month(topic_model, articles_by_id, month, lambda aid: aid in index)
@@ -358,35 +328,22 @@ def rag_digest(
             skipped,
             len(event_ids),
         )
-    blocks: list[list[Snippet]] = []
+    snippets = []
     for eid in event_ids:
-        if eid not in embeddings:
-            logger.warning("event article %s has no embedding, skipped", eid)
-            continue
         query = normalize(embeddings.get(eid))
-        block = [snippet(articles_by_id[eid])]
+        snippets.append(snippet(articles_by_id[eid]))
         for members in allowed.values():
             found, _ = index.search(query, k=1, allowed=members)[0]
-            block.append(snippet(articles_by_id[found]))
-        blocks.append(block)
-    if not blocks:
-        return []
-
-    packed = sample_event_blocks(blocks, CONTEXT_LIMIT, seed)
-    out = []
-    for group in packed:
-        snippets = [s for block in group for s in block]
-        out.append(
-            Digest(
-                dyad_id=dyad_id,
-                month=month,
-                kind=HIGH_CONTEXT,
-                snippets=snippets,
-                total_tokens=sum(s.token_count for s in snippets),
-                seed=seed,
-            )
+            snippets.append(snippet(articles_by_id[found]))
+    return [
+        Digest(
+            dyad_id=dyad_id,
+            month=month,
+            kind=HIGH_CONTEXT,
+            snippets=snippets,
+            total_tokens=sum(s.token_count for s in snippets),
         )
-    return out
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +363,6 @@ def save_digests(digests: list[Digest], path: str | Path) -> None:
                         "snippet_ids": digest.snippet_ids,
                         "text": digest.text,
                         "total_tokens": digest.total_tokens,
-                        "seed": digest.seed,
                     },
                     sort_keys=True,
                 )
@@ -415,27 +371,34 @@ def save_digests(digests: list[Digest], path: str | Path) -> None:
 
 
 def load_digests(path: str | Path) -> list[Digest]:
+    """Digests from a JSONL file; keys other than the saved fields are ignored.
+
+    A row that does not parse or lacks a field, such as the last row of a
+    cut-off file, raises ``ValueError`` naming the file and line.
+    """
     out: list[Digest] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for n, line in enumerate(fh, start=1):
+            if not line.strip():
                 continue
-            row = json.loads(line)
-            texts = row["text"].split("\n") if row["text"] else []
-            ids = row["snippet_ids"]
-            snippets = [
-                Snippet(aid, text, len(text.split()))
-                for aid, text in zip(ids, texts)
-            ]
-            out.append(
-                Digest(
-                    dyad_id=row["dyad_id"],
-                    month=months.parse_month(row["month"]),
-                    kind=row["kind"],
-                    snippets=snippets,
-                    total_tokens=int(row["total_tokens"]),
-                    seed=row["seed"],
+            try:
+                row = json.loads(line)
+                texts = row["text"].split("\n") if row["text"] else []
+                snippets = [
+                    Snippet(aid, text, len(text.split()))
+                    for aid, text in zip(row["snippet_ids"], texts)
+                ]
+                out.append(
+                    Digest(
+                        dyad_id=row["dyad_id"],
+                        month=months.parse_month(row["month"]),
+                        kind=row["kind"],
+                        snippets=snippets,
+                        total_tokens=int(row["total_tokens"]),
+                    )
                 )
-            )
+            except KeyError as exc:
+                raise ValueError(f"{path}, line {n}: missing field {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {n}: {exc}") from None
     return out

@@ -6,19 +6,16 @@ member-article embeddings (the interface point where an external encoder
 could supply digest-level vectors instead). The head's objective,
 class-weighted cross-entropy plus an L2 penalty, is strictly convex;
 scipy's L-BFGS-B finds its one minimiser from zero weights, so a forecast
-depends on the data and the objective, not on a step size. Test rows are
-aligned across digest kinds, so every kind is scored on the same
-(dyad, month) rows.
+depends on the data and the objective, not on a step size. Every digest
+kind covers the same dyad-months, so every kind is scored on the same
+(dyad, month) test rows; ``run_steps`` raises if they differ.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import operator
-from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +74,12 @@ class SoftmaxModel:
 # ---------------------------------------------------------------------------
 
 def pool_embedding(digest: Digest, embeddings) -> np.ndarray:
-    """L2-normalized arithmetic mean of the member snippet-article embeddings."""
+    """L2-normalized arithmetic mean of the member snippet-article embeddings.
+
+    The mean has no context window, so a digest of any length pools whole.
+    An encoder with a context window that takes this place owns its token
+    budget: it truncates or chunks its input.
+    """
     vectors = [
         np.asarray(embeddings.get(aid), dtype=float)
         for aid in digest.snippet_ids
@@ -247,33 +249,6 @@ def predict(model: SoftmaxModel, features) -> np.ndarray:
 # Per-step, per-kind runs
 # ---------------------------------------------------------------------------
 
-def _align_test_structure(
-    test_by_kind: dict[str, list[TrainingPair]]
-) -> dict[str, list[TrainingPair]]:
-    """Hold the test structure identical across digest kinds.
-
-    Every (dyad, digest month) key contributes the same number of rows to
-    each kind: the minimum count over kinds (a ``Counter`` intersection),
-    with keys missing anywhere dropped everywhere. Each kind keeps a key's
-    first rows in input order, and returns them sorted by key.
-    """
-    def key(p: TrainingPair) -> tuple:
-        return (p.dyad_id, p.digest_month)
-
-    counts = [Counter(map(key, pairs)) for pairs in test_by_kind.values()]
-    quota = reduce(operator.and_, counts) if counts else Counter()
-    aligned = {}
-    for kind, pairs in test_by_kind.items():
-        left = quota.copy()
-        kept = []
-        for p in sorted(pairs, key=key):
-            if left[key(p)] > 0:
-                left[key(p)] -= 1
-                kept.append(p)
-        aligned[kind] = kept
-    return aligned
-
-
 def run_steps(
     digests_by_kind: dict[str, list[Digest]],
     labels_train: dict[str, dict[int, int]],
@@ -285,7 +260,10 @@ def run_steps(
     steps=DEFAULT_STEPS,
     config: TrainConfig = TrainConfig(),
 ) -> dict[tuple[int, str], tuple[SoftmaxModel, list[ForecastRecord]]]:
-    """One trained model plus its test-set forecast records per (step, kind)."""
+    """One trained model plus its test-set forecast records per (step, kind).
+
+    Raises ``ValueError`` if the kinds' test (dyad, digest month) keys differ.
+    """
     out: dict[tuple[int, str], tuple[SoftmaxModel, list[ForecastRecord]]] = {}
     for step in steps:
         train_by_kind: dict[str, list[TrainingPair]] = {}
@@ -303,11 +281,13 @@ def run_steps(
             )
             train_by_kind[kind] = train
             test_by_kind[kind] = test
-        aligned = _align_test_structure(test_by_kind)
+        keys = [[(p.dyad_id, p.digest_month) for p in test] for test in test_by_kind.values()]
+        if any(k != keys[0] for k in keys):
+            raise ValueError(f"step {step}: the digest kinds' test (dyad, month) keys differ")
         for kind in sorted(digests_by_kind):
             model = train_softmax(train_by_kind[kind], config)
             model.step, model.kind = step, kind
-            test = aligned[kind]
+            test = test_by_kind[kind]
             probs = predict(model, np.stack([p.features for p in test])) if test else []
             records = [
                 ForecastRecord(

@@ -1,4 +1,6 @@
 import datetime as dt
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from nexus.digests import (
     load_digests,
     low_context_digest,
     rag_digest,
-    sample_event_blocks,
     save_digests,
     snippet,
 )
@@ -321,15 +322,30 @@ class TestRagDigest:
         digests = rag_digest(
             "dy", parse_month("2021-03"), model, articles, gold, matrix, index, seed=1
         )
+        low = low_context_digest("dy", parse_month("2021-03"), model, articles, gold, matrix)
         assert len(digests) == 1
-        assert digests[0].kind == LOW_CONTEXT
+        assert digests[0].kind == HIGH_CONTEXT
+        assert digests[0].snippet_ids == low.snippet_ids
 
-    def test_deterministic_given_seed(self):
-        articles, matrix, model, gold = make_fixture(per_topic_in_month=6, n_events=3)
+    def test_unembedded_events_fall_back_to_low_context(self):
+        articles, matrix, model, gold = make_fixture(per_topic_in_month=6, n_events=0)
+        articles["ev_0"] = art("ev_0")  # an event article with no embedding
+        gold = {"ev_0"}
         index = build_context_index(matrix, gold)
-        a = rag_digest("dy", parse_month("2021-03"), model, articles, gold, matrix, index, seed=4)
-        b = rag_digest("dy", parse_month("2021-03"), model, articles, gold, matrix, index, seed=4)
-        assert [d.snippet_ids for d in a] == [d.snippet_ids for d in b]
+        digests = rag_digest("dy", parse_month("2021-03"), model, articles, gold, matrix, index)
+        low = low_context_digest("dy", parse_month("2021-03"), model, articles, gold, matrix)
+        assert low.snippet_ids[0] == "ev_0"
+        assert [(d.kind, d.snippet_ids) for d in digests] == [(HIGH_CONTEXT, low.snippet_ids)]
+
+    def test_every_event_block_in_one_digest(self):
+        articles, matrix, model, gold = make_fixture(per_topic_in_month=6, n_events=12)
+        index = build_context_index(matrix, gold)
+        digests = rag_digest("dy", parse_month("2021-03"), model, articles, gold, matrix, index)
+        assert len(digests) == 1
+        ids = digests[0].snippet_ids
+        assert len(ids) == 12 * (1 + 3)
+        assert ids[::4] == sorted(gold)  # each block leads with its event, in id order
+        assert digests[0].total_tokens == sum(s.token_count for s in digests[0].snippets)
 
 
 def all_digests(month_range, model, articles, gold, matrix, index):
@@ -337,30 +353,42 @@ def all_digests(month_range, model, articles, gold, matrix, index):
     for month in month_range:
         low = low_context_digest("dy", month, model, articles, gold, matrix)
         out += ([low] if low is not None else [])
-        out += rag_digest("dy", month, model, articles, gold, matrix, index, seed=month)
+        out += rag_digest("dy", month, model, articles, gold, matrix, index)
     return out
+
+
+def rows_fixture(rows, unembedded_event_offsets=()):
+    """Articles in 2021-03/04 from `article_rows`, plus event articles with no embedding."""
+    articles, assignment, gold, ids, vectors = {}, {}, set(), [], []
+    for i, (offset, topic, grid, is_gold, _) in enumerate(rows):
+        aid = f"a{i:02d}"
+        articles[aid] = art(aid, month=f"2021-0{3 + offset}")
+        assignment[aid] = topic
+        if is_gold:
+            gold.add(aid)
+        ids.append(aid)
+        vectors.append([1.0, *grid])
+    for i, offset in enumerate(unembedded_event_offsets):
+        aid = f"u{i:02d}"
+        articles[aid] = art(aid, month=f"2021-0{3 + offset}")
+        gold.add(aid)
+    centroids = np.eye(3, 4, k=1, dtype=np.float32) + np.float32(0.5)
+    centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
+    model = TopicModel("dy", centroids, assignment, violent_topic=None)
+    matrix = EmbeddingMatrix(ids=ids, vectors=np.asarray(vectors, dtype=np.float32).reshape(-1, 4))
+    return articles, gold, model, matrix, build_context_index(matrix, gold)
+
+
+# 2021-03 and 2021-04 hold the articles of `rows_fixture`; 2021-05 is empty
+ROW_MONTHS = range(parse_month("2021-03"), parse_month("2021-05") + 1)
 
 
 class TestCausalDigests:
     @settings(max_examples=100, deadline=None)
     @given(article_rows)
     def test_every_snippet_dated_in_its_digest_month(self, rows):
-        articles, assignment, gold, ids, vectors = {}, {}, set(), [], []
-        for i, (offset, topic, grid, is_gold, _) in enumerate(rows):
-            aid = f"a{i:02d}"
-            articles[aid] = art(aid, month=f"2021-0{3 + offset}")
-            assignment[aid] = topic
-            if is_gold:
-                gold.add(aid)
-            ids.append(aid)
-            vectors.append([1.0, *grid])
-        centroids = np.eye(3, 4, k=1, dtype=np.float32) + np.float32(0.5)
-        centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
-        model = TopicModel("dy", centroids, assignment, violent_topic=None)
-        matrix = EmbeddingMatrix(ids=ids, vectors=np.asarray(vectors, dtype=np.float32).reshape(-1, 4))
-        index = build_context_index(matrix, gold)
-        months = range(parse_month("2021-03"), parse_month("2021-05") + 1)
-        for digest in all_digests(months, model, articles, gold, matrix, index):
+        articles, gold, model, matrix, index = rows_fixture(rows)
+        for digest in all_digests(ROW_MONTHS, model, articles, gold, matrix, index):
             assert all(articles[aid].month == digest.month for aid in digest.snippet_ids)
 
     @staticmethod
@@ -403,36 +431,19 @@ class TestCausalDigests:
         assert pairs == self._train_pairs(later_seed=101)
 
 
-class TestSampleEventBlocks:
-    def _blocks(self, n, tokens_each):
-        return [
-            [Snippet(f"s{i}", "x " * tokens_each, tokens_each)] for i in range(n)
-        ]
-
-    def test_all_fit_in_single_digest(self):
-        packed = sample_event_blocks(self._blocks(4, 100), context_limit=2048, seed=0)
-        assert len(packed) == 1
-        assert len(packed[0]) == 4
-
-    def test_ten_blocks_of_600_at_limit_2048(self):
-        blocks = self._blocks(10, 600)
-        packed = sample_event_blocks(blocks, context_limit=2048, seed=3)
-        for digest in packed:
-            assert len(digest) <= 3
-            assert sum(s.token_count for b in digest for s in b) <= 2048
-        covered = {b[0].article_id for digest in packed for b in digest}
-        assert covered == {f"s{i}" for i in range(10)}
-
-    def test_union_coverage_over_many_seeds(self):
-        blocks = self._blocks(10, 600)
-        for seed in range(20):
-            packed = sample_event_blocks(blocks, 2048, seed)
-            covered = {b[0].article_id for digest in packed for b in digest}
-            assert covered == {f"s{i}" for i in range(10)}
-
-    def test_oversized_block_rejected(self):
-        with pytest.raises(ValueError):
-            sample_event_blocks(self._blocks(1, 5000), context_limit=2048, seed=0)
+class TestOneDigestPerMonth:
+    @settings(max_examples=100, deadline=None)
+    @given(article_rows, st.lists(st.integers(0, 1), max_size=3))
+    def test_high_context_exactly_when_low_context(self, rows, unembedded):
+        articles, gold, model, matrix, index = rows_fixture(rows, unembedded)
+        for month in ROW_MONTHS:
+            low = low_context_digest("dy", month, model, articles, gold, matrix)
+            high = rag_digest("dy", month, model, articles, gold, matrix, index)
+            assert len(high) == (low is not None)
+            assert all(d.kind == HIGH_CONTEXT and d.month == month for d in high)
+            events = [aid for aid in gold if aid in matrix and articles[aid].month == month]
+            if high and not events:
+                assert high[0].snippet_ids == low.snippet_ids  # the fallback
 
 
 class TestDigestRoundTrip:
@@ -449,3 +460,65 @@ class TestDigestRoundTrip:
         assert loaded[0].total_tokens == digest.total_tokens
         assert loaded[0].month == digest.month
         assert loaded[0].text == digest.text
+
+    def test_both_kinds_round_trip_one_row_per_key(self, tmp_path):
+        # an event in 2021-03, none in 2021-04 (the fallback), nothing in 2021-05
+        rows = [(0, t, [t % 2, 1, 0], False, True) for t in range(3)]
+        rows += [(0, 0, [1, 0, 0], True, True)]
+        rows += [(1, t, [0, t % 2, 1], False, True) for t in range(3)]
+        articles, gold, model, matrix, index = rows_fixture(rows)
+        by_kind = {LOW_CONTEXT: [], HIGH_CONTEXT: []}
+        for month in ROW_MONTHS:
+            low = low_context_digest("dy", month, model, articles, gold, matrix)
+            by_kind[LOW_CONTEXT] += [low] if low is not None else []
+            by_kind[HIGH_CONTEXT] += rag_digest("dy", month, model, articles, gold, matrix, index)
+        path = tmp_path / "digests.jsonl"
+        save_digests(by_kind[LOW_CONTEXT] + by_kind[HIGH_CONTEXT], path)
+        loaded = load_digests(path)
+        assert {kind: [d for d in loaded if d.kind == kind] for kind in by_kind} == by_kind
+        keys = Counter((d.kind, d.dyad_id, d.month) for d in loaded)
+        assert sorted(keys.values()) == [1] * 4
+        assert {(k[1], k[2]) for k in keys if k[0] == LOW_CONTEXT} == {
+            (k[1], k[2]) for k in keys if k[0] == HIGH_CONTEXT
+        }
+
+    def test_older_seed_field_ignored(self, tmp_path):
+        digest = Digest("dy", parse_month("2021-03"), HIGH_CONTEXT, [Snippet("a", "x y", 2)], 2)
+        path = tmp_path / "digests.jsonl"
+        save_digests([digest], path)
+        row = path.read_text().rstrip("\n")
+        path.write_text(row[:-1] + ', "seed": 0, "partition": 1}\n')
+        assert load_digests(path) == [digest]
+
+
+class TestLoadDigestsErrors:
+    def _three(self):
+        return [
+            Digest("dy", parse_month(f"2021-0{m}"), LOW_CONTEXT, [Snippet(f"a{m}", "x y z", 3)], 3)
+            for m in (1, 2, 3)
+        ]
+
+    def test_cut_off_file_names_path_and_line(self, tmp_path):
+        path = tmp_path / "digests.jsonl"
+        digests = self._three()
+        save_digests(digests, path)
+        data = path.read_bytes()
+        last_row = data.rindex(b"\n", 0, len(data) - 1) + 1
+        for cut in range(last_row, len(data)):
+            path.write_bytes(data[:cut])
+            if cut == last_row:
+                assert load_digests(path) == digests[:2]
+            elif cut == len(data) - 1:  # only the final newline is gone
+                assert load_digests(path) == digests
+            else:
+                with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: ")):
+                    load_digests(path)
+
+    def test_missing_field_names_path_and_line(self, tmp_path):
+        path = tmp_path / "digests.jsonl"
+        save_digests(self._three(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].replace('"kind"', '"kinds"')
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 2: missing field 'kind'")):
+            load_digests(path)

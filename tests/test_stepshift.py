@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -410,86 +410,24 @@ class TestRunSteps:
         for key in a:
             assert a[key][1] == b[key][1]
 
-    def test_identical_test_structure_across_kinds(self):
+    def test_unequal_test_keys_across_kinds_raise(self):
         digests, labels, matrix = two_kind_fixture()
-        # remove one val month from one kind; the other kind must drop it too
+        # one kind lacks a test month the other kind has
         digests["high_context"] = [
             d for d in digests["high_context"] if d.month != parse_month("2022-03")
         ]
-        out = run_steps(
-            digests,
-            labels,
-            labels,
-            matrix,
-            parse_month("2021-12"),
-            parse_month("2022-01"),
-            parse_month("2022-06"),
-            steps=(0,),
-            config=TrainConfig(epochs=50),
-        )
-        low = sorted((r.dyad_id, r.month) for r in out[(0, "low_context")][1])
-        high = sorted((r.dyad_id, r.month) for r in out[(0, "high_context")][1])
-        assert low == high
-        assert parse_month("2022-03") not in {m for _, m in low}
-
-
-def align_reference(test_by_kind):
-    """The per-key loop that _align_test_structure replaced, kept as its oracle."""
-    keys_per_kind = {}
-    for kind, pairs in test_by_kind.items():
-        counter = {}
-        for p in pairs:
-            counter[(p.dyad_id, p.digest_month)] = counter.get((p.dyad_id, p.digest_month), 0) + 1
-        keys_per_kind[kind] = counter
-    shared = None
-    for counter in keys_per_kind.values():
-        keys = set(counter)
-        shared = keys if shared is None else shared & keys
-    shared = shared or set()
-    quota = {
-        key: min(keys_per_kind[kind][key] for kind in test_by_kind) for key in shared
-    }
-    aligned = {}
-    for kind, pairs in test_by_kind.items():
-        taken = {key: 0 for key in shared}
-        kept = []
-        for p in sorted(pairs, key=lambda p: (p.dyad_id, p.digest_month)):
-            key = (p.dyad_id, p.digest_month)
-            if key in quota and taken[key] < quota[key]:
-                taken[key] += 1
-                kept.append(p)
-        aligned[kind] = kept
-    return aligned
-
-
-# per kind, the (dyad, month) key of each test pair in input order; a key can
-# repeat, and be missing from other kinds
-kind_keys = st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 3)), max_size=12)
-
-
-class TestAlignTestStructure:
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(kind_keys, min_size=1, max_size=3))
-    def test_matches_reference_loop(self, keys_by_kind):
-        serial = iter(range(1000))
-        test_by_kind = {
-            f"kind{i}": [
-                TrainingPair(dyad, month, next(serial), np.zeros(1), 0, f"kind{i}")
-                for dyad, month in keys
-            ]
-            for i, keys in enumerate(keys_by_kind)
-        }
-
-        def rows(aligned):
-            # target_month is a unique serial, so it names the pair kept
-            return {
-                kind: [(p.dyad_id, p.digest_month, p.target_month) for p in pairs]
-                for kind, pairs in aligned.items()
-            }
-
-        assert rows(stepshift._align_test_structure(test_by_kind)) == rows(
-            align_reference(test_by_kind)
-        )
+        with pytest.raises(ValueError, match="step 0: the digest kinds' test"):
+            run_steps(
+                digests,
+                labels,
+                labels,
+                matrix,
+                parse_month("2021-12"),
+                parse_month("2022-01"),
+                parse_month("2022-06"),
+                steps=(0,),
+                config=TrainConfig(epochs=50),
+            )
 
 
 class TestModelRoundTrip:
