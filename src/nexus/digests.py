@@ -21,14 +21,13 @@ and ``PER_TOPIC``.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import months
+from . import _files, months
 from .hnsw import HnswIndex, normalize
 from .ingest import Article
 
@@ -352,53 +351,33 @@ def rag_digest(
 
 def save_digests(digests: list[Digest], path: str | Path) -> None:
     ordered = sorted(digests, key=lambda d: (d.kind, d.dyad_id, d.month))
-    with open(path, "w", encoding="utf-8") as fh:
-        for digest in ordered:
-            fh.write(
-                json.dumps(
-                    {
-                        "dyad_id": digest.dyad_id,
-                        "month": months.format_month(digest.month),
-                        "kind": digest.kind,
-                        "snippet_ids": digest.snippet_ids,
-                        "text": digest.text,
-                        "total_tokens": digest.total_tokens,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    _files.write_jsonl(path, (
+        {
+            "dyad_id": digest.dyad_id,
+            "month": months.format_month(digest.month),
+            "kind": digest.kind,
+            "snippet_ids": digest.snippet_ids,
+            "text": digest.text,
+            "total_tokens": digest.total_tokens,
+        }
+        for digest in ordered
+    ))
 
 
 def load_digests(path: str | Path) -> list[Digest]:
-    """Digests from a JSONL file; keys other than the saved fields are ignored.
+    """Digests from a JSONL file; keys other than the saved fields are ignored."""
 
-    A row that does not parse or lacks a field, such as the last row of a
-    cut-off file, raises ``ValueError`` naming the file and line.
-    """
-    out: list[Digest] = []
-    with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                texts = row["text"].split("\n") if row["text"] else []
-                snippets = [
-                    Snippet(aid, text, len(text.split()))
-                    for aid, text in zip(row["snippet_ids"], texts)
-                ]
-                out.append(
-                    Digest(
-                        dyad_id=row["dyad_id"],
-                        month=months.parse_month(row["month"]),
-                        kind=row["kind"],
-                        snippets=snippets,
-                        total_tokens=int(row["total_tokens"]),
-                    )
-                )
-            except KeyError as exc:
-                raise ValueError(f"{path}, line {n}: missing field {exc}") from None
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {n}: {exc}") from None
-    return out
+    def build(row: dict) -> Digest:
+        texts = row["text"].split("\n") if row["text"] else []
+        return Digest(
+            dyad_id=row["dyad_id"],
+            month=months.parse_month(row["month"]),
+            kind=row["kind"],
+            snippets=[
+                Snippet(aid, text, len(text.split()))
+                for aid, text in zip(row["snippet_ids"], texts)
+            ],
+            total_tokens=int(row["total_tokens"]),
+        )
+
+    return _files.read_jsonl(path, build)

@@ -27,7 +27,6 @@ about 16 MB at N = 500 and B = 1,000.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -35,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import months
+from . import _files, months
 
 logger = logging.getLogger(__name__)
 
@@ -432,13 +431,6 @@ def collapse_to_dyad_month(
     return [unique[g] for g in order], mean[order], actual[first[order]]
 
 
-def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -520,12 +512,12 @@ def emit_report(
                 per_class_rows.append(
                     [step, kind, source, cls, _fmt(report["ap"]), _fmt(report["auroc"])]
                 )
-    _write_csv(
+    _files.write_csv(
         out_dir / "metrics.csv",
         ["step", "kind", "source", "metric", "point", "lo", "hi", "n"],
         metric_rows,
     )
-    _write_csv(
+    _files.write_csv(
         out_dir / "per_class.csv",
         ["step", "kind", "source", "class", "ap", "auroc"],
         per_class_rows,
@@ -533,6 +525,7 @@ def emit_report(
 
     grid_dir = out_dir / "grids"
     grid_dir.mkdir(exist_ok=True)
+    grid_header = ["month", "p0", "p1", "p2", "p3", "actual"]
     for (step, kind, source) in sorted(collapsed):
         if source != "model_monthly":
             continue
@@ -544,7 +537,7 @@ def emit_report(
             )
         for dyad_id, grid_rows in by_dyad.items():
             name = f"dyad_grid_{dyad_id}" + (f"_{kind}" if kind else "") + f"_step{step}.csv"
-            _write_csv(grid_dir / name, ["month", "p0", "p1", "p2", "p3", "actual"], grid_rows)
+            _files.write_csv(grid_dir / name, grid_header, grid_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -559,30 +552,18 @@ def save_forecasts_csv(records: list[ForecastRecord], path: str | Path) -> None:
         [r.dyad_id, months.format_month(r.month), *(_fmt(p) for p in r.probabilities), r.actual]
         for r in sorted(records, key=lambda r: (r.dyad_id, r.month))
     ]
-    _write_csv(path, ["dyad_id", "month", *_PROB_COLUMNS, "actual_state"], rows)
+    _files.write_csv(path, ["dyad_id", "month", *_PROB_COLUMNS, "actual_state"], rows)
 
 
 def load_forecasts_csv(
     path: str | Path, step: int, kind: str | None, source: str = "model"
 ) -> list[ForecastRecord]:
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            try:
-                if None in row.values():
-                    raise ValueError("missing fields")
-                out.append(
-                    ForecastRecord(
-                        dyad_id=row["dyad_id"],
-                        month=months.parse_month(row["month"]),
-                        step=step,
-                        probabilities=tuple(float(row[c]) for c in _PROB_COLUMNS),
-                        actual=int(row["actual_state"]),
-                        source=source,
-                        kind=kind,
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
-    return out
+    return _files.read_csv(path, lambda row: ForecastRecord(
+        dyad_id=row["dyad_id"],
+        month=months.parse_month(row["month"]),
+        step=step,
+        probabilities=tuple(float(row[c]) for c in _PROB_COLUMNS),
+        actual=int(row["actual_state"]),
+        source=source,
+        kind=kind,
+    ))

@@ -23,7 +23,6 @@ y^T alpha, alpha^T alpha and tr K^-1 (see ``_log_marginal_and_grad``).
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -33,7 +32,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import minimize
 
-from . import months
+from . import _files, months
 from .ingest import DyadMonthSeries
 
 logger = logging.getLogger(__name__)
@@ -471,7 +470,7 @@ def fit_trend(series: DyadMonthSeries, prior: PriorSpec, params: KernelParams) -
 # ---------------------------------------------------------------------------
 
 def save_trend_fit(fit: TrendFit, path: str | Path) -> None:
-    payload = {
+    _files.write_json(path, {
         "dyad_id": fit.dyad_id,
         "length_scale": fit.params.length_scale,
         "amplitude": fit.params.amplitude,
@@ -481,15 +480,11 @@ def save_trend_fit(fit: TrendFit, path: str | Path) -> None:
         "derivative": [float(v) for v in fit.derivative],
         "log_posterior": fit.log_posterior_at_map,
         "jitter_level": fit.jitter_level,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
+    })
 
 
 def load_trend_fit(path: str | Path) -> TrendFit:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return TrendFit(
+    return _files.read_json(path, lambda payload: TrendFit(
         dyad_id=payload["dyad_id"],
         params=KernelParams(
             payload["length_scale"], payload["amplitude"], payload["noise_sd"]
@@ -499,4 +494,4 @@ def load_trend_fit(path: str | Path) -> TrendFit:
         derivative=np.array(payload["derivative"], dtype=float),
         log_posterior_at_map=float(payload["log_posterior"]),
         jitter_level=int(payload["jitter_level"]),
-    )
+    ))

@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _files
+
 logger = logging.getLogger(__name__)
 
 _MAGIC = b"HNSW"
@@ -110,11 +112,8 @@ class HnswIndex:
         header = {"dim": self.dim, "count": len(self.ids), "seed": self.config.seed,
                   "ids": self.ids}
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            fh.write(self.vectors.astype("<f4").tobytes())
+        parts = [_MAGIC, struct.pack("<I", len(blob)), blob, self.vectors.astype("<f4").tobytes()]
+        _files.write_atomic(path, lambda fh: fh.writelines(parts))
 
     @classmethod
     def load(cls, path: str | Path) -> "HnswIndex":

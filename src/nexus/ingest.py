@@ -1,7 +1,8 @@
 """Corpus loading, headline back-labeling, dyad filtering, monthly aggregation.
 
 Input files are JSONL (or CSV for events) plus a flat little-endian
-float32 embedding matrix with a JSON sidecar. The three row loaders
+float32 embedding matrix with a JSON sidecar. Dates are ``YYYY-MM-DD``
+exactly. The three row loaders
 (events, articles, dyad probabilities) share one contract: a bad row
 never aborts the load but becomes a :class:`RowError` naming its line;
 a row that repeats the id of an earlier loaded row (``event_id``, or
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import months
+from . import _files, months
 
 logger = logging.getLogger(__name__)
 
@@ -36,6 +37,7 @@ DYAD_THRESHOLD = 0.8  # apply_dyad_filter keeps a classifier row whose best dyad
 # Largest count a row may carry: sums over billions of rows stay inside int64.
 MAX_COUNT = 10**9
 _UNDECODED = re.compile("[\udc80-\udcff]")  # bytes that surrogateescape kept
+_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +251,10 @@ def _parse_count(value) -> int:
 def _parse_date(value) -> dt.date:
     if isinstance(value, dt.date):
         return value
-    return dt.date.fromisoformat(str(value).strip())
+    text = str(value).strip()
+    if not _DATE.fullmatch(text):  # fromisoformat takes more forms from Python 3.11 on
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return dt.date.fromisoformat(text)
 
 
 def _load_rows(path: str | Path, what: str, build, key: str) -> tuple[list, list[RowError]]:
@@ -346,10 +351,9 @@ def _meta_path(f32_path: Path) -> Path:
 def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     """Load a flat little-endian float32 matrix plus its JSON sidecar."""
     path = Path(path)
-    with open(_meta_path(path), encoding="utf-8") as fh:
-        meta = json.load(fh)
-    dim = int(meta["dim"])
-    ids = [str(x) for x in meta["ids"]]
+    dim, ids = _files.read_json(
+        _meta_path(path), lambda meta: (int(meta["dim"]), [str(x) for x in meta["ids"]])
+    )
     raw = np.fromfile(path, dtype="<f4")
     if raw.size != dim * len(ids):
         raise ValueError(
@@ -365,11 +369,10 @@ def save_embeddings(path: str | Path, ids: list[str], vectors: np.ndarray) -> No
     """Write the flat .f32 matrix and its .meta.json sidecar."""
     path = Path(path)
     vectors = np.ascontiguousarray(vectors, dtype="<f4")
-    if vectors.shape[0] != len(ids):
-        raise ValueError("id count does not match matrix rows")
-    vectors.tofile(path)
-    with open(_meta_path(path), "w", encoding="utf-8") as fh:
-        json.dump({"dim": int(vectors.shape[1]), "ids": list(ids)}, fh)
+    if vectors.ndim != 2 or vectors.shape[0] != len(ids):
+        raise ValueError(f"need a 2-D matrix with {len(ids)} rows, got shape {vectors.shape}")
+    _files.write_json(_meta_path(path), {"dim": int(vectors.shape[1]), "ids": list(ids)})
+    _files.write_atomic(path, vectors.tofile)
 
 
 def load_dyad_probs(
@@ -528,47 +531,34 @@ def aggregate_monthly(
 # ---------------------------------------------------------------------------
 
 def save_series(series: DyadMonthSeries, path: str | Path) -> None:
-    payload = {
+    _files.write_json(path, {
         "dyad_id": series.dyad_id,
         "country_id": series.country_id,
         "months": [months.format_month(int(m)) for m in series.months],
         "raw_fatalities": [int(v) for v in series.raw_fatalities],
         "log_fatalities": [float(v) for v in series.log_fatalities],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
+    })
 
 
 def load_series(path: str | Path) -> DyadMonthSeries:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return DyadMonthSeries(
+    return _files.read_json(path, lambda payload: DyadMonthSeries(
         dyad_id=payload["dyad_id"],
         country_id=payload["country_id"],
         months=np.array([months.parse_month(m) for m in payload["months"]]),
         log_fatalities=np.array(payload["log_fatalities"], dtype=float),
         raw_fatalities=np.array(payload["raw_fatalities"], dtype=int),
-    )
+    ))
 
 
 def save_labels_file(labels: dict[str, ArticleLabel], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for aid in sorted(labels):
-            fh.write(json.dumps(asdict(labels[aid]), sort_keys=True) + "\n")
+    _files.write_jsonl(path, (asdict(labels[aid]) for aid in sorted(labels)))
 
 
 def load_labels_file(path: str | Path) -> dict[str, ArticleLabel]:
-    labels: dict[str, ArticleLabel] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            labels[row["article_id"]] = ArticleLabel(
-                article_id=row["article_id"],
-                dyads=tuple(row["dyads"]),
-                gold=bool(row["gold"]),
-                ambiguous=bool(row["ambiguous"]),
-            )
-    return labels
+    labels = _files.read_jsonl(path, lambda row: ArticleLabel(
+        article_id=row["article_id"],
+        dyads=tuple(row["dyads"]),
+        gold=bool(row["gold"]),
+        ambiguous=bool(row["ambiguous"]),
+    ))
+    return {label.article_id: label for label in labels}

@@ -9,7 +9,6 @@ observed after the training cutoff can touch a training label.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from enum import IntEnum
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import months
+from . import _files, months
 from .gp_trend import TrendFit
 from .ingest import DyadMonthSeries
 
@@ -133,38 +132,26 @@ def label_windows(
 # ---------------------------------------------------------------------------
 
 def save_labels_csv(labels: dict[str, LabeledSeries], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dyad_id", "month", "state_code", "state_name", "derivative_value"])
-        for dyad_id in sorted(labels):
-            ls = labels[dyad_id]
-            for m, code, deriv in zip(ls.months, ls.states, ls.derivatives):
-                writer.writerow(
-                    [
-                        dyad_id,
-                        months.format_month(int(m)),
-                        int(code),
-                        STATE_NAMES[EscalationState(int(code))],
-                        repr(float(deriv)),
-                    ]
-                )
+    rows = [
+        [
+            dyad_id,
+            months.format_month(int(m)),
+            int(code),
+            STATE_NAMES[EscalationState(int(code))],
+            repr(float(deriv)),
+        ]
+        for dyad_id, ls in sorted(labels.items())
+        for m, code, deriv in zip(ls.months, ls.states, ls.derivatives)
+    ]
+    header = ["dyad_id", "month", "state_code", "state_name", "derivative_value"]
+    _files.write_csv(path, header, rows)
 
 
 def load_labels_csv(path: str | Path) -> dict[str, dict[int, int]]:
-    """Per-dyad month -> state code mapping from a labels CSV.
-
-    A row that does not parse, such as the last row of a cut-off file,
-    raises ``ValueError`` naming the file and line.
-    """
+    """Per-dyad month -> state code mapping from a labels CSV."""
     out: dict[str, dict[int, int]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            try:
-                if None in row.values():
-                    raise ValueError("missing fields")
-                month, code = months.parse_month(row["month"]), int(row["state_code"])
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
-            out.setdefault(row["dyad_id"], {})[month] = code
+    for dyad_id, month, code in _files.read_csv(path, lambda row: (
+        row["dyad_id"], months.parse_month(row["month"]), int(row["state_code"])
+    )):
+        out.setdefault(dyad_id, {})[month] = code
     return out

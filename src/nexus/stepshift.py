@@ -13,7 +13,6 @@ kind covers the same dyad-months, so every kind is scored on the same
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +20,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize
 
+from . import _files
 from .digests import Digest
 from .evaluation import N_CLASSES, ForecastRecord
 
@@ -321,7 +321,7 @@ def run_steps(
 # ---------------------------------------------------------------------------
 
 def save_model(model: SoftmaxModel, path: str | Path) -> None:
-    payload = {
+    _files.write_json(path, {
         "weights": [[float(v) for v in row] for row in model.weights],
         "class_weights": [float(v) for v in model.class_weights],
         "config": {"epochs": model.config.epochs},
@@ -330,15 +330,11 @@ def save_model(model: SoftmaxModel, path: str | Path) -> None:
         "converged": model.converged,
         "step": model.step,
         "kind": model.kind,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
+    })
 
 
 def load_model(path: str | Path) -> SoftmaxModel:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return SoftmaxModel(
+    return _files.read_json(path, lambda payload: SoftmaxModel(
         weights=np.array(payload["weights"], dtype=float),
         class_weights=np.array(payload["class_weights"], dtype=float),
         config=TrainConfig(**payload["config"]),
@@ -347,4 +343,4 @@ def load_model(path: str | Path) -> SoftmaxModel:
         converged=bool(payload["converged"]),
         step=payload["step"],
         kind=payload["kind"],
-    )
+    ))

@@ -199,6 +199,26 @@ class TestLoaderContract:
         assert [e.line for e in errors] == [3]
         assert "'a1'" in errors[0].message and "line 1" in errors[0].message
 
+    # the basic and week forms of 2015-03-14: date.fromisoformat takes both on Python 3.11,
+    # neither on 3.10, so the same file would load differently
+    @pytest.mark.parametrize("date", ["20150314", "2015-W11-6"])
+    def test_date_other_than_yyyy_mm_dd_is_a_bad_row(self, tmp_path, date):
+        bad = event_row("e2", 1).replace("2015-03-14", date)
+        path = write_jsonl(tmp_path / "events.jsonl", [bad, event_row("e3", 2)])
+        events, errors = load_events(path)
+        assert [e.event_id for e in events] == ["e3"] and [e.line for e in errors] == [1]
+        assert "YYYY-MM-DD" in errors[0].message
+        path = tmp_path / "events.csv"
+        path.write_bytes(CSV_HEADER + csv_event_row("e2", 1).replace(b"2015-03-14", date.encode())
+                         + csv_event_row("e3", 2))
+        events, errors = load_events(path)
+        assert [e.event_id for e in events] == ["e3"] and [e.line for e in errors] == [2]
+        row = '{{"article_id":"{}","date":"{}","headline":"h","body":"b"}}'
+        rows = [row.format("a1", date), row.format("a2", "2015-03-14")]
+        path = write_jsonl(tmp_path / "articles.jsonl", rows)
+        articles, errors = load_articles(path)
+        assert [a.article_id for a in articles] == ["a2"] and [e.line for e in errors] == [1]
+
 
 def test_embedding_matrix_rejects_duplicate_ids():
     with pytest.raises(ValueError, match="'b' in rows 1 and 3"):
@@ -436,3 +456,18 @@ class TestRoundTrips:
         assert loaded.ids == ["a", "b", "c", "d"]
         np.testing.assert_array_equal(loaded.vectors, vectors)
         np.testing.assert_array_equal(loaded.get("c"), vectors[2])
+
+    @pytest.mark.parametrize(
+        "ids, vectors, error",
+        [
+            (list("abcd"), np.ones(4), ValueError),
+            (list("abcd"), np.ones((3, 2)), ValueError),
+            (list("abcd"), np.ones((4, 2, 1)), ValueError),
+            ([b"a"], np.ones((1, 2)), TypeError),  # an id the JSON sidecar cannot hold
+        ],
+        ids=["1-d", "too-few-rows", "3-d", "bytes-id"],
+    )
+    def test_embeddings_bad_input_writes_nothing(self, tmp_path, ids, vectors, error):
+        with pytest.raises(error):
+            save_embeddings(tmp_path / "emb.f32", ids, vectors)
+        assert list(tmp_path.iterdir()) == []
