@@ -365,19 +365,27 @@ def save_digests(digests: list[Digest], path: str | Path) -> None:
 
 
 def load_digests(path: str | Path) -> list[Digest]:
-    """Digests from a JSONL file; keys other than the saved fields are ignored."""
+    """Digests from a JSONL file; keys other than the saved fields are ignored.
+
+    A row whose snippet ids and text lines differ in number, or whose
+    ``total_tokens`` is not its snippets' token count, is an error.
+    """
 
     def build(row: dict) -> Digest:
         texts = row["text"].split("\n") if row["text"] else []
+        snippets = [
+            Snippet(aid, text, len(text.split()))
+            for aid, text in zip(row["snippet_ids"], texts, strict=True)
+        ]
+        total_tokens = int(row["total_tokens"])
+        if total_tokens != sum(s.token_count for s in snippets):
+            raise ValueError(f"total_tokens {total_tokens} is not the snippets' token count")
         return Digest(
             dyad_id=row["dyad_id"],
             month=months.parse_month(row["month"]),
             kind=row["kind"],
-            snippets=[
-                Snippet(aid, text, len(text.split()))
-                for aid, text in zip(row["snippet_ids"], texts)
-            ],
-            total_tokens=int(row["total_tokens"]),
+            snippets=snippets,
+            total_tokens=total_tokens,
         )
 
     return _files.read_jsonl(path, build)

@@ -9,20 +9,22 @@ depends on neither the resample count nor the seed. Score-based metrics
 (AP, AUROC) pool all (record, class) pairs one-versus-rest before
 computation ("micro-aggregation where probabilities are involved");
 count-based metrics pool TP/FP/FN, which for single-label multiclass
-makes micro recall, precision and F1 all equal accuracy, so one bootstrap
-of a tuple-valued metric serves all three. Every interval is a percentile
-bootstrap interval at ``CI_LEVEL``.
+makes micro recall, precision and F1 all equal accuracy. Every interval
+is a percentile bootstrap interval at ``CI_LEVEL``.
 
 A report group of N records is the arrays ``probs``, float (N, 4), and
 ``actual``, int (N,), the observed state codes; ``emit_report`` builds them
 once per group. A resample is a vector of record multiplicities (Field &
 Welsh, "Bootstrapping clustered data", JRSS-B 2007), so B resamples are
 an int (B, N) ``weights`` matrix, and each ``METRIC_FUNCS`` entry is
-``metric(probs, actual, weights) -> (B, k)`` floats, NaN in a row where the
-metric is undefined. An all-ones row is the full record set. The score
-metrics sort the 4N pairs once and take weighted cumulative sums in that
-order for every row at once; each of their temporaries holds 8 B × 4N × B,
-about 16 MB at N = 500 and B = 1,000.
+``metric(probs, actual, weights) -> (B, k)`` floats, one column per metric,
+NaN where that metric is undefined. An all-ones row is the full record
+set. ``bootstrap_ci`` scores each column on its own, so ``emit_report``
+draws one weight matrix per group and scores all five metrics on it: one
+count of hits for recall, precision and F1, and one sort of the 4N pairs
+for AUROC and AP, whose weighted cumulative sums in that order cover every
+row at once. Each score temporary holds 8 B × 4N × B, about 16 MB at
+N = 500 and B = 1,000.
 """
 
 from __future__ import annotations
@@ -75,17 +77,17 @@ class ForecastRecord:
 
 @dataclass(frozen=True)
 class MetricValue:
-    """A bootstrap CI of a tuple-valued metric, one entry per component.
+    """A bootstrap CI of each column of a metric, one entry per column.
 
-    `n_undefined` counts the resamples where the metric was undefined; they
-    are left out of the percentiles.
+    ``n_undefined`` counts, per column, the resamples where the column was
+    undefined; they are left out of its percentiles (see `bootstrap_ci`).
     """
 
     point: tuple[float, ...]
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     n_bootstraps: int
-    n_undefined: int
+    n_undefined: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -134,42 +136,21 @@ def conflictology(
 # Count-based metrics
 # ---------------------------------------------------------------------------
 
-def confusion(probs: np.ndarray, actual: np.ndarray) -> np.ndarray:
-    """4x4 counts, true in rows, argmax prediction in columns (ties -> lowest code)."""
-    cells = actual * N_CLASSES + probs.argmax(axis=1)
-    return np.bincount(cells, minlength=N_CLASSES**2).reshape(N_CLASSES, N_CLASSES)
+def _micro_counts(probs: np.ndarray, actual: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(B, 3) micro recall, precision and F1 of each weight row.
 
-
-def _micro_rows(tp: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """(B, 3) micro recall, precision and F1 from B pooled hit counts and totals.
-
-    Pooled FN and FP both equal total - TP, so recall and precision are
-    the accuracy TP / total, and F1 (0 where TP is 0) must equal it too.
+    Argmax ties go to the lowest code. Pooled FN and FP both equal total -
+    TP, so recall and precision are the accuracy TP / total, and F1 (0
+    where TP is 0) must equal it too.
     """
-    tp = np.asarray(tp, dtype=float)
-    recall = precision = tp / total
+    tp = np.asarray(weights @ (probs.argmax(axis=1) == actual), dtype=float)
+    recall = precision = tp / weights.sum(axis=1)
     f1 = np.zeros_like(tp)
     np.divide(2 * precision * recall, precision + recall, out=f1, where=tp != 0)
     worst = np.abs(f1 - recall).max(initial=0.0)
     if worst > 1e-12:
         raise AssertionError(f"micro f1 differs from accuracy by {worst}")
     return np.stack([recall, precision, f1], axis=1)
-
-
-def micro_metrics(matrix: np.ndarray) -> dict[str, float]:
-    """Pooled-count recall/precision/F1; equals accuracy for single-label data."""
-    matrix = np.asarray(matrix)
-    total = int(matrix.sum())
-    if total == 0:
-        raise ValueError("empty confusion matrix")
-    row = _micro_rows(np.array([np.trace(matrix)]), np.array([total]))[0]
-    return dict(zip(("recall", "precision", "f1"), row.tolist()))
-
-
-def _micro_counts(probs: np.ndarray, actual: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(B, 3) micro recall, precision and F1 of each weight row."""
-    hits = probs.argmax(axis=1) == actual
-    return _micro_rows(weights @ hits, weights.sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -218,55 +199,44 @@ def _positive_tie_groups(
     )
 
 
-def _average_precision_rows(
+def _score_rows(
     scores: np.ndarray, labels: np.ndarray, rows: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """(B,) interpolation-free AP of each weight row; NaN without positive weight.
+    """(B, 2) AUROC and AP of each weight row, from one sort of the pairs.
 
-    Each tie group adds its positives times the precision at its end. The
-    contributions are summed left to right (``cumsum``, not the pairwise
-    ``sum``), so the result is the same float as a running total; a group
-    without positives, or without weight in a row, adds exactly 0.0.
-    """
-    _, through, tp = _positive_tie_groups(scores, labels, rows, weights)
-    precision = np.divide(tp, through, out=np.zeros(tp.shape), where=through > 0)
-    running = np.cumsum(np.diff(tp, axis=1, prepend=0) * precision, axis=1)[:, -1]
-    n_pos = tp[:, -1]
-    return np.divide(running, n_pos, out=np.full(len(n_pos), np.nan), where=n_pos > 0)
-
-
-def _auroc_rows(
-    scores: np.ndarray, labels: np.ndarray, rows: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """(B,) Mann-Whitney AUROC of each weight row, ties counted one half; NaN
-    for a row whose weight is all on positive or all on negative pairs.
-
-    In ascending order a tie group takes the ranks after the ``total -
+    AUROC is the Mann-Whitney statistic with ties counted one half, NaN for
+    a row whose weight is all on positive or all on negative pairs. In
+    ascending order a tie group takes the ranks after the ``total -
     through`` pairs below it, up to ``total - above``; their mean is
     (2 total - above - through + 1) / 2. Twice every rank sum is therefore
     an integer, and the rank sums are exact.
+
+    AP is interpolation-free, NaN without positive weight: each tie group
+    adds its positives times the precision at its end. The contributions
+    are summed left to right (``cumsum``, not the pairwise ``sum``), so the
+    result is the same float as a running total; a group without
+    positives, or without weight in a row, adds exactly 0.0.
     """
     above, through, tp = _positive_tie_groups(scores, labels, rows, weights)
-    total = weights @ np.bincount(rows, minlength=weights.shape[1])
+    gained = np.diff(tp, axis=1, prepend=0)  # each group's positive weight
     n_pos = tp[:, -1]
+    total = weights @ np.bincount(rows, minlength=weights.shape[1])
     n_neg = total - n_pos
-    twice_rank_sum = (
-        np.diff(tp, axis=1, prepend=0) * (2 * total[:, None] - above - through + 1)
-    ).sum(axis=1)
-    out = np.full(len(total), np.nan)
-    np.divide(
-        twice_rank_sum / 2.0 - n_pos * (n_pos + 1) / 2.0,
-        n_pos * n_neg,
-        out=out,
-        where=(n_pos > 0) & (n_neg > 0),
+    twice_rank_sum = (gained * (2 * total[:, None] - above - through + 1)).sum(axis=1)
+    auc = np.divide(
+        twice_rank_sum / 2.0 - n_pos * (n_pos + 1) / 2.0, n_pos * n_neg,
+        out=np.full(len(n_pos), np.nan), where=(n_pos > 0) & (n_neg > 0),
     )
-    return out
+    precision = np.divide(tp, through, out=np.zeros(tp.shape), where=through > 0)
+    running = np.cumsum(gained * precision, axis=1)[:, -1]
+    ap = np.divide(running, n_pos, out=np.full(len(n_pos), np.nan), where=n_pos > 0)
+    return np.stack([auc, ap], axis=1)
 
 
-def _one_row(kernel, scores: np.ndarray, labels: np.ndarray) -> float:
-    """A weighted score kernel on one all-ones weight row: the unweighted pairs."""
+def _one_row(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """(AUROC, AP) of the unweighted pairs: `_score_rows` on one all-ones weight row."""
     rows = np.arange(len(scores))
-    return float(kernel(scores, labels, rows, np.ones((1, len(rows)), dtype=int))[0])
+    return _score_rows(scores, labels, rows, np.ones((1, len(rows)), dtype=int))[0]
 
 
 def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -274,7 +244,7 @@ def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
     labels = np.asarray(labels, dtype=int)
     if not labels.any():
         raise ValueError("average precision undefined without positives")
-    return _one_row(_average_precision_rows, np.asarray(scores, dtype=float), labels)
+    return float(_one_row(np.asarray(scores, dtype=float), labels)[1])
 
 
 def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -282,48 +252,24 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
     labels = np.asarray(labels, dtype=int)
     if labels.all() or not labels.any():
         raise ValueError("AUROC undefined with a single-label pool")
-    return _one_row(_auroc_rows, np.asarray(scores, dtype=float), labels)
+    return float(_one_row(np.asarray(scores, dtype=float), labels)[0])
 
 
-def ap_ovr_micro(probs: np.ndarray, actual: np.ndarray) -> float:
-    """Micro AP over all one-versus-rest (record, class) pairs.
+def _micro_scores(probs: np.ndarray, actual: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(B, 2) micro AUROC and AP of each weight row over all one-versus-rest
+    (record, class) pairs.
 
-    Undefined (``ValueError``) only for a pool without positives, i.e. an
-    empty record set: each record contributes one positive pair.
+    Each record holds one positive pair, so AP is always defined. AUROC is
+    NaN in a row where fewer than two actual states carry weight: the
+    pooled pairs then still mix labels, but every pair in the one state's
+    column is positive, so no outcome differs across records and the value
+    would only compare scores across classes, not tell states apart.
     """
-    return average_precision(*binarize(probs, actual))
-
-
-def auroc_ovr_micro(probs: np.ndarray, actual: np.ndarray) -> float:
-    """Micro AUROC over all one-versus-rest (record, class) pairs.
-
-    Undefined (``ValueError``) when the records hold fewer than two
-    distinct actual states. The pooled pairs then still mix labels, but
-    every pair in the one state's column is positive, so no outcome
-    differs across records and the value would only compare scores
-    across classes, not tell states apart.
-    """
-    if np.unique(actual).size < 2:
-        raise ValueError("micro AUROC undefined with fewer than two actual states")
-    return auroc(*binarize(probs, actual))
-
-
-def _micro_ap(probs: np.ndarray, actual: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(B, 1) micro AP of each weight row (see `ap_ovr_micro`)."""
     scores, labels = binarize(probs, actual)
-    rows = np.arange(len(scores)) // N_CLASSES
-    return _average_precision_rows(scores, labels, rows, weights)[:, None]
-
-
-def _micro_auroc(probs: np.ndarray, actual: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(B, 1) micro AUROC of each weight row, NaN where fewer than two
-    actual states carry weight (see `auroc_ovr_micro`)."""
-    scores, labels = binarize(probs, actual)
-    rows = np.arange(len(scores)) // N_CLASSES
-    value = _auroc_rows(scores, labels, rows, weights)
+    values = _score_rows(scores, labels, np.arange(len(scores)) // N_CLASSES, weights)
     state_weight = weights @ (actual[:, None] == np.arange(N_CLASSES))
-    value[np.count_nonzero(state_weight, axis=1) < 2] = np.nan
-    return value[:, None]
+    values[np.count_nonzero(state_weight, axis=1) < 2, 0] = np.nan
+    return values
 
 
 def per_class_binary_report(probs: np.ndarray, actual: np.ndarray, cls: int) -> dict[str, float]:
@@ -350,15 +296,18 @@ def bootstrap_ci(
     draws of N. Their row counts, under an all-ones row for the full set,
     are the int (n + 1, N) ``weights`` of one
     ``metric(probs, actual, weights) -> (n + 1, k)`` call (the contract of
-    ``METRIC_FUNCS``; a row is NaN where the metric is undefined). Point,
-    lower and upper are tuples in the metric's column order. The weights
-    take 8 B × N × (n + 1), and the score metrics' temporaries four times
-    that: about 16 MB each at N = 500 and n = 1,000.
+    ``METRIC_FUNCS``; an entry is NaN where its column is undefined). The
+    weights take 8 B × N × (n + 1), and the score metrics' temporaries four
+    times that: about 16 MB each at N = 500 and n = 1,000.
 
-    Raises ``ValueError`` when `n` < 1, when the metric is undefined on the
-    full set, or on more than 10% of the `n` resamples. Resamples where it
-    is undefined (up to that share) are left out of the percentiles and
-    counted in ``n_undefined``.
+    Each of the k columns is scored on its own; point, lower and upper are
+    tuples in column order. A column's percentiles are taken over the
+    resamples where it is defined, and ``n_undefined`` counts the rest. A
+    column undefined on the full set (counted as 0 undefined resamples), or
+    on more than 10% of the `n` resamples, gets NaN for its point and both
+    bounds.
+
+    Raises ``ValueError`` when `n` < 1 or there are no records.
     """
     if n < 1:
         raise ValueError(f"bootstrap needs at least one resample, got {n}")
@@ -371,31 +320,37 @@ def bootstrap_ci(
     weights = np.bincount(cells.ravel(), minlength=(n + 1) * size).reshape(n + 1, size)
     weights[0] = 1  # the full set
     values = np.asarray(metric(probs, actual, weights), dtype=float)
-    if np.isnan(values[0]).any():
-        raise ValueError("metric undefined on the full record set")
-    undefined = np.isnan(values[1:]).any(axis=1)
-    failures = int(undefined.sum())
-    if failures > 0.1 * n:
-        raise ValueError(f"metric undefined on {failures}/{n} bootstrap resamples")
+    point, undefined = values[0], np.isnan(values[1:])
+    n_undefined = np.where(np.isnan(point), 0, undefined.sum(axis=0))
+    defined = ~np.isnan(point) & (n_undefined <= 0.1 * n)
     alpha = (1.0 - CI_LEVEL) / 2.0
-    lower, upper = np.percentile(
-        values[1:][~undefined], [100 * alpha, 100 * (1 - alpha)], axis=0
-    ).tolist()
-    return MetricValue(tuple(values[0].tolist()), tuple(lower), tuple(upper), n, failures)
+    bounds = np.full((2, len(point)), np.nan)
+    for c in np.flatnonzero(defined):
+        bounds[:, c] = np.percentile(
+            values[1:, c][~undefined[:, c]], [100 * alpha, 100 * (1 - alpha)]
+        )
+    lower, upper = bounds.tolist()
+    point = np.where(defined, point, np.nan).tolist()
+    return MetricValue(tuple(point), tuple(lower), tuple(upper), n, tuple(n_undefined.tolist()))
 
 
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
 
-# The metrics of metrics.csv, keyed by name, each a function of
-# (probs, actual, weights) returning (B, k) floats. Micro recall, precision
-# and F1 come from one count of hits, so one bootstrap serves all three.
+# The metrics of metrics.csv, keyed by their column names, each a function
+# of (probs, actual, weights) returning (B, k) floats. Micro recall,
+# precision and F1 come from one count of hits, and micro AUROC and AP from
+# one sort of the pairs.
 METRIC_FUNCS = {
     ("recall", "precision", "f1"): _micro_counts,
-    ("auroc",): _micro_auroc,
-    ("ap",): _micro_ap,
+    ("auroc", "ap"): _micro_scores,
 }
+
+
+def _report_metric(probs: np.ndarray, actual: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Every ``METRIC_FUNCS`` entry's columns side by side, in key order."""
+    return np.hstack([metric(probs, actual, weights) for metric in METRIC_FUNCS.values()])
 
 
 def structure_key(records: list[ForecastRecord]) -> list[tuple]:
@@ -454,10 +409,11 @@ def emit_report(
     Model and baseline record sets must cover the identical
     (dyad, month, step, kind) structure. Metrics are computed per
     (step, kind, source) group, at digest-row level and in the
-    dyad-month-mean variant. A metric undefined on a group (see
+    dyad-month-mean variant, every metric of a group from one
+    `bootstrap_ci` call. A metric undefined on a group (see
     `bootstrap_ci`), such as the micro AUROC of a group with a single
     actual state, gets a row with ``nan`` point and bounds and a warning;
-    the rest of the report is written as usual. A group whose interval
+    the rest of the report is written as usual. A metric whose interval
     leaves out undefined resamples gets a warning with their count.
     """
     if n_boot < 1:
@@ -481,27 +437,29 @@ def emit_report(
         for (step, kind, source), table in groups.items()
     }
 
+    names = [name for key in METRIC_FUNCS for name in key]
     metric_rows, per_class_rows = [], []
     for level in (groups, collapsed):
         for (step, kind, source) in sorted(level):
             _, probs, actual = level[(step, kind, source)]
             where = f"step {step}, kind {kind!r}, source {source} ({len(actual)} records)"
-            for names, metric in METRIC_FUNCS.items():
-                try:
-                    value = bootstrap_ci(probs, actual, metric, n=n_boot, seed=seed)
-                    bounds = list(zip(value.point, value.lower, value.upper))
-                except ValueError as exc:
-                    logger.warning("%s undefined for %s: %s", "/".join(names), where, exc)
-                    bounds = [(math.nan, math.nan, math.nan)] * len(names)
-                else:
-                    if value.n_undefined:
-                        logger.warning(
-                            "%s undefined on %d of %d resamples for %s; left out of the interval",
-                            "/".join(names), value.n_undefined, n_boot, where,
-                        )
-                for name, (point, lower, upper) in zip(names, bounds):
-                    bounds_text = [_fmt(point), _fmt(lower), _fmt(upper)]
-                    metric_rows.append([step, kind, source, name, *bounds_text, len(actual)])
+            value = bootstrap_ci(probs, actual, _report_metric, n=n_boot, seed=seed)
+            for name, point, lower, upper, missing in zip(
+                names, value.point, value.lower, value.upper, value.n_undefined
+            ):
+                if math.isnan(point):
+                    reason = (
+                        f"metric undefined on {missing}/{n_boot} bootstrap resamples"
+                        if missing else "metric undefined on the full record set"
+                    )
+                    logger.warning("%s undefined for %s: %s", name, where, reason)
+                elif missing:
+                    logger.warning(
+                        "%s undefined on %d of %d resamples for %s; left out of the interval",
+                        name, missing, n_boot, where,
+                    )
+                bounds_text = [_fmt(point), _fmt(lower), _fmt(upper)]
+                metric_rows.append([step, kind, source, name, *bounds_text, len(actual)])
             if level is not groups:
                 continue  # per_class.csv is at digest-row level only
             for cls in range(N_CLASSES):

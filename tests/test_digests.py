@@ -1,4 +1,5 @@
 import datetime as dt
+import json
 import re
 from collections import Counter
 
@@ -521,4 +522,20 @@ class TestLoadDigestsErrors:
         lines[1] = lines[1].replace('"kind"', '"kinds"')
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match=re.escape(f"{path}, line 2: missing field 'kind'")):
+            load_digests(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("snippet_ids", ["a2", "a9"]), ("text", "x y z\nu v"), ("total_tokens", 4)],
+    )
+    def test_row_at_odds_with_itself_names_path_and_line(self, tmp_path, field, value):
+        # ids and text lines differ in number, or the token total is not the snippets'
+        path = tmp_path / "digests.jsonl"
+        save_digests(self._three(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        row = json.loads(lines[1])
+        row[field] = value
+        lines[1] = json.dumps(row) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 2: ")):
             load_digests(path)

@@ -11,27 +11,25 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
+from nexus import evaluation
 from nexus.evaluation import (
     CI_LEVEL,
     METRIC_FUNCS,
     ForecastRecord,
     MetricValue,
-    ap_ovr_micro,
     auroc,
-    auroc_ovr_micro,
     average_precision,
     binarize,
     bootstrap_ci,
     collapse_to_dyad_month,
-    confusion,
     conflictology,
     emit_report,
     load_forecasts_csv,
-    micro_metrics,
     per_class_binary_report,
     save_forecasts_csv,
 )
 from nexus.months import parse_month
+from report_fixture import report_records
 
 
 def record(actual, probs, dyad="d", month="2022-01", step=1, source="model", kind="low_context"):
@@ -118,43 +116,65 @@ def average_precision_loop(scores, labels):
     return ap / n_pos
 
 
-def auroc_ovr_micro_loop(records):
-    """Micro AUROC of a record list, undefined (as `auroc_ovr_micro`) below two states."""
+def micro_counts_loop(records):
+    """Micro recall, precision and F1 of a record list from `confusion_loop`."""
+    matrix = confusion_loop(records)
+    tp = float(np.trace(matrix))
+    recall = precision = tp / matrix.sum()
+    f1 = 2 * precision * recall / (precision + recall) if tp else 0.0
+    return recall, precision, f1
+
+
+def micro_auroc_loop(records):
+    """Micro AUROC of a record list, NaN below two actual states."""
     if len({r.actual for r in records}) < 2:
-        raise ValueError("micro AUROC undefined with fewer than two actual states")
+        return math.nan
     return auroc_rankdata(*binarize_loop(records))
 
 
 # The record-list references of the METRIC_FUNCS entries, under the same keys.
 REFERENCE_METRICS = {
-    ("recall", "precision", "f1"): lambda rs: tuple(micro_metrics(confusion_loop(rs)).values()),
-    ("auroc",): lambda rs: (auroc_ovr_micro_loop(rs),),
-    ("ap",): lambda rs: (average_precision_loop(*binarize_loop(rs)),),
+    ("recall", "precision", "f1"): micro_counts_loop,
+    ("auroc", "ap"): lambda rs: (micro_auroc_loop(rs), average_precision_loop(*binarize_loop(rs))),
 }
 
 
 def bootstrap_ci_loop(records, metric, n, seed):
     """The record-list bootstrap, the reference for `bootstrap_ci`: each resample
-    is a new list of records, and `metric` takes a record list. Resamples where
-    the metric raises are counted and left out."""
+    is a new list of records, and `metric` takes a record list and returns a
+    tuple, NaN where a column is undefined. Each column is scored on its own:
+    its undefined resamples are counted and left out, and it is NaN if it is
+    undefined on the full list (counting 0) or on more than 10% of resamples."""
     if not records:
         raise ValueError("no records")
-    point = metric(records)
+    point = np.array(metric(records), dtype=float)
     rng = np.random.Generator(np.random.PCG64(seed))
     values = []
-    failures = 0
     for _ in range(n):
         idx = rng.integers(0, len(records), size=len(records))
-        sample = [records[i] for i in idx]
-        try:
-            values.append(metric(sample))
-        except (ValueError, ZeroDivisionError):
-            failures += 1
-    if failures > 0.1 * n:
-        raise ValueError(f"metric undefined on {failures}/{n} bootstrap resamples")
+        values.append(metric([records[i] for i in idx]))
+    values = np.array(values, dtype=float).reshape(n, len(point))
     alpha = (1.0 - CI_LEVEL) / 2.0
-    lower, upper = np.percentile(values, [100 * alpha, 100 * (1 - alpha)], axis=0).tolist()
-    return MetricValue(point, tuple(lower), tuple(upper), n, failures)
+    points, lowers, uppers, failures = [], [], [], []
+    for full, column in zip(point.tolist(), values.T):
+        defined = column[~np.isnan(column)]
+        missing = 0 if math.isnan(full) else n - len(defined)
+        if math.isnan(full) or missing > 0.1 * n:
+            full, lower, upper = math.nan, math.nan, math.nan
+        else:
+            lower, upper = np.percentile(defined, [100 * alpha, 100 * (1 - alpha)]).tolist()
+        points.append(full)
+        lowers.append(lower)
+        uppers.append(upper)
+        failures.append(missing)
+    return MetricValue(tuple(points), tuple(lowers), tuple(uppers), n, tuple(failures))
+
+
+def assert_same(value, expected):
+    """`MetricValue` equality with NaN equal to NaN."""
+    assert (value.n_bootstraps, value.n_undefined) == (expected.n_bootstraps, expected.n_undefined)
+    for field in ("point", "lower", "upper"):
+        assert np.array_equal(getattr(value, field), getattr(expected, field), equal_nan=True), field
 
 
 def collapse_loop(records):
@@ -179,13 +199,28 @@ def collapse_loop(records):
 
 # The weights-contract form of each metric: (probs, actual, weights) -> (B, k).
 COUNTS = METRIC_FUNCS[("recall", "precision", "f1")]
-MICRO_AUROC = METRIC_FUNCS[("auroc",)]
-MICRO_AP = METRIC_FUNCS[("ap",)]
+SCORES = METRIC_FUNCS[("auroc", "ap")]
 
 
 def accuracy(p, a, w):
     """Micro recall alone, (B, 1)."""
     return COUNTS(p, a, w)[:, :1]
+
+
+def micro_auroc(p, a, w):
+    """Micro AUROC alone, (B, 1)."""
+    return SCORES(p, a, w)[:, :1]
+
+
+def micro_ap(p, a, w):
+    """Micro AP alone, (B, 1)."""
+    return SCORES(p, a, w)[:, 1:]
+
+
+def ones_row(kernel, records):
+    """A `METRIC_FUNCS` kernel on one all-ones weight row: its columns on the record list."""
+    probs, actual = arrays(records)
+    return kernel(probs, actual, np.ones((1, len(actual)), dtype=int))[0]
 
 
 # Probabilities on a grid of eighths (exact in binary, summing exactly to 1),
@@ -306,51 +341,64 @@ class TestConflictology:
 
 
 class TestConfusion:
+    """The argmax hits behind `_micro_counts`, at one all-ones weight row,
+    against `confusion_loop`."""
+
     def test_perfect_is_diagonal(self):
         records = [record(c, onehotish(c)) for c in range(4)]
-        assert np.array_equal(confusion(*arrays(records)), np.eye(4, dtype=int))
+        assert np.array_equal(confusion_loop(records), np.eye(4, dtype=int))
+        assert ones_row(COUNTS, records).tolist() == [1.0, 1.0, 1.0]
 
     def test_hand_fixture(self):
         truths = [1, 1, 2, 3]
         preds = [1, 2, 2, 3]
         records = [record(t, onehotish(p)) for t, p in zip(truths, preds)]
-        matrix = confusion(*arrays(records))
+        matrix = confusion_loop(records)
         assert int(np.trace(matrix)) == 3
         assert matrix[1, 2] == 1
+        assert ones_row(COUNTS, records)[0] == np.trace(matrix) / matrix.sum()
 
     def test_tie_goes_to_lowest_class(self):
-        records = [record(3, (0.25, 0.25, 0.25, 0.25))]
-        matrix = confusion(*arrays(records))
-        assert matrix[3, 0] == 1
+        uniform = (0.25, 0.25, 0.25, 0.25)
+        assert confusion_loop([record(3, uniform)])[3, 0] == 1
+        assert ones_row(COUNTS, [record(3, uniform)]).tolist() == [0.0, 0.0, 0.0]
+        assert ones_row(COUNTS, [record(0, uniform)]).tolist() == [1.0, 1.0, 1.0]
 
 
 class TestMicroMetrics:
+    """`_micro_counts` against `micro_counts_loop`, at all-ones and at random weight rows."""
+
     def test_diagonal_is_perfect(self):
-        assert micro_metrics(np.diag([5, 2, 9, 1]))["f1"] == 1.0
+        records = [record(c, onehotish(c)) for c, k in enumerate([5, 2, 9, 1]) for _ in range(k)]
+        assert ones_row(COUNTS, records)[2] == 1.0
 
     def test_hand_fixture_is_075(self):
         truths = [1, 1, 2, 3]
         preds = [1, 2, 2, 3]
         records = [record(t, onehotish(p)) for t, p in zip(truths, preds)]
-        metrics = micro_metrics(confusion(*arrays(records)))
-        assert metrics == {"recall": 0.75, "precision": 0.75, "f1": 0.75}
+        assert ones_row(COUNTS, records).tolist() == [0.75, 0.75, 0.75]
+        assert micro_counts_loop(records) == (0.75, 0.75, 0.75)
 
     def test_all_wrong_is_zero(self):
         records = [record(0, onehotish(1)), record(1, onehotish(2))]
-        metrics = micro_metrics(confusion(*arrays(records)))
-        assert metrics["recall"] == 0.0
+        assert ones_row(COUNTS, records).tolist() == [0.0, 0.0, 0.0]
 
     def test_accuracy_identity_on_random_matrices(self):
+        # a weight row counts each record that many times: the loop sees the repeated list
         rng = np.random.default_rng(11)
         for _ in range(50):
-            matrix = rng.integers(0, 30, size=(4, 4))
-            if matrix.sum() == 0:
-                continue
-            metrics = micro_metrics(matrix)
-            accuracy = np.trace(matrix) / matrix.sum()
-            assert metrics["recall"] == pytest.approx(accuracy, abs=1e-15)
-            assert metrics["precision"] == pytest.approx(accuracy, abs=1e-15)
-            assert metrics["f1"] == pytest.approx(accuracy, abs=1e-12)
+            records = [
+                record(int(rng.integers(0, 4)), onehotish(int(rng.integers(0, 4))))
+                for _ in range(int(rng.integers(1, 30)))
+            ]
+            weights = rng.integers(0, 4, size=(5, len(records)))
+            weights[:, 0] += 1  # every row holds a record
+            values = COUNTS(*arrays(records), weights)
+            for row, value in zip(weights, values):
+                repeated = [r for r, k in zip(records, row) for _ in range(k)]
+                assert value.tolist() == list(micro_counts_loop(repeated))
+                accuracy = np.trace(confusion_loop(repeated)) / row.sum()
+                assert value[2] == pytest.approx(accuracy, abs=1e-12)
 
 
 class TestAveragePrecision:
@@ -428,7 +476,7 @@ class TestAuroc:
     @given(tied_records)
     def test_micro_equals_rankdata_reference(self, records):
         assume(len({r.actual for r in records}) > 1)
-        assert auroc_ovr_micro(*arrays(records)) == auroc_rankdata(*binarize_loop(records))
+        assert ones_row(SCORES, records)[0] == auroc_rankdata(*binarize_loop(records))
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(23)
@@ -488,7 +536,7 @@ class TestBootstrapCI:
             record(int(rng.integers(0, 4)), onehotish(int(rng.integers(0, 4))))
             for _ in range(60)
         ]
-        value = bootstrap_ci(*arrays(records), MICRO_AP, n=200, seed=2)
+        value = bootstrap_ci(*arrays(records), micro_ap, n=200, seed=2)
         assert value.lower <= value.point <= value.upper
 
     def test_duplication_leaves_point_unchanged(self):
@@ -501,18 +549,21 @@ class TestBootstrapCI:
         doubled = bootstrap_ci(*arrays(records * 2), accuracy, n=50, seed=3)
         assert single.point[0] == pytest.approx(doubled.point[0], abs=1e-15)
 
-    def test_undefined_metric_fraction_errors(self):
+    def test_column_undefined_on_the_full_set_is_nan(self):
         records = [record(0, onehotish(0))] * 5  # single-class pool: AUROC undefined
+        value = bootstrap_ci(*arrays(records), SCORES, n=50, seed=4)
+        assert all(math.isnan(v[0]) for v in (value.point, value.lower, value.upper))
+        assert value.point[1] == 1.0 and value.lower[1] <= value.upper[1]
+        assert value.n_undefined == (0, 0)
 
-        with pytest.raises(ValueError):
-            bootstrap_ci(*arrays(records), MICRO_AUROC, n=50, seed=4)
-
-    def test_undefined_resample_fraction_errors(self):
+    def test_column_undefined_on_many_resamples_is_nan(self):
         # defined on the pool, undefined on the ~1/3 of resamples that miss state 1
         records = [record(0, onehotish(0))] * 4 + [record(1, onehotish(1))]
-        assert auroc_ovr_micro(*arrays(records)) == 1.0
-        with pytest.raises(ValueError, match="bootstrap resamples"):
-            bootstrap_ci(*arrays(records), MICRO_AUROC, n=50, seed=4)
+        assert ones_row(SCORES, records)[0] == 1.0
+        value = bootstrap_ci(*arrays(records), SCORES, n=50, seed=4)
+        assert all(math.isnan(v[0]) for v in (value.point, value.lower, value.upper))
+        assert all(math.isfinite(v[1]) for v in (value.point, value.lower, value.upper))
+        assert value.n_undefined[0] > 5 and value.n_undefined[1] == 0
 
     def test_intervals_widen_with_fewer_records(self):
         rng = np.random.default_rng(43)
@@ -528,24 +579,37 @@ class TestBootstrapCI:
             widths_small.append(ws.upper[0] - ws.lower[0])
         assert np.mean(widths_small) > np.mean(widths_big)
 
-    def test_tuple_metric_equals_one_bootstrap_per_component(self):
-        rng = np.random.default_rng(47)
-        records = [
-            record(int(rng.integers(0, 4)), onehotish(int(rng.integers(0, 4))))
-            for _ in range(60)
-        ]
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(tied_records, single_state_records, one_odd_record),
+        st.integers(1, 30),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_tuple_metric_equals_one_bootstrap_per_component(self, records, n, seed):
+        # each column of a joint call equals a call on that column alone, NaN included
         probs, actual = arrays(records)
-        joint = bootstrap_ci(probs, actual, COUNTS, n=200, seed=5)
-        for i in range(3):
-            alone = bootstrap_ci(probs, actual, lambda p, a, w: COUNTS(p, a, w)[:, [i]], n=200, seed=5)
-            assert (joint.point[i], joint.lower[i], joint.upper[i]) == (
-                alone.point[0], alone.lower[0], alone.upper[0]
-            )
+        for kernel in METRIC_FUNCS.values():
+            joint = bootstrap_ci(probs, actual, kernel, n=n, seed=seed)
+            for i in range(len(joint.point)):
+                alone = bootstrap_ci(
+                    probs, actual, lambda p, a, w: kernel(p, a, w)[:, [i]], n=n, seed=seed
+                )
+                assert_same(
+                    MetricValue(
+                        joint.point[i:i + 1], joint.lower[i:i + 1], joint.upper[i:i + 1],
+                        n, joint.n_undefined[i:i + 1],
+                    ),
+                    alone,
+                )
 
     def test_zero_resamples_rejected(self):
         records = [record(c % 4, onehotish(c % 4)) for c in range(8)]
         with pytest.raises(ValueError, match="at least one resample"):
-            bootstrap_ci(*arrays(records), MICRO_AP, n=0, seed=1)
+            bootstrap_ci(*arrays(records), SCORES, n=0, seed=1)
+
+    def test_no_records_rejected(self):
+        with pytest.raises(ValueError, match="no records"):
+            bootstrap_ci(np.zeros((0, 4)), np.zeros(0, dtype=int), SCORES, n=5, seed=1)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -557,13 +621,8 @@ class TestBootstrapCI:
         assert set(REFERENCE_METRICS) == set(METRIC_FUNCS)
         probs, actual = arrays(records)
         for names, metric in METRIC_FUNCS.items():
-            try:
-                expected = bootstrap_ci_loop(records, REFERENCE_METRICS[names], n, seed)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    bootstrap_ci(probs, actual, metric, n=n, seed=seed)
-                continue
-            assert bootstrap_ci(probs, actual, metric, n=n, seed=seed) == expected
+            expected = bootstrap_ci_loop(records, REFERENCE_METRICS[names], n, seed)
+            assert_same(bootstrap_ci(probs, actual, metric, n=n, seed=seed), expected)
 
 
 class TestArrayKernelsMatchLoops:
@@ -573,13 +632,13 @@ class TestArrayKernelsMatchLoops:
     @given(tied_records)
     def test_kernels_equal_references(self, records):
         probs, actual = arrays(records)
-        assert np.array_equal(confusion(probs, actual), confusion_loop(records))
+        assert ones_row(COUNTS, records).tolist() == list(micro_counts_loop(records))
         scores, labels = binarize(probs, actual)
         ref_scores, ref_labels = binarize_loop(records)
         assert np.array_equal(scores, ref_scores) and scores.dtype == ref_scores.dtype
         assert np.array_equal(labels, ref_labels) and labels.dtype == ref_labels.dtype
         assert average_precision(scores, labels) == average_precision_loop(ref_scores, ref_labels)
-        assert ap_ovr_micro(probs, actual) == average_precision_loop(ref_scores, ref_labels)
+        assert ones_row(SCORES, records)[1] == average_precision_loop(ref_scores, ref_labels)
         for cls in {r.actual for r in records}:
             cls_scores = np.array([r.probabilities[cls] for r in records])
             cls_labels = np.array([int(r.actual == cls) for r in records])
@@ -597,7 +656,7 @@ class TestArrayKernelsMatchLoops:
         reference = bootstrap_ci_loop(
             records, lambda rs: (average_precision_loop(*binarize_loop(rs)),), n=200, seed=2
         )
-        assert bootstrap_ci(*arrays(records), MICRO_AP, n=200, seed=2) == reference
+        assert bootstrap_ci(*arrays(records), micro_ap, n=200, seed=2) == reference
 
 
 class TestEmitReport:
@@ -700,7 +759,10 @@ class TestEmitReport:
                 assert int(row["n"]) == len(single)
             else:
                 assert all(math.isfinite(v) for v in values)
-        assert "low_context" in caplog.text
+        assert (
+            "auroc undefined for step 1, kind 'low_context', source model (24 records): "
+            "metric undefined on the full record set"
+        ) in caplog.text
         assert (tmp_path / "per_class.csv").exists()
         assert len(list((tmp_path / "grids").glob("dyad_grid_*.csv"))) == 4
 
@@ -708,11 +770,50 @@ class TestEmitReport:
         # micro AUROC is undefined on the 2 of 50 resamples (seed 0) that miss state 1
         model = [record(int(i >= 7), onehotish(0), dyad=f"d{i}") for i in range(10)]
         baseline = [replace(r, source="baseline") for r in model]
-        value = bootstrap_ci(*arrays(model), MICRO_AUROC, n=50, seed=0)
-        assert value.n_undefined == 2
+        value = bootstrap_ci(*arrays(model), SCORES, n=50, seed=0)
+        assert value.n_undefined == (2, 0)
         with caplog.at_level("WARNING"):
             emit_report(model, baseline, tmp_path, n_boot=50, seed=0)
         assert "auroc undefined on 2 of 50 resamples for step 1, kind 'low_context', source model " in caplog.text
+
+    def test_many_undefined_resamples_report_nan(self, tmp_path, caplog):
+        # micro AUROC is defined on the group, undefined on the ~1/3 of resamples that miss state 1
+        model = [record(int(i == 4), onehotish(0), dyad=f"d{i}") for i in range(5)]
+        baseline = [replace(r, source="baseline") for r in model]
+        with caplog.at_level("WARNING"):
+            emit_report(model, baseline, tmp_path, n_boot=50, seed=4)
+        with open(tmp_path / "metrics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows:
+            values = [float(row[k]) for k in ("point", "lo", "hi")]
+            assert all(map(math.isnan, values)) == (row["metric"] == "auroc")
+        assert re.search(
+            r"auroc undefined for step 1, kind 'low_context', source model \(5 records\): "
+            r"metric undefined on \d+/50 bootstrap resamples",
+            caplog.text,
+        )
+
+    def test_one_bootstrap_and_one_pair_sort_per_report_group(self, tmp_path, monkeypatch):
+        model, baseline = report_records()
+        boots, sorts = [], []
+        bootstrap, tie_groups = evaluation.bootstrap_ci, evaluation._positive_tie_groups
+
+        def counted_bootstrap(probs, actual, metric, n, seed):
+            boots.append(len(actual))
+            return bootstrap(probs, actual, metric, n, seed)
+
+        def counted_tie_groups(scores, labels, rows, weights):
+            sorts.append(len(weights))
+            return tie_groups(scores, labels, rows, weights)
+
+        monkeypatch.setattr(evaluation, "bootstrap_ci", counted_bootstrap)
+        monkeypatch.setattr(evaluation, "_positive_tie_groups", counted_tie_groups)
+        emit_report(model, baseline, tmp_path, n_boot=4, seed=1)
+        assert boots == [504] * 32  # 16 row groups and their 16 dyad-month means
+        # one sort of a group's 5 weight rows, plus one all-ones row per per-class table
+        assert sorts.count(5) == 32 and set(sorts) == {1, 5}
+        with open(tmp_path / "metrics.csv", newline="") as fh:
+            assert sum(1 for _ in csv.DictReader(fh)) == 32 * 5
 
 
 def pinned_report_records(seed=12):

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nexus.gp_trend import PriorSpec, fit_map, fit_trend
+from nexus.months import parse_month
 from nexus.state_labels import (
     EscalationState,
     LabeledSeries,
@@ -204,3 +205,25 @@ class TestLabelWindows:
             path.write_bytes(data[:cut])
             with pytest.raises(ValueError, match=re.escape(f"{path}, line 4: ")):
                 load_labels_csv(path)
+
+    def test_non_ascii_month_names_path_and_line(self, tmp_path):
+        labels = {
+            "d1": LabeledSeries(
+                "d1", np.arange(24000, 24003), np.array([0, 1, 3]), np.array([0.0, 0.5, -0.5])
+            )
+        }
+        path = tmp_path / "labels.csv"
+        save_labels_csv(labels, path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = lines[2].replace("2000-02", "\uff12\uff10\uff10\uff10-\uff10\uff12")  # full-width digits
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: not a YYYY-MM month")):
+            load_labels_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text", ["\uff12\uff10\uff12\uff11-\uff10\uff11", "\u0662\u0660\u0662\u0661-01", "2021-\U0001d7ce\U0001d7cf"]
+)
+def test_parse_month_takes_ascii_digits_only(text):
+    with pytest.raises(ValueError, match="not a YYYY-MM month"):
+        parse_month(text)
