@@ -12,11 +12,12 @@ count-based metrics pool TP/FP/FN, which for single-label multiclass
 makes micro recall, precision and F1 all equal accuracy. Every interval
 is a percentile bootstrap interval at ``CI_LEVEL``.
 
-A report group of N records is the arrays ``probs``, float (N, 4), and
-``actual``, int (N,), the observed state codes; ``emit_report`` builds them
-once per group. A resample is a vector of record multiplicities (Field &
-Welsh, "Bootstrapping clustered data", JRSS-B 2007), so B resamples are
-an int (B, N) ``weights`` matrix, and each ``METRIC_FUNCS`` entry is
+A report group is the records of one (step, kind, source), one per (dyad,
+month); N of them are the arrays ``probs``, float (N, 4), and ``actual``,
+int (N,), the observed state codes, which ``emit_report`` builds once per
+group. A resample is a vector of record multiplicities (Field & Welsh,
+"Bootstrapping clustered data", JRSS-B 2007), so B resamples are an int
+(B, N) ``weights`` matrix, and each ``METRIC_FUNCS`` entry is
 ``metric(probs, actual, weights) -> (B, k)`` floats, one column per metric,
 NaN where that metric is undefined. An all-ones row is the full record
 set. ``bootstrap_ci`` scores each column on its own, so ``emit_report``
@@ -24,7 +25,8 @@ draws one weight matrix per group and scores all five metrics on it: one
 count of hits for recall, precision and F1, and one sort of the 4N pairs
 for AUROC and AP, whose weighted cumulative sums in that order cover every
 row at once. Each score temporary holds 8 B × 4N × B, about 16 MB at
-N = 500 and B = 1,000.
+N = 500 and B = 1,000. A record is scored in its one group only, so each
+number in metrics.csv has a single reading.
 """
 
 from __future__ import annotations
@@ -234,25 +236,14 @@ def _score_rows(
 
 
 def _one_row(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """(AUROC, AP) of the unweighted pairs: `_score_rows` on one all-ones weight row."""
+    """(AUROC, AP) of the unweighted pairs: `_score_rows` on one all-ones weight row.
+
+    Both are NaN without a positive pair, which `_score_rows` needs.
+    """
+    if not np.any(labels):
+        return np.full(2, np.nan)
     rows = np.arange(len(scores))
     return _score_rows(scores, labels, rows, np.ones((1, len(rows)), dtype=int))[0]
-
-
-def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Interpolation-free AP; tied scores are resolved at tie-group granularity."""
-    labels = np.asarray(labels, dtype=int)
-    if not labels.any():
-        raise ValueError("average precision undefined without positives")
-    return float(_one_row(np.asarray(scores, dtype=float), labels)[1])
-
-
-def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Mann-Whitney AUROC with ties counted one half."""
-    labels = np.asarray(labels, dtype=int)
-    if labels.all() or not labels.any():
-        raise ValueError("AUROC undefined with a single-label pool")
-    return float(_one_row(np.asarray(scores, dtype=float), labels)[0])
 
 
 def _micro_scores(probs: np.ndarray, actual: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -273,9 +264,12 @@ def _micro_scores(probs: np.ndarray, actual: np.ndarray, weights: np.ndarray) ->
 
 
 def per_class_binary_report(probs: np.ndarray, actual: np.ndarray, cls: int) -> dict[str, float]:
-    """Binary AP and AUROC for one class versus the rest."""
-    scores, labels = probs[:, cls], (actual == cls).astype(int)
-    return {"ap": average_precision(scores, labels), "auroc": auroc(scores, labels)}
+    """Binary AP and AUROC for one class versus the rest, from one sort.
+
+    AP is NaN when the class is absent, AUROC also when every record has it.
+    """
+    auc, ap = _one_row(probs[:, cls], (actual == cls).astype(int))
+    return {"ap": float(ap), "auroc": float(auc)}
 
 
 # ---------------------------------------------------------------------------
@@ -357,35 +351,6 @@ def structure_key(records: list[ForecastRecord]) -> list[tuple]:
     return sorted((r.dyad_id, r.month, r.step, r.kind or "") for r in records)
 
 
-def collapse_to_dyad_month(
-    keys: list[tuple[str, int]], probs: np.ndarray, actual: np.ndarray
-) -> tuple[list[tuple[str, int]], np.ndarray, np.ndarray]:
-    """Mean probability vector per (dyad_id, month) key, in sorted key order.
-
-    `keys` holds each row's (dyad_id, month). The rows of a key are summed
-    in row order, divided by their count and renormalised to sum 1, the
-    same floats as ``np.mean`` over the rows and a division by the sum; the
-    first row's actual state is kept. Returns the collapsed
-    ``(keys, probs, actual)``.
-    """
-    slots: dict[tuple[str, int], int] = {}
-    group = np.array([slots.setdefault(k, len(slots)) for k in keys], dtype=np.intp)
-    sums = np.zeros((len(slots), N_CLASSES))
-    np.add.at(sums, group, probs)
-    mean = sums / np.bincount(group, minlength=len(slots))[:, None]
-    mean = mean / mean.sum(axis=1, keepdims=True)
-    if not (
-        np.isfinite(mean).all()
-        and (np.abs(mean.sum(axis=1) - 1.0) <= 1e-6).all()
-        and ((mean >= 0) & (mean <= 1)).all()
-    ):
-        raise ValueError("collapsed probabilities must be finite, in [0, 1] and sum to 1")
-    unique = list(slots)
-    order = sorted(range(len(unique)), key=unique.__getitem__)
-    first = np.unique(group, return_index=True)[1]
-    return [unique[g] for g in order], mean[order], actual[first[order]]
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -407,69 +372,66 @@ def emit_report(
     """metrics.csv + per_class.csv + one probability-grid CSV per dyad.
 
     Model and baseline record sets must cover the identical
-    (dyad, month, step, kind) structure. Metrics are computed per
-    (step, kind, source) group, at digest-row level and in the
-    dyad-month-mean variant, every metric of a group from one
-    `bootstrap_ci` call. A metric undefined on a group (see
-    `bootstrap_ci`), such as the micro AUROC of a group with a single
-    actual state, gets a row with ``nan`` point and bounds and a warning;
-    the rest of the report is written as usual. A metric whose interval
-    leaves out undefined resamples gets a warning with their count.
+    (dyad, month, step, kind) structure, and a (step, kind, source) group
+    must hold at most one record per (dyad, month); a second one is a
+    ``ValueError`` naming the group and the key. Each forecast row is scored
+    once: every metric of a group comes from one `bootstrap_ci` call. A
+    metric undefined on a group (see `bootstrap_ci`), such as the micro
+    AUROC of a group with a single actual state, gets a row with ``nan``
+    point and bounds and a warning; the rest of the report is written as
+    usual. A metric whose interval leaves out undefined resamples gets a
+    warning with their count. per_class.csv leaves out a class that no
+    record, or every record, of a group has. The grids hold the ``model``
+    groups' rows as they are.
     """
     if n_boot < 1:
         raise ValueError(f"n_boot must be at least 1, got {n_boot}")
     if structure_key(model_records) != structure_key(baseline_records):
         raise ValueError("model and baseline record structures differ")
+    # (step, kind, source) -> its records, sorted by (dyad, month)
+    groups: dict[tuple, list[ForecastRecord]] = {}
+    for r in (*model_records, *baseline_records):
+        groups.setdefault((r.step, r.kind or "", r.source), []).append(r)
+    for (step, kind, source), rows in groups.items():
+        rows.sort(key=lambda r: (r.dyad_id, r.month))
+        for a, b in zip(rows, rows[1:]):
+            if (a.dyad_id, a.month) == (b.dyad_id, b.month):
+                raise ValueError(
+                    f"step {step}, kind {kind!r}, source {source} holds two records for "
+                    f"dyad {a.dyad_id}, month {months.format_month(a.month)}"
+                )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    by_group: dict[tuple, list[ForecastRecord]] = {}
-    for record_set in (model_records, baseline_records):
-        for r in record_set:
-            by_group.setdefault((r.step, r.kind or "", r.source), []).append(r)
-    # (step, kind, source) -> (keys, probs, actual), rows sorted by (dyad, month)
-    groups = {}
-    for key, rows in by_group.items():
-        rows.sort(key=lambda r: (r.dyad_id, r.month))
-        groups[key] = ([(r.dyad_id, r.month) for r in rows], *_arrays(rows))
-    collapsed = {
-        (step, kind, source + "_monthly"): collapse_to_dyad_month(*table)
-        for (step, kind, source), table in groups.items()
-    }
-
     names = [name for key in METRIC_FUNCS for name in key]
     metric_rows, per_class_rows = [], []
-    for level in (groups, collapsed):
-        for (step, kind, source) in sorted(level):
-            _, probs, actual = level[(step, kind, source)]
-            where = f"step {step}, kind {kind!r}, source {source} ({len(actual)} records)"
-            value = bootstrap_ci(probs, actual, _report_metric, n=n_boot, seed=seed)
-            for name, point, lower, upper, missing in zip(
-                names, value.point, value.lower, value.upper, value.n_undefined
-            ):
-                if math.isnan(point):
-                    reason = (
-                        f"metric undefined on {missing}/{n_boot} bootstrap resamples"
-                        if missing else "metric undefined on the full record set"
-                    )
-                    logger.warning("%s undefined for %s: %s", name, where, reason)
-                elif missing:
-                    logger.warning(
-                        "%s undefined on %d of %d resamples for %s; left out of the interval",
-                        name, missing, n_boot, where,
-                    )
-                bounds_text = [_fmt(point), _fmt(lower), _fmt(upper)]
-                metric_rows.append([step, kind, source, name, *bounds_text, len(actual)])
-            if level is not groups:
-                continue  # per_class.csv is at digest-row level only
-            for cls in range(N_CLASSES):
-                try:
-                    report = per_class_binary_report(probs, actual, cls)
-                except ValueError:
-                    continue  # class absent from this slice
-                per_class_rows.append(
-                    [step, kind, source, cls, _fmt(report["ap"]), _fmt(report["auroc"])]
+    for (step, kind, source) in sorted(groups):
+        probs, actual = _arrays(groups[(step, kind, source)])
+        where = f"step {step}, kind {kind!r}, source {source} ({len(actual)} records)"
+        value = bootstrap_ci(probs, actual, _report_metric, n=n_boot, seed=seed)
+        for name, point, lower, upper, missing in zip(
+            names, value.point, value.lower, value.upper, value.n_undefined
+        ):
+            if math.isnan(point):
+                reason = (
+                    f"metric undefined on {missing}/{n_boot} bootstrap resamples"
+                    if missing else "metric undefined on the full record set"
                 )
+                logger.warning("%s undefined for %s: %s", name, where, reason)
+            elif missing:
+                logger.warning(
+                    "%s undefined on %d of %d resamples for %s; left out of the interval",
+                    name, missing, n_boot, where,
+                )
+            bounds_text = [_fmt(point), _fmt(lower), _fmt(upper)]
+            metric_rows.append([step, kind, source, name, *bounds_text, len(actual)])
+        for cls in range(N_CLASSES):
+            report = per_class_binary_report(probs, actual, cls)
+            if math.isnan(report["auroc"]):
+                continue  # class in no record of this slice, or in all (AP NaN implies AUROC NaN)
+            per_class_rows.append(
+                [step, kind, source, cls, _fmt(report["ap"]), _fmt(report["auroc"])]
+            )
     _files.write_csv(
         out_dir / "metrics.csv",
         ["step", "kind", "source", "metric", "point", "lo", "hi", "n"],
@@ -484,14 +446,13 @@ def emit_report(
     grid_dir = out_dir / "grids"
     grid_dir.mkdir(exist_ok=True)
     grid_header = ["month", "p0", "p1", "p2", "p3", "actual"]
-    for (step, kind, source) in sorted(collapsed):
-        if source != "model_monthly":
+    for (step, kind, source) in sorted(groups):
+        if source != "model":
             continue
-        keys, probs, actual = collapsed[(step, kind, source)]
-        by_dyad: dict[str, list[list]] = {}  # keys are sorted, so each dyad's months are too
-        for (dyad_id, month), row, state in zip(keys, probs.tolist(), actual.tolist()):
-            by_dyad.setdefault(dyad_id, []).append(
-                [months.format_month(month), *map(_fmt, row), state]
+        by_dyad: dict[str, list[list]] = {}  # rows are sorted, so each dyad's months are too
+        for r in groups[(step, kind, source)]:
+            by_dyad.setdefault(r.dyad_id, []).append(
+                [months.format_month(r.month), *map(_fmt, r.probabilities), r.actual]
             )
         for dyad_id, grid_rows in by_dyad.items():
             name = f"dyad_grid_{dyad_id}" + (f"_{kind}" if kind else "") + f"_step{step}.csv"

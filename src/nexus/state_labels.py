@@ -148,10 +148,21 @@ def save_labels_csv(labels: dict[str, LabeledSeries], path: str | Path) -> None:
 
 
 def load_labels_csv(path: str | Path) -> dict[str, dict[int, int]]:
-    """Per-dyad month -> state code mapping from a labels CSV."""
+    """Per-dyad month -> state code mapping from a labels CSV.
+
+    A state code outside 0-3, or a second row for one dyad and month, is a
+    ``ValueError`` naming the file and line.
+    """
     out: dict[str, dict[int, int]] = {}
-    for dyad_id, month, code in _files.read_csv(path, lambda row: (
-        row["dyad_id"], months.parse_month(row["month"]), int(row["state_code"])
-    )):
-        out.setdefault(dyad_id, {})[month] = code
+
+    def build(row) -> None:
+        dyad_id, month = row["dyad_id"], months.parse_month(row["month"])
+        code = int(row["state_code"])
+        if not 0 <= code < len(EscalationState):
+            raise ValueError(f"state code {code} is not 0-3")
+        if month in out.setdefault(dyad_id, {}):
+            raise ValueError(f"second row for dyad {dyad_id}, month {row['month']}")
+        out[dyad_id][month] = code
+
+    _files.read_csv(path, build)
     return out

@@ -17,11 +17,8 @@ from nexus.evaluation import (
     METRIC_FUNCS,
     ForecastRecord,
     MetricValue,
-    auroc,
-    average_precision,
     binarize,
     bootstrap_ci,
-    collapse_to_dyad_month,
     conflictology,
     emit_report,
     load_forecasts_csv,
@@ -73,7 +70,7 @@ def auroc_pair_enumeration(scores, labels):
 
 
 def auroc_rankdata(scores, labels):
-    """`auroc` as it was computed with scipy's tie-averaged ranks, its reference."""
+    """Binary AUROC from scipy's tie-averaged ranks, the reference for `_one_row`."""
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     rank_sum = float(rankdata(scores)[labels == 1].sum())
@@ -96,7 +93,7 @@ def binarize_loop(records):
 
 
 def average_precision_loop(scores, labels):
-    """Tie-group walk with a running total, the reference for `average_precision`."""
+    """Tie-group walk with a running total, the reference for the AP of `_one_row`."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
     n_pos = int(labels.sum())
@@ -177,26 +174,6 @@ def assert_same(value, expected):
         assert np.array_equal(getattr(value, field), getattr(expected, field), equal_nan=True), field
 
 
-def collapse_loop(records):
-    """The record-list dyad-month collapse, the reference for `collapse_to_dyad_month`."""
-    groups = {}
-    for r in records:
-        groups.setdefault((r.dyad_id, r.month, r.step, r.kind), []).append(r)
-    out = []
-    for key in sorted(groups, key=lambda k: (k[0], k[1], k[2], k[3] or "")):
-        rows = groups[key]
-        probs = np.mean([r.probabilities for r in rows], axis=0)
-        probs = probs / probs.sum()
-        out.append(
-            replace(
-                rows[0],
-                probabilities=tuple(float(p) for p in probs),
-                source=rows[0].source + "_monthly",
-            )
-        )
-    return out
-
-
 # The weights-contract form of each metric: (probs, actual, weights) -> (B, k).
 COUNTS = METRIC_FUNCS[("recall", "precision", "f1")]
 SCORES = METRIC_FUNCS[("auroc", "ap")]
@@ -215,6 +192,16 @@ def micro_auroc(p, a, w):
 def micro_ap(p, a, w):
     """Micro AP alone, (B, 1)."""
     return SCORES(p, a, w)[:, 1:]
+
+
+def one_row_auroc(scores, labels):
+    """Binary AUROC of the unweighted pairs: the AUROC column of `_one_row`."""
+    return float(evaluation._one_row(np.asarray(scores, dtype=float), np.asarray(labels))[0])
+
+
+def one_row_ap(scores, labels):
+    """Binary AP of the unweighted pairs: the AP column of `_one_row`."""
+    return float(evaluation._one_row(np.asarray(scores, dtype=float), np.asarray(labels))[1])
 
 
 def ones_row(kernel, records):
@@ -403,27 +390,29 @@ class TestMicroMetrics:
 
 class TestAveragePrecision:
     def test_spec_fixture(self):
-        ap = average_precision(np.array([0.9, 0.8, 0.7]), np.array([1, 0, 1]))
+        ap = one_row_ap(np.array([0.9, 0.8, 0.7]), np.array([1, 0, 1]))
         assert ap == pytest.approx(0.8333333333333333, abs=1e-9)
 
     def test_perfect_ranking(self):
-        assert average_precision(np.array([0.9, 0.8, 0.1]), np.array([1, 1, 0])) == 1.0
+        assert one_row_ap(np.array([0.9, 0.8, 0.1]), np.array([1, 1, 0])) == 1.0
 
     def test_all_tied_scores_equal_prevalence(self):
         labels = np.array([1, 0, 0, 1, 0])
-        assert average_precision(np.full(5, 0.5), labels) == pytest.approx(0.4)
+        assert one_row_ap(np.full(5, 0.5), labels) == pytest.approx(0.4)
 
     def test_random_scores_converge_to_prevalence(self):
         rng = np.random.default_rng(13)
         n, prevalence = 30_000, 0.3
         labels = (rng.random(n) < prevalence).astype(int)
         scores = rng.random(n)
-        ap = average_precision(scores, labels)
+        ap = one_row_ap(scores, labels)
         assert abs(ap - labels.mean()) < 0.015
 
     def test_no_positives_rejected(self):
-        with pytest.raises(ValueError):
-            average_precision(np.array([0.5]), np.array([0]))
+        # undefined: NaN, which keeps the class out of per_class.csv (see TestEmitReport)
+        assert math.isnan(one_row_ap(np.array([0.5]), np.array([0])))
+        report = per_class_binary_report(np.array([[0.5, 0.5, 0.0, 0.0]]), np.array([0]), 1)
+        assert math.isnan(report["ap"]) and math.isnan(report["auroc"])
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(17)
@@ -431,16 +420,16 @@ class TestAveragePrecision:
         labels = rng.integers(0, 2, size=50)
         if labels.sum() == 0:
             labels[0] = 1
-        base = average_precision(scores, labels)
-        assert average_precision(np.exp(4 * scores), labels) == pytest.approx(base, abs=1e-12)
+        base = one_row_ap(scores, labels)
+        assert one_row_ap(np.exp(4 * scores), labels) == pytest.approx(base, abs=1e-12)
 
 
 class TestAuroc:
     def test_perfect_separation(self):
-        assert auroc(np.array([0.9, 0.1]), np.array([1, 0])) == 1.0
+        assert one_row_auroc(np.array([0.9, 0.1]), np.array([1, 0])) == 1.0
 
     def test_all_ties_half(self):
-        assert auroc(np.full(6, 0.4), np.array([1, 0, 1, 0, 0, 1])) == 0.5
+        assert one_row_auroc(np.full(6, 0.4), np.array([1, 0, 1, 0, 0, 1])) == 0.5
 
     def test_matches_pair_enumeration_on_small_fixtures(self):
         rng = np.random.default_rng(19)
@@ -450,13 +439,15 @@ class TestAuroc:
             labels = rng.integers(0, 2, size=n)
             if labels.sum() in (0, n):
                 continue
-            assert auroc(scores, labels) == pytest.approx(
+            assert one_row_auroc(scores, labels) == pytest.approx(
                 auroc_pair_enumeration(scores, labels), abs=1e-12
             )
 
     def test_single_label_rejected(self):
-        with pytest.raises(ValueError):
-            auroc(np.array([0.5, 0.7]), np.array([1, 1]))
+        # undefined: NaN, which keeps the class out of per_class.csv (see TestEmitReport)
+        assert math.isnan(one_row_auroc(np.array([0.5, 0.7]), np.array([1, 1])))
+        assert math.isnan(one_row_auroc(np.array([0.5, 0.7]), np.array([0, 0])))
+        assert one_row_ap(np.array([0.5, 0.7]), np.array([1, 1])) == 1.0
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -470,7 +461,7 @@ class TestAuroc:
         scores = np.array([s for s, _ in rows])
         labels = np.array([y for _, y in rows])
         assume(0 < labels.sum() < len(labels))
-        assert auroc(scores, labels) == auroc_rankdata(scores, labels)
+        assert one_row_auroc(scores, labels) == auroc_rankdata(scores, labels)
 
     @settings(max_examples=200, deadline=None)
     @given(tied_records)
@@ -483,8 +474,8 @@ class TestAuroc:
         scores = rng.random(40)
         labels = rng.integers(0, 2, size=40)
         labels[0], labels[1] = 0, 1
-        base = auroc(scores, labels)
-        assert auroc(10 + 3 * scores, labels) == pytest.approx(base, abs=1e-12)
+        base = one_row_auroc(scores, labels)
+        assert one_row_auroc(10 + 3 * scores, labels) == pytest.approx(base, abs=1e-12)
 
 
 class TestMicroPooling:
@@ -503,8 +494,8 @@ class TestMicroPooling:
         report = per_class_binary_report(*arrays(records), 1)
         scores = np.array([r.probabilities[1] for r in records])
         labels = np.array([int(r.actual == 1) for r in records])
-        assert report["ap"] == pytest.approx(average_precision(scores, labels))
-        assert report["auroc"] == pytest.approx(auroc(scores, labels))
+        assert report["ap"] == pytest.approx(one_row_ap(scores, labels))
+        assert report["auroc"] == pytest.approx(one_row_auroc(scores, labels))
 
     def test_planted_signal_beats_permuted_labels(self):
         rng = np.random.default_rng(31)
@@ -637,15 +628,17 @@ class TestArrayKernelsMatchLoops:
         ref_scores, ref_labels = binarize_loop(records)
         assert np.array_equal(scores, ref_scores) and scores.dtype == ref_scores.dtype
         assert np.array_equal(labels, ref_labels) and labels.dtype == ref_labels.dtype
-        assert average_precision(scores, labels) == average_precision_loop(ref_scores, ref_labels)
+        assert one_row_ap(scores, labels) == average_precision_loop(ref_scores, ref_labels)
         assert ones_row(SCORES, records)[1] == average_precision_loop(ref_scores, ref_labels)
         for cls in {r.actual for r in records}:
             cls_scores = np.array([r.probabilities[cls] for r in records])
             cls_labels = np.array([int(r.actual == cls) for r in records])
-            if cls_labels.all():
-                continue  # binary AUROC undefined
             report = per_class_binary_report(probs, actual, cls)
             assert report["ap"] == average_precision_loop(cls_scores, cls_labels)
+            if cls_labels.all():  # binary AUROC undefined
+                assert math.isnan(report["auroc"])
+            else:
+                assert report["auroc"] == auroc_rankdata(cls_scores, cls_labels)
 
     def test_bootstrap_equals_reference_bootstrap(self):
         rng = np.random.default_rng(37)
@@ -751,7 +744,7 @@ class TestEmitReport:
             emit_report(model, baseline, tmp_path, n_boot=50, seed=9)
         with open(tmp_path / "metrics.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == 2 * 4 * 5  # kinds x (row, monthly) x sources x metrics
+        assert len(rows) == 2 * 2 * 5  # kinds x sources x metrics
         for row in rows:
             values = [float(row[k]) for k in ("point", "lo", "hi")]
             if row["kind"] == "low_context" and row["metric"] == "auroc":
@@ -763,7 +756,10 @@ class TestEmitReport:
             "auroc undefined for step 1, kind 'low_context', source model (24 records): "
             "metric undefined on the full record set"
         ) in caplog.text
-        assert (tmp_path / "per_class.csv").exists()
+        with open(tmp_path / "per_class.csv", newline="") as fh:
+            per_class = list(csv.DictReader(fh))
+        # every class of the single-state kind is in no record or in all of them
+        assert per_class and all(row["kind"] == "high_context" for row in per_class)
         assert len(list((tmp_path / "grids").glob("dyad_grid_*.csv"))) == 4
 
     def test_undefined_resamples_are_counted_and_logged(self, tmp_path, caplog):
@@ -809,18 +805,44 @@ class TestEmitReport:
         monkeypatch.setattr(evaluation, "bootstrap_ci", counted_bootstrap)
         monkeypatch.setattr(evaluation, "_positive_tie_groups", counted_tie_groups)
         emit_report(model, baseline, tmp_path, n_boot=4, seed=1)
-        assert boots == [504] * 32  # 16 row groups and their 16 dyad-month means
-        # one sort of a group's 5 weight rows, plus one all-ones row per per-class table
-        assert sorts.count(5) == 32 and set(sorts) == {1, 5}
+        assert boots == [504] * 16  # one per (step, kind, source) group
+        # one sort of a group's 5 weight rows, plus one all-ones row per per-class row
+        assert sorts.count(5) == 16 and sorts.count(1) == 16 * 4 and set(sorts) == {1, 5}
         with open(tmp_path / "metrics.csv", newline="") as fh:
-            assert sum(1 for _ in csv.DictReader(fh)) == 32 * 5
+            assert sum(1 for _ in csv.DictReader(fh)) == 16 * 5
+
+    def test_grid_rows_equal_the_forecast_rows(self, tmp_path):
+        # one dyad, step and kind: the grid holds that dyad's forecasts, string for string
+        model = self._records("model", kind="high_context") + self._records("model", seed=6)
+        baseline = [replace(r, source="conflictology") for r in model]
+        emit_report(model, baseline, tmp_path, n_boot=5, seed=1)
+        save_forecasts_csv([r for r in model if r.kind == "high_context"], tmp_path / "f.csv")
+        with open(tmp_path / "f.csv", newline="") as fh:
+            forecasts = [row[1:] for row in csv.reader(fh) if row[0] == "d2"]
+        with open(tmp_path / "grids" / "dyad_grid_d2_high_context_step1.csv", newline="") as fh:
+            grid = list(csv.reader(fh))[1:]
+        assert len(grid) == 12 and grid == forecasts
+
+    def test_two_records_for_one_dyad_month_rejected(self, tmp_path):
+        low = self._records("model")
+        model = low + [replace(r, kind="high_context") for r in low]  # each key once per kind
+        emit_report(model, [replace(r, source="conflictology") for r in model], tmp_path, n_boot=5)
+        with open(tmp_path / "metrics.csv", newline="") as fh:
+            assert {row["n"] for row in csv.DictReader(fh)} == {"24"}
+        model.append(replace(low[3], probabilities=onehotish(0)))
+        baseline = [replace(r, source="conflictology") for r in model]
+        with pytest.raises(ValueError, match=re.escape(
+            "step 1, kind 'low_context', source model holds two records for dyad d2, month 2022-02"
+        )):
+            emit_report(model, baseline, tmp_path / "report", n_boot=5, seed=1)
+        assert not (tmp_path / "report").exists()
 
 
 def pinned_report_records(seed=12):
     """Model and conflictology records over 5 dyads x 16 months, steps 0 and 3, two
-    kinds. Low-context model scores lie on a grid of eighths, so they tie; a
-    high-context dyad-month holds 1-3 rows with uneven probabilities, so its mean
-    rounds; every step-3 low-context record has actual state 2."""
+    kinds, one record per dyad-month. Low-context model scores lie on a grid of
+    eighths, so they tie; high-context ones are uneven integer ratios, not exact
+    in binary; every step-3 low-context record has actual state 2."""
     rng = np.random.default_rng(seed)
     model, baseline = [], []
     for step in (0, 3):
@@ -829,31 +851,32 @@ def pinned_report_records(seed=12):
                 for m in range(16):
                     single_state = (step, kind) == (3, "low_context")
                     actual = 2 if single_state else int(rng.integers(0, 4))
-                    for _ in range(1 if kind == "low_context" else int(rng.integers(1, 4))):
-                        if kind == "low_context":
-                            cuts = np.sort(rng.integers(0, 9, size=3))
-                            probs = np.diff(np.concatenate(([0], cuts, [8]))) / 8
-                        else:
-                            weights = rng.integers(1, 30, size=4)
-                            probs = weights / weights.sum()
-                        shares = np.bincount(rng.integers(0, 4, size=12), minlength=4) / 12
-                        for records, source, p in ((model, "model", probs), (baseline, "conflictology", shares)):
-                            records.append(
-                                ForecastRecord(
-                                    f"d{d}", 24_000 + m, step, tuple(float(x) for x in p), actual, source, kind
-                                )
+                    if kind == "low_context":
+                        cuts = np.sort(rng.integers(0, 9, size=3))
+                        probs = np.diff(np.concatenate(([0], cuts, [8]))) / 8
+                    else:
+                        weights = rng.integers(1, 30, size=4)
+                        probs = weights / weights.sum()
+                    shares = np.bincount(rng.integers(0, 4, size=12), minlength=4) / 12
+                    for records, source, p in ((model, "model", probs), (baseline, "conflictology", shares)):
+                        records.append(
+                            ForecastRecord(
+                                f"d{d}", 24_000 + m, step, tuple(float(x) for x in p), actual, source, kind
                             )
+                        )
     return model, baseline
 
 
 class TestPinnedReport:
-    """emit_report's files, byte for byte, as the record-per-resample bootstrap and
-    the record-list collapse wrote them."""
+    """emit_report's files, byte for byte. Pinned when the fixture became one record
+    per dyad-month: metrics.csv then equalled the row-level rows of the earlier
+    two-level report (row and dyad-month mean), and per_class.csv its per-class table;
+    the grids hold the records' probabilities as they are."""
 
-    METRICS_SHA256 = "b4e5532cfe2a2f7582d491b2d695394ae2f83d4181430934852f8603d13e1142"
-    PER_CLASS_SHA256 = "44e61e5fb75cb56523cb1977ab209791a56de43d38ff744c1cf87f944a998bcf"
+    METRICS_SHA256 = "72872eb666c20b4e9abe0f5eb0d2bb40e70bb0c3156bc33a2e01ab15325511ef"
+    PER_CLASS_SHA256 = "8675901a5d102e7e938ed5b521119cf36756e27254e07a3de7176d54eae77060"
     # sha256 of the lines "<grid file name> <its sha256>\n", in name order
-    GRIDS_SHA256 = "b1efdbc716b113c9e08c677eb1844768ea7e1cdfecce825fd9456303a2951e68"
+    GRIDS_SHA256 = "a5a71f3b97882e5e1c23c2c3746820adf82143d362d2e80cbccd4269ede0aefe"
 
     def test_outputs_hash_to_pinned_values(self, tmp_path):
         model, baseline = pinned_report_records()
@@ -868,53 +891,6 @@ class TestPinnedReport:
         assert sha256(tmp_path / "metrics.csv") == self.METRICS_SHA256
         assert sha256(tmp_path / "per_class.csv") == self.PER_CLASS_SHA256
         assert hashlib.sha256(listing.encode()).hexdigest() == self.GRIDS_SHA256
-
-
-class TestCollapse:
-    def test_mean_over_digest_rows(self, tmp_path):
-        rows = [
-            record(1, (0.7, 0.1, 0.1, 0.1)),
-            record(1, (0.1, 0.7, 0.1, 0.1)),
-        ]
-        keys, probs, actual = collapse_to_dyad_month([("d", 24_000)] * 2, *arrays(rows))
-        assert keys == [("d", 24_000)] and actual.tolist() == [1]
-        assert tuple(probs[0]) == pytest.approx((0.4, 0.4, 0.1, 0.1))
-        baseline = [replace(r, source="baseline") for r in rows]
-        emit_report(rows, baseline, tmp_path, n_boot=5, seed=1)
-        with open(tmp_path / "metrics.csv", newline="") as fh:
-            monthly = [row for row in csv.DictReader(fh) if row["source"] == "model_monthly"]
-        assert monthly and all(row["n"] == "1" for row in monthly)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from(["d0", "d1", "d2"]),
-                st.integers(24_000, 24_003),
-                st.integers(0, 3),
-                st.lists(st.integers(1, 10**6), min_size=4, max_size=4),
-            ),
-            min_size=1,
-            max_size=40,
-        )
-    )
-    def test_equals_the_record_loop(self, rows):
-        records = [
-            record(actual, np.array(counts) / sum(counts), dyad=dyad, month=month)
-            for dyad, month, actual, counts in rows
-        ]
-        keys, probs, actual = collapse_to_dyad_month(
-            [(r.dyad_id, r.month) for r in records], *arrays(records)
-        )
-        expected = collapse_loop(records)
-        assert keys == [(r.dyad_id, r.month) for r in expected]
-        assert [tuple(p) for p in probs.tolist()] == [r.probabilities for r in expected]
-        assert actual.tolist() == [r.actual for r in expected]
-
-    @pytest.mark.parametrize("row", [(-0.5, 0.5, 0.5, 0.5), (math.nan, 0.5, 0.25, 0.25)])
-    def test_rejects_invalid_rows(self, row):
-        with pytest.raises(ValueError, match="collapsed"):
-            collapse_to_dyad_month([("d", 24_000)], np.array([row]), np.array([0]))
 
 
 class TestForecastCsvRoundTrip:

@@ -221,6 +221,31 @@ class TestLabelWindows:
             load_labels_csv(path)
 
 
+    @pytest.mark.parametrize(
+        "rows,line,message",
+        [
+            (["d1,2020-01,7,x,0.0", "d1,2020-02,-1,x,0.0"], 2, "state code 7 is not 0-3"),
+            (["d1,2020-01,1,x,0.0", "d1,2020-02,-1,x,0.0"], 3, "state code -1 is not 0-3"),
+        ],
+    )
+    def test_code_outside_0_to_3_names_path_and_line(self, tmp_path, rows, line, message):
+        path = tmp_path / "labels.csv"
+        path.write_text("\n".join(["dyad_id,month,state_code,state_name,derivative_value", *rows, ""]))
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line {line}: {message}")):
+            load_labels_csv(path)
+
+    def test_second_row_for_a_dyad_month_names_path_and_line(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text(
+            "dyad_id,month,state_code,state_name,derivative_value\n"
+            "d1,2020-01,1,Escalation,0.5\nd2,2020-01,1,Escalation,0.5\nd1,2020-01,2,Plateau,0.0\n"
+        )
+        with pytest.raises(ValueError, match=re.escape(
+            f"{path}, line 4: second row for dyad d1, month 2020-01"
+        )):
+            load_labels_csv(path)
+
+
 @pytest.mark.parametrize(
     "text", ["\uff12\uff10\uff12\uff11-\uff10\uff11", "\u0662\u0660\u0662\u0661-01", "2021-\U0001d7ce\U0001d7cf"]
 )
