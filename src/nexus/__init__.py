@@ -6,7 +6,8 @@ collections and the files they save; seeds are explicit arguments.
 
 The files the stages save and load, named as the benchmark names them. Every
 writer goes through ``_files.write_atomic``; a reader that cannot read its
-file raises ``ValueError`` naming it, and the line for JSONL and CSV.
+file raises ``ValueError`` naming it, and the record's first line for JSONL
+and CSV (a file is read as CSV when its name ends in ``.csv``).
 
 ============================  ============  ===============================================
 file                          format        writer / reader

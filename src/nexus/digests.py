@@ -388,4 +388,4 @@ def load_digests(path: str | Path) -> list[Digest]:
             total_tokens=total_tokens,
         )
 
-    return _files.read_jsonl(path, build)
+    return _files.read_rows(path, build)

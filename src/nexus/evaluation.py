@@ -477,7 +477,7 @@ def save_forecasts_csv(records: list[ForecastRecord], path: str | Path) -> None:
 def load_forecasts_csv(
     path: str | Path, step: int, kind: str | None, source: str = "model"
 ) -> list[ForecastRecord]:
-    return _files.read_csv(path, lambda row: ForecastRecord(
+    return _files.read_rows(path, lambda row: ForecastRecord(
         dyad_id=row["dyad_id"],
         month=months.parse_month(row["month"]),
         step=step,

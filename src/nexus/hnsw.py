@@ -101,9 +101,6 @@ class HnswIndex:
     # the benchmark's tracer patches and calls the method by this name
     brute_force_search = search
 
-    def get_vector(self, article_id: str) -> np.ndarray:
-        return self._vectors[self._row[article_id]]
-
     def __contains__(self, article_id: str) -> bool:
         return article_id in self._row
 

@@ -2,9 +2,10 @@
 
 Input files are JSONL (or CSV for events) plus a flat little-endian
 float32 embedding matrix with a JSON sidecar. Dates are ``YYYY-MM-DD``
-exactly. The three row loaders
-(events, articles, dyad probabilities) share one contract: a bad row
-never aborts the load but becomes a :class:`RowError` naming its line;
+exactly. The three row loaders (events, articles, dyad probabilities)
+read records through :func:`nexus._files.rows`, which owns the parsing
+and the per-record error rules, and share one contract: a bad row never
+aborts the load but becomes a :class:`RowError` naming its first line;
 a row that repeats the id of an earlier loaded row (``event_id``, or
 ``article_id`` for articles and probability rows) is one such error,
 naming the first line; errors come back, and are logged, in line order.
@@ -15,11 +16,8 @@ loaded collections.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import functools
-import io
-import json
 import logging
 import re
 import string
@@ -36,7 +34,6 @@ _TRAILING_PUNCT = string.punctuation + " "
 DYAD_THRESHOLD = 0.8  # apply_dyad_filter keeps a classifier row whose best dyad has p >= this
 # Largest count a row may carry: sums over billions of rows stay inside int64.
 MAX_COUNT = 10**9
-_UNDECODED = re.compile("[\udc80-\udcff]")  # bytes that surrogateescape kept
 _DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
@@ -186,52 +183,6 @@ _EVENT_FIELDS = ("event_id", "dyad_id", "country_id", "date", "fatalities", "hea
 _ARTICLE_FIELDS = ("article_id", "date", "headline", "body")
 
 
-def _iter_rows(path: Path) -> tuple[list[dict], list[RowError]]:
-    """Read JSONL or CSV rows as dicts, collecting parse errors."""
-    rows: list[dict] = []
-    errors: list[RowError] = []
-    if path.suffix.lower() == ".csv":
-        # undecodable bytes become lone surrogates, so one bad row spoils only itself
-        text = path.read_bytes().decode("utf-8", errors="surrogateescape")
-        reader = csv.reader(io.StringIO(text, newline=""))
-        header = next(reader, [])
-        # a record is numbered by its first physical line: a quoted field may span lines
-        start = reader.line_num + 1
-        for record in reader:
-            lineno, start = start, reader.line_num + 1
-            if not record:  # a blank line
-                continue
-            if any(_UNDECODED.search(v) for v in record):
-                errors.append(RowError(lineno, "invalid UTF-8"))
-                continue
-            rows.append(dict(zip(header, record)))
-            rows[-1]["__line__"] = lineno
-    else:
-        # bytes.splitlines breaks at \n, \r and \r\n, as text mode does
-        for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                errors.append(RowError(lineno, f"invalid UTF-8: {exc}"))
-                continue
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError as exc:  # also an integer literal past the digit limit
-                errors.append(RowError(lineno, f"invalid JSON: {exc}"))
-                continue
-            except RecursionError:
-                errors.append(RowError(lineno, "invalid JSON: nested too deeply"))
-                continue
-            if not isinstance(row, dict):
-                errors.append(RowError(lineno, "row is not an object"))
-                continue
-            row["__line__"] = lineno
-            rows.append(row)
-    return rows, errors
-
-
 def _parse_count(value) -> int:
     """An integral count up to MAX_COUNT from a JSON number or a CSV string.
 
@@ -257,36 +208,30 @@ def _parse_date(value) -> dt.date:
     return dt.date.fromisoformat(text)
 
 
-def _load_rows(path: str | Path, what: str, build, key: str) -> tuple[list, list[RowError]]:
-    """The loop behind every row loader: each row becomes an item or a RowError.
+def _load_rows(path: str | Path, build, key: str) -> tuple[list, list[RowError]]:
+    """The loop behind every row loader: each record becomes an item or a RowError.
 
     ``build(row)`` returns the item or raises ValueError with the row's
     message. An item whose ``key`` attribute repeats an earlier loaded one
     is rejected, naming the first line.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"{what} file not found: {path}")
-    rows, errors = _iter_rows(path)
-    items = []
+    items, errors = [], []
     first_line: dict[str, int] = {}  # key -> line of the loaded row
-    for row in rows:
-        line = row.pop("__line__")
-        try:
-            item = build(row)
-        except ValueError as exc:
-            errors.append(RowError(line, str(exc)))
-            continue
-        item_key = getattr(item, key)
-        if item_key in first_line:
-            first = first_line[item_key]
-            errors.append(RowError(line, f"duplicate {key} {item_key!r}, first on line {first}"))
-            continue
-        first_line[item_key] = line
-        items.append(item)
-    errors.sort(key=lambda err: err.line)
-    for err in errors:
-        logger.warning("%s:%d: %s", path, err.line, err.message)
+    for line, row, error in _files.rows(path):
+        if error is None:
+            try:
+                item = build(row)
+            except ValueError as exc:
+                error = str(exc)
+            else:
+                first = first_line.setdefault(getattr(item, key), line)
+                if first != line:
+                    error = f"duplicate {key} {getattr(item, key)!r}, first on line {first}"
+        if error is None:
+            items.append(item)
+        else:
+            errors.append(RowError(line, error))
+            logger.warning("%s:%d: %s", path, line, error)
     return items, errors
 
 
@@ -319,7 +264,7 @@ def load_events(path: str | Path) -> tuple[list[ConflictEvent], list[RowError]]:
             headline=str(row["headline"]),
         )
 
-    events, errors = _load_rows(path, "events", build, key="event_id")
+    events, errors = _load_rows(path, build, key="event_id")
     if not events:
         logger.warning("no events loaded from %s", path)
     return events, errors
@@ -341,7 +286,7 @@ def load_articles(path: str | Path) -> tuple[list[Article], list[RowError]]:
             body=str(row["body"]),
         )
 
-    return _load_rows(path, "articles", build, key="article_id")
+    return _load_rows(path, build, key="article_id")
 
 
 def _meta_path(f32_path: Path) -> Path:
@@ -396,7 +341,7 @@ def load_dyad_probs(
             probs[str(dyad)] = p
         return DyadProbabilityRow(article_id=str(row["article_id"]), probabilities=probs)
 
-    return _load_rows(path, "dyad probability", build, key="article_id")
+    return _load_rows(path, build, key="article_id")
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +500,7 @@ def save_labels_file(labels: dict[str, ArticleLabel], path: str | Path) -> None:
 
 
 def load_labels_file(path: str | Path) -> dict[str, ArticleLabel]:
-    labels = _files.read_jsonl(path, lambda row: ArticleLabel(
+    labels = _files.read_rows(path, lambda row: ArticleLabel(
         article_id=row["article_id"],
         dyads=tuple(row["dyads"]),
         gold=bool(row["gold"]),

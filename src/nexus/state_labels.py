@@ -164,5 +164,5 @@ def load_labels_csv(path: str | Path) -> dict[str, dict[int, int]]:
             raise ValueError(f"second row for dyad {dyad_id}, month {row['month']}")
         out[dyad_id][month] = code
 
-    _files.read_csv(path, build)
+    _files.read_rows(path, build)
     return out

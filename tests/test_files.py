@@ -113,6 +113,36 @@ def test_cut_file_raises_naming_it_or_loads_a_prefix(tmp_path_factory, name, dat
         assert loaded == full
 
 
+LABELS_HEADER = b"dyad_id,month,state_code,state_name,derivative_value\r\n"
+# name: (a labels CSV with one bad record, the record's first line)
+BAD_LABELS = {
+    "merged-rows": (LABELS_HEADER + b"d1,2020-01,2,Plateau,0.1d1,2020-02,0,Peace,0.0\r\n"
+                    b"d1,2020-03,1,Escalation,0.2\r\n", 2),
+    "invalid-utf8": (LABELS_HEADER + b"d1,2020-01,2,Plateau,0.1\r\n"
+                     b"d1,2020-02,0,Pe\xffce,0.0\r\n", 3),
+    "multi-line-record": (LABELS_HEADER + b'd1,2020-01,9,"two\r\nlines",0.1\r\n'
+                          b"d1,2020-02,0,Peace,0.0\r\n", 2),
+}
+
+
+@pytest.mark.parametrize("name", BAD_LABELS)
+def test_bad_csv_record_raises_naming_file_and_first_line(tmp_path, name):
+    data, line = BAD_LABELS[name]
+    path = tmp_path / "states.csv"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line {line}: ")):
+        load_labels_csv(path)
+
+
+def test_deeply_nested_jsonl_line_raises_naming_file_and_line(tmp_path):
+    path = tmp_path / "digests.jsonl"
+    save_digests(DIGESTS, path)
+    with path.open("ab") as fh:
+        fh.write(b"[" * 200_000 + b"\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line {len(DIGESTS) + 1}: ")):
+        load_digests(path)
+
+
 def test_every_saver_writes_through_write_atomic(tmp_path, monkeypatch):
     written = []
     write_atomic = _files.write_atomic

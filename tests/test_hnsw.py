@@ -77,7 +77,7 @@ class TestInsert:
             index.insert("a", [0.0, 0.0, 1.0, 0.0])
         assert "duplicate" in caplog.text
         assert len(index) == 2
-        assert np.allclose(index.get_vector("a"), [0.0, 0.0, 1.0, 0.0])
+        assert np.allclose(index.vectors[index.ids.index("a")], [0.0, 0.0, 1.0, 0.0])
 
 
 class TestSearch:

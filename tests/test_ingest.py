@@ -180,6 +180,32 @@ class TestLoaderContract:
         assert [e.line for e in errors] == [4, 6, 7]
         assert "missing fields" in errors[2].message
 
+    def test_csv_rows_merged_by_a_lost_line_break_are_a_row_error(self, tmp_path):
+        # e1's line break was lost, so e1 and e2 share line 2 and read as one record of 11 fields
+        path = tmp_path / "events.csv"
+        merged = csv_event_row("e1", "3", "Clash in the north").rstrip(b"\n")
+        path.write_bytes(CSV_HEADER + merged + csv_event_row("e2", "1") + csv_event_row("e3", "2"))
+        events, errors = load_events(path)
+        assert [e.event_id for e in events] == ["e3"]
+        assert [e.line for e in errors] == [2]
+
+    def test_csv_field_past_the_field_limit_is_a_row_error(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_bytes(
+            CSV_HEADER + csv_event_row("e1", "3", "x" * 200_000) + csv_event_row("e2", "1")
+        )
+        events, errors = load_events(path)
+        assert [e.event_id for e in events] == ["e2"]
+        assert [e.line for e in errors] == [2]
+        assert "field limit" in errors[0].message
+
+    def test_csv_header_past_the_field_limit_is_one_row_error(self, tmp_path):
+        # without a header no record can be read
+        path = tmp_path / "events.csv"
+        path.write_bytes(b"x" * 200_000 + b"\n" + csv_event_row("e1", "3"))
+        events, errors = load_events(path)
+        assert events == [] and [e.line for e in errors] == [1]
+
     def test_events_duplicate_id(self, tmp_path):
         path = write_jsonl(
             tmp_path / "events.jsonl",
