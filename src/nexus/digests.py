@@ -3,8 +3,8 @@
 Topics come from spherical k-means (cosine assignment, normalized-mean
 centroids) with k = floor(N / min_topic_size) clamped to [3, max_topics]
 and a post-pass merging undersized clusters into their nearest centroid.
-The topic with the highest share of gold event-matched articles is marked
-violent.
+The topic with the highest share of gold event-matched articles (the
+lower one on a tie) is marked violent.
 
 Two digest kinds exist per dyad-month, and both hold only articles dated
 in that month: low-context (per topic, the five in-month articles closest
@@ -120,12 +120,12 @@ def _kmeanspp_init(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return np.stack(centroids)
 
 
-def _normalized_mean(vectors: np.ndarray) -> np.ndarray | None:
+def _normalized_mean(vectors: np.ndarray) -> np.ndarray:
+    """The rows' normalized mean, or the first row when the rows cancel out."""
     mean = vectors.mean(axis=0)
-    norm = float(np.linalg.norm(mean))
-    if norm == 0.0:
-        return None
-    return (mean / norm).astype(np.float32)
+    if np.linalg.norm(mean) == 0.0:
+        return vectors[0]
+    return normalize(mean)
 
 
 def cluster_topics(
@@ -139,30 +139,15 @@ def cluster_topics(
 ) -> TopicModel:
     """Spherical k-means with a minimum-cluster-size merge rule.
 
-    Fewer than 2 * min_topic_size articles fall into a single catch-all
-    topic. Clusters still undersized after convergence are merged into
-    their nearest centroid, so the final topic count may drop below the
-    initial k.
+    Clusters still undersized after convergence are merged into their
+    nearest centroid, so the final topic count may drop below the initial
+    k. Fewer than 2 * min_topic_size articles cannot fill two topics, so
+    they end in one catch-all topic.
     """
     n = len(ids)
     if n == 0:
         raise ValueError(f"dyad {dyad_id}: no articles to cluster")
     unit = np.stack([normalize(v) for v in np.asarray(vectors, dtype=np.float32)])
-
-    def single_topic() -> TopicModel:
-        centroid = _normalized_mean(unit)
-        if centroid is None:
-            centroid = unit[0]
-        assignment = {aid: 0 for aid in ids}
-        violent = 0 if any(aid in gold_ids for aid in ids) else None
-        return TopicModel(dyad_id, centroid[None, :], assignment, violent)
-
-    if n < 2 * min_topic_size:
-        return single_topic()
-    spread = float(np.max(np.std(unit, axis=0)))
-    if spread < 1e-9:
-        logger.warning("dyad %s: all embeddings identical, single topic", dyad_id)
-        return single_topic()
 
     k = initial_topic_count(n, min_topic_size, max_topics)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -174,9 +159,8 @@ def cluster_topics(
             member_vecs = unit[labels == t]
             if len(member_vecs) == 0:
                 fresh.append(centroids[t])  # keep; may attract points later
-                continue
-            centroid = _normalized_mean(member_vecs)
-            fresh.append(centroid if centroid is not None else centroids[t])
+            else:
+                fresh.append(_normalized_mean(member_vecs))
         centroids = np.stack(fresh)
         new_labels = np.argmax(unit @ centroids.T, axis=1)
         if np.array_equal(new_labels, labels):
@@ -204,19 +188,14 @@ def cluster_topics(
 
     groups.sort(key=lambda g: int(g[0]))
     final_centroids = np.stack([_normalized_mean(unit[g]) for g in groups])
-    assignment: dict[str, int] = {}
+    topic_of = np.empty(n, dtype=int)
     for topic, g in enumerate(groups):
-        for i in g:
-            assignment[ids[int(i)]] = topic
+        topic_of[g] = topic
+    assignment = dict(zip(ids, topic_of.tolist()))
 
-    violent: int | None = None
-    best_fraction = 0.0
-    for topic, g in enumerate(groups):
-        gold = sum(1 for i in g if ids[int(i)] in gold_ids)
-        fraction = gold / len(g)
-        if gold and fraction > best_fraction:
-            best_fraction = fraction
-            violent = topic
+    is_gold = np.array([aid in gold_ids for aid in ids], dtype=bool)
+    gold_share = np.bincount(topic_of[is_gold], minlength=len(groups)) / [len(g) for g in groups]
+    violent = int(np.argmax(gold_share)) if is_gold.any() else None
     return TopicModel(dyad_id, final_centroids, assignment, violent)
 
 

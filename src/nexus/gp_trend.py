@@ -436,14 +436,7 @@ def derivative(mean: np.ndarray) -> np.ndarray:
     Central differences inside, one-sided at the two endpoints; units are
     log-fatalities per month.
     """
-    m = np.asarray(mean, dtype=float)
-    if m.size < 2:
-        raise ValueError("derivative needs at least 2 points")
-    out = np.empty_like(m)
-    out[1:-1] = (m[2:] - m[:-2]) / 2.0
-    out[0] = m[1] - m[0]
-    out[-1] = m[-1] - m[-2]
-    return out
+    return np.gradient(np.asarray(mean, dtype=float))
 
 
 def fit_trend(series: DyadMonthSeries, prior: PriorSpec, params: KernelParams) -> TrendFit:

@@ -21,7 +21,7 @@ import functools
 import logging
 import re
 import string
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -200,8 +200,6 @@ def _parse_count(value) -> int:
 
 
 def _parse_date(value) -> dt.date:
-    if isinstance(value, dt.date):
-        return value
     text = str(value).strip()
     if not _DATE.fullmatch(text):  # fromisoformat takes more forms from Python 3.11 on
         raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
@@ -496,7 +494,7 @@ def load_series(path: str | Path) -> DyadMonthSeries:
 
 
 def save_labels_file(labels: dict[str, ArticleLabel], path: str | Path) -> None:
-    _files.write_jsonl(path, (asdict(labels[aid]) for aid in sorted(labels)))
+    _files.write_jsonl(path, (vars(labels[aid]) for aid in sorted(labels)))
 
 
 def load_labels_file(path: str | Path) -> dict[str, ArticleLabel]:

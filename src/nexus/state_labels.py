@@ -84,12 +84,10 @@ def _window_states(
     """Labels for series months in [lo, hi] using the given fit's derivative."""
     sel = (series.months >= lo) & (series.months <= hi)
     wanted = series.months[sel]
-    if wanted.size == 0:
-        return LabeledSeries(series.dyad_id, wanted, np.array([], dtype=int), np.array([]))
     grid_pos = {int(m): i for i, m in enumerate(fit.grid)}
     if any(int(m) not in grid_pos for m in wanted):
         return None
-    idx = np.array([grid_pos[int(m)] for m in wanted])
+    idx = np.array([grid_pos[int(m)] for m in wanted], dtype=int)
     deriv = fit.derivative[idx]
     states = discretize(deriv, series.raw_fatalities[sel], tau)
     return LabeledSeries(series.dyad_id, wanted, states, deriv)

@@ -5,12 +5,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nexus.digests import (
     HIGH_CONTEXT,
     LOW_CONTEXT,
+    PER_TOPIC,
     SNIPPET_TOKENS,
     Digest,
     Snippet,
@@ -98,14 +99,55 @@ class TestClusterTopics:
         assert model.topic_count == 1
         assert set(model.assignment.values()) == {0}
 
-    def test_identical_embeddings_single_topic(self, caplog):
+    def test_identical_embeddings_single_topic(self):
         ids = [f"x{i}" for i in range(100)]
         vectors = np.tile(np.ones(8), (100, 1))
-        with caplog.at_level("WARNING"):
-            model = cluster_topics(
-                "dy", ids, vectors, gold_ids=set(), min_topic_size=10
-            )
+        model = cluster_topics("dy", ids, vectors, gold_ids=set(), min_topic_size=10)
         assert model.topic_count == 1
+
+    def test_cancelling_group_gets_its_first_row_as_centroid(self):
+        # two copies of three unit vectors 120 degrees apart: the one merged group's mean is 0
+        s = np.sqrt(3) / 2
+        vectors = np.array([[1.0, 0.0], [-0.5, s], [-0.5, -s]] * 2, dtype=np.float32)
+        ids = [f"x{i}" for i in range(6)]
+        model = cluster_topics("dy", ids, vectors, gold_ids=set(), min_topic_size=3, seed=0)
+        assert model.centroids.dtype == np.float32
+        assert np.array_equal(model.centroids, [[1.0, 0.0]])
+        articles = {aid: art(aid) for aid in ids}
+        embeddings = EmbeddingMatrix(ids=ids, vectors=vectors)
+        digest = low_context_digest(
+            "dy", parse_month("2021-03"), model, articles, set(), embeddings
+        )
+        assert len(digest.snippets) == PER_TOPIC
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), min_topic_size=st.integers(1, 12), dim=st.integers(2, 5))
+    def test_small_corpus_is_one_catch_all_topic(self, data, min_topic_size, dim):
+        n = data.draw(st.integers(1, 2 * min_topic_size - 1))
+        row = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any)
+        vectors = np.array(data.draw(st.lists(row, min_size=n, max_size=n)), dtype=np.float32)
+        unit = np.stack([normalize(v) for v in vectors])
+        assume(np.linalg.norm(unit.mean(axis=0)) > 0)
+        ids = [f"x{i}" for i in range(n)]
+        gold = set(data.draw(st.lists(st.sampled_from(ids + ["elsewhere"]), max_size=3)))
+        model = cluster_topics("dy", ids, vectors, gold, min_topic_size=min_topic_size)
+        assert model.topic_count == 1
+        assert model.assignment == {aid: 0 for aid in ids}
+        assert np.array_equal(model.centroids, normalize(unit.mean(axis=0))[None, :])
+        assert model.violent_topic == (0 if gold & set(ids) else None)
+
+    def test_gold_share_tie_goes_to_lower_topic(self):
+        rng = np.random.default_rng(6)
+        blob1 = rng.normal(size=(30, 8)) * 0.1 + np.eye(8)[0] * 5
+        blob2 = rng.normal(size=(30, 8)) * 0.1 + np.eye(8)[1] * 5
+        ids = [f"a{i}" for i in range(30)] + [f"b{i}" for i in range(30)]
+        gold = {"a0", "a1", "b0", "b1"}
+        model = cluster_topics(
+            "dy", ids, np.vstack([blob1, blob2]), gold_ids=gold, min_topic_size=20, seed=1
+        )
+        assert model.topic_count == 2
+        assert model.assignment["a0"] == 0 and model.assignment["b0"] == 1
+        assert model.violent_topic == 0
 
     def test_every_article_assigned_and_sizes_respected(self):
         rng = np.random.default_rng(2)
