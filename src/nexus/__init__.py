@@ -21,8 +21,7 @@ index_<dyad>.bin              JSON + f32    hnsw.HnswIndex.save / HnswIndex.load
 digests.jsonl                 JSONL         digests.save_digests / load_digests
 model_step<s>_<kind>.json     JSON          stepshift.save_model / load_model
 forecasts_step<s>_<kind>.csv  CSV           evaluation.save_forecasts_csv / load_forecasts_csv
-metrics.csv, per_class.csv,   CSV           evaluation.emit_report / none
-grids/dyad_grid_*.csv
+metrics.csv, per_class.csv    CSV           evaluation.emit_report / none
 ============================  ============  ===============================================
 """
 

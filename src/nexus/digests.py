@@ -71,7 +71,6 @@ class Digest:
     month: int
     kind: str
     snippets: list[Snippet]
-    total_tokens: int
 
     @property
     def snippet_ids(self) -> list[str]:
@@ -80,6 +79,10 @@ class Digest:
     @property
     def text(self) -> str:
         return "\n".join(s.text for s in self.snippets)
+
+    @property
+    def total_tokens(self) -> int:
+        return sum(s.token_count for s in self.snippets)
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +254,7 @@ def low_context_digest(
             snippets.append(snippet(articles_by_id[aid]))
     if not snippets:
         return None
-    return Digest(
-        dyad_id=dyad_id,
-        month=month,
-        kind=LOW_CONTEXT,
-        snippets=snippets,
-        total_tokens=sum(s.token_count for s in snippets),
-    )
+    return Digest(dyad_id=dyad_id, month=month, kind=LOW_CONTEXT, snippets=snippets)
 
 
 def rag_digest(
@@ -313,15 +310,7 @@ def rag_digest(
         for members in allowed.values():
             found, _ = index.search(query, k=1, allowed=members)[0]
             snippets.append(snippet(articles_by_id[found]))
-    return [
-        Digest(
-            dyad_id=dyad_id,
-            month=month,
-            kind=HIGH_CONTEXT,
-            snippets=snippets,
-            total_tokens=sum(s.token_count for s in snippets),
-        )
-    ]
+    return [Digest(dyad_id=dyad_id, month=month, kind=HIGH_CONTEXT, snippets=snippets)]
 
 
 # ---------------------------------------------------------------------------
@@ -356,15 +345,15 @@ def load_digests(path: str | Path) -> list[Digest]:
             Snippet(aid, text, len(text.split()))
             for aid, text in zip(row["snippet_ids"], texts, strict=True)
         ]
-        total_tokens = int(row["total_tokens"])
-        if total_tokens != sum(s.token_count for s in snippets):
-            raise ValueError(f"total_tokens {total_tokens} is not the snippets' token count")
-        return Digest(
+        digest = Digest(
             dyad_id=row["dyad_id"],
             month=months.parse_month(row["month"]),
             kind=row["kind"],
             snippets=snippets,
-            total_tokens=total_tokens,
         )
+        total_tokens = int(row["total_tokens"])
+        if total_tokens != digest.total_tokens:
+            raise ValueError(f"total_tokens {total_tokens} is not the snippets' token count")
+        return digest
 
     return _files.read_rows(path, build)

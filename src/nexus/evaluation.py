@@ -1,4 +1,4 @@
-"""Forecast evaluation: conflictology baseline, micro metrics, bootstrap CIs.
+"""Forecast evaluation: conflictology baseline, accuracy, AUROC and AP, bootstrap CIs.
 
 The baseline bootstraps the trailing window of observed states (shifted
 back by the forecast step to avoid contamination) into pseudo-probability
@@ -7,10 +7,11 @@ the class shares equal the window's empirical state frequencies (exactly
 so for a balanced bootstrap), so no resampling is done and the result
 depends on neither the resample count nor the seed. Score-based metrics
 (AP, AUROC) pool all (record, class) pairs one-versus-rest before
-computation ("micro-aggregation where probabilities are involved");
-count-based metrics pool TP/FP/FN, which for single-label multiclass
-makes micro recall, precision and F1 all equal accuracy. Every interval
-is a percentile bootstrap interval at ``CI_LEVEL``.
+computation ("micro-aggregation where probabilities are involved"). The
+count-based metric is accuracy: pooled TP/FP/FN of a single-label
+multiclass problem make micro recall, precision and F1 all equal it, so
+it is reported once. Every interval is a percentile bootstrap interval
+at ``CI_LEVEL``.
 
 A report group is the records of one (step, kind, source), one per (dyad,
 month); N of them are the arrays ``probs``, float (N, 4), and ``actual``,
@@ -21,11 +22,11 @@ group. A resample is a vector of record multiplicities (Field & Welsh,
 ``metric(probs, actual, weights) -> (B, k)`` floats, one column per metric,
 NaN where that metric is undefined. An all-ones row is the full record
 set. ``bootstrap_ci`` scores each column on its own, so ``emit_report``
-draws one weight matrix per group and scores all five metrics on it: one
-count of hits for recall, precision and F1, and one sort of the 4N pairs
-for AUROC and AP, whose weighted cumulative sums in that order cover every
-row at once. Each score temporary holds 8 B × 4N × B, about 16 MB at
-N = 500 and B = 1,000. A record is scored in its one group only, so each
+draws one weight matrix per group and scores all three metrics on it: one
+count of hits for accuracy, and one sort of the 4N pairs for AUROC and AP,
+whose weighted cumulative sums in that order cover every row at once.
+Each score temporary holds 8 B × 4N × B, about 16 MB at N = 500 and
+B = 1,000. A record is scored in its one group only, so each
 number in metrics.csv has a single reading.
 """
 
@@ -138,21 +139,14 @@ def conflictology(
 # Count-based metrics
 # ---------------------------------------------------------------------------
 
-def _micro_counts(probs: np.ndarray, actual: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(B, 3) micro recall, precision and F1 of each weight row.
+def _accuracy(probs: np.ndarray, actual: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(B, 1) accuracy TP / total of each weight row; argmax ties go to the lowest code.
 
-    Argmax ties go to the lowest code. Pooled FN and FP both equal total -
-    TP, so recall and precision are the accuracy TP / total, and F1 (0
-    where TP is 0) must equal it too.
+    It is also micro recall, precision and F1: pooled over the classes of a
+    single-label problem, FN = FP = total - TP.
     """
     tp = np.asarray(weights @ (probs.argmax(axis=1) == actual), dtype=float)
-    recall = precision = tp / weights.sum(axis=1)
-    f1 = np.zeros_like(tp)
-    np.divide(2 * precision * recall, precision + recall, out=f1, where=tp != 0)
-    worst = np.abs(f1 - recall).max(initial=0.0)
-    if worst > 1e-12:
-        raise AssertionError(f"micro f1 differs from accuracy by {worst}")
-    return np.stack([recall, precision, f1], axis=1)
+    return (tp / weights.sum(axis=1))[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +327,10 @@ def bootstrap_ci(
 # ---------------------------------------------------------------------------
 
 # The metrics of metrics.csv, keyed by their column names, each a function
-# of (probs, actual, weights) returning (B, k) floats. Micro recall,
-# precision and F1 come from one count of hits, and micro AUROC and AP from
-# one sort of the pairs.
+# of (probs, actual, weights) returning (B, k) floats. Accuracy comes from
+# one count of hits, and micro AUROC and AP from one sort of the pairs.
 METRIC_FUNCS = {
-    ("recall", "precision", "f1"): _micro_counts,
+    ("accuracy",): _accuracy,
     ("auroc", "ap"): _micro_scores,
 }
 
@@ -369,7 +362,7 @@ def emit_report(
     n_boot: int = 1000,
     seed: int = 0,
 ) -> None:
-    """metrics.csv + per_class.csv + one probability-grid CSV per dyad.
+    """metrics.csv and per_class.csv of the record groups.
 
     Model and baseline record sets must cover the identical
     (dyad, month, step, kind) structure, and a (step, kind, source) group
@@ -381,8 +374,8 @@ def emit_report(
     point and bounds and a warning; the rest of the report is written as
     usual. A metric whose interval leaves out undefined resamples gets a
     warning with their count. per_class.csv leaves out a class that no
-    record, or every record, of a group has. The grids hold the ``model``
-    groups' rows as they are.
+    record, or every record, of a group has. The probabilities themselves
+    are in the ``save_forecasts_csv`` files.
     """
     if n_boot < 1:
         raise ValueError(f"n_boot must be at least 1, got {n_boot}")
@@ -442,21 +435,6 @@ def emit_report(
         ["step", "kind", "source", "class", "ap", "auroc"],
         per_class_rows,
     )
-
-    grid_dir = out_dir / "grids"
-    grid_dir.mkdir(exist_ok=True)
-    grid_header = ["month", "p0", "p1", "p2", "p3", "actual"]
-    for (step, kind, source) in sorted(groups):
-        if source != "model":
-            continue
-        by_dyad: dict[str, list[list]] = {}  # rows are sorted, so each dyad's months are too
-        for r in groups[(step, kind, source)]:
-            by_dyad.setdefault(r.dyad_id, []).append(
-                [months.format_month(r.month), *map(_fmt, r.probabilities), r.actual]
-            )
-        for dyad_id, grid_rows in by_dyad.items():
-            name = f"dyad_grid_{dyad_id}" + (f"_{kind}" if kind else "") + f"_step{step}.csv"
-            _files.write_csv(grid_dir / name, grid_header, grid_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,11 @@ class TrendFit:
     log_posterior_at_map: float
     jitter_level: int = 0  # cholesky_with_jitter's level for the posterior factorization
 
+    def __post_init__(self) -> None:
+        lengths = (len(self.grid), len(self.mean), len(self.derivative))
+        if len(set(lengths)) != 1:
+            raise ValueError(f"grid, mean and derivative differ in length: {lengths}")
+
 
 # ---------------------------------------------------------------------------
 # Kernel and linear algebra
@@ -338,6 +343,31 @@ def _pooled_objective(group: list[DyadMonthSeries], prior: PriorSpec):
     return objective
 
 
+def _starts(group: list[DyadMonthSeries], prior: PriorSpec) -> list[np.ndarray]:
+    """The three optimizer starts (ln l, ln eta_1, ln sigma_1, ln eta_2, ...) for `group`.
+
+    The first takes the prior median length scale and each series'
+    data-scale amplitude and noise. The other two take the mean data-scale
+    length scale of the group, and scale it and every amplitude and noise
+    by 0.5 and by 2. The length-scale posterior is often bimodal
+    (smooth-trend vs noise readings), so the starts cover both the prior's
+    basin and the data-scale one.
+    """
+    inits = [_default_init(series) for series in group]
+    data_ell = float(np.mean([init.length_scale for init in inits]))
+    starts = []
+    for ell, factor in (
+        (math.exp(prior.log_median), 1.0),
+        (0.5 * data_ell, 0.5),
+        (2.0 * data_ell, 2.0),
+    ):
+        values = [ell]
+        for init in inits:
+            values.extend([init.amplitude * factor, init.noise_sd * factor])
+        starts.append(np.log(values))
+    return starts
+
+
 def _best_start(objective, starts: list[np.ndarray], max_iter: int, what: str) -> np.ndarray:
     """The optimum reached from the best of `starts` by _ascend (the first on ties).
 
@@ -355,22 +385,10 @@ def _best_start(objective, starts: list[np.ndarray], max_iter: int, what: str) -
 
 
 def fit_map(series: DyadMonthSeries, prior: PriorSpec, max_iter: int = 200) -> KernelParams:
-    """MAP kernel hyperparameters by multi-start L-BFGS-B in log space.
-
-    Three fixed starts from the data-scale init vector: with its length
-    scale replaced by the prior median, then scaled by 0.5 and by 2. The
-    length-scale posterior is often bimodal (smooth-trend vs noise
-    readings), so the starts cover both the prior's basin and the
-    data-scale one.
-    """
+    """MAP kernel hyperparameters by multi-start L-BFGS-B in log space, from `_starts`."""
     if len(series.months) < 4:
         raise ValueError(f"series too short to fit: {len(series.months)} months")
-    init = _default_init(series)
-    starts = [np.log([math.exp(prior.log_median), init.amplitude, init.noise_sd])]
-    for factor in (0.5, 2.0):
-        starts.append(
-            np.log([init.length_scale * factor, init.amplitude * factor, init.noise_sd * factor])
-        )
+    starts = _starts([series], prior)
     z = _best_start(_map_objective(series, prior), starts, max_iter, f"dyad {series.dyad_id}")
     return KernelParams(*np.exp(z))
 
@@ -410,20 +428,9 @@ def _fit_country_length_scale(
     group: list[DyadMonthSeries], prior: PriorSpec, max_iter: int = 200
 ) -> float:
     """Stage-1 shared length scale: joint L-BFGS-B over (ln l_c, ln eta_d, ln sigma_d)."""
-    inits = [_default_init(series) for series in group]
-    data_ell = float(np.mean([init.length_scale for init in inits]))
-    starts = []
-    for ell0, factor in (
-        (math.exp(prior.log_median), 1.0),
-        (0.5 * data_ell, 0.5),
-        (2.0 * data_ell, 2.0),
-    ):
-        z0 = [math.log(ell0)]
-        for init in inits:
-            z0.extend([math.log(init.amplitude * factor), math.log(init.noise_sd * factor)])
-        starts.append(np.array(z0))
     what = f"country {group[0].country_id}"
-    return math.exp(_best_start(_pooled_objective(group, prior), starts, max_iter, what)[0])
+    z = _best_start(_pooled_objective(group, prior), _starts(group, prior), max_iter, what)
+    return math.exp(z[0])
 
 
 # ---------------------------------------------------------------------------

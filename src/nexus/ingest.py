@@ -330,6 +330,8 @@ def load_dyad_probs(
             raise ValueError("probs is not an object")
         probs = {}
         for dyad, p in row["probs"].items():
+            if isinstance(p, bool):  # float(true) would be 1.0
+                raise ValueError(f"boolean probability: {dyad}={p}")
             try:
                 p = float(p)
             except (TypeError, ValueError, OverflowError) as exc:

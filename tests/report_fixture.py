@@ -11,8 +11,8 @@ Run as a script to time one `emit_report` at a given resample count:
     PYTHONPATH=src python tests/report_fixture.py --n-boot 1000
 
 It prints the wall time, the peak resident set size of the process before
-and after the report, and the data rows of metrics.csv (16 groups x 5
-metrics = 80) and of per_class.csv.
+and after the report, and the data rows of metrics.csv (16 groups x 3
+metrics = 48) and of per_class.csv.
 """
 
 from __future__ import annotations

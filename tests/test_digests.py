@@ -526,7 +526,7 @@ class TestDigestRoundTrip:
         }
 
     def test_older_seed_field_ignored(self, tmp_path):
-        digest = Digest("dy", parse_month("2021-03"), HIGH_CONTEXT, [Snippet("a", "x y", 2)], 2)
+        digest = Digest("dy", parse_month("2021-03"), HIGH_CONTEXT, [Snippet("a", "x y", 2)])
         path = tmp_path / "digests.jsonl"
         save_digests([digest], path)
         row = path.read_text().rstrip("\n")
@@ -537,7 +537,7 @@ class TestDigestRoundTrip:
 class TestLoadDigestsErrors:
     def _three(self):
         return [
-            Digest("dy", parse_month(f"2021-0{m}"), LOW_CONTEXT, [Snippet(f"a{m}", "x y z", 3)], 3)
+            Digest("dy", parse_month(f"2021-0{m}"), LOW_CONTEXT, [Snippet(f"a{m}", "x y z", 3)])
             for m in (1, 2, 3)
         ]
 

@@ -113,11 +113,20 @@ def average_precision_loop(scores, labels):
     return ap / n_pos
 
 
+def accuracy_loop(records):
+    """Accuracy of a record list from `confusion_loop`, as a 1-tuple."""
+    matrix = confusion_loop(records)
+    return (float(np.trace(matrix)) / matrix.sum(),)
+
+
 def micro_counts_loop(records):
-    """Micro recall, precision and F1 of a record list from `confusion_loop`."""
+    """Micro recall, precision and F1 of a record list, from the TP, FN and FP of
+    `confusion_loop` pooled over the classes."""
     matrix = confusion_loop(records)
     tp = float(np.trace(matrix))
-    recall = precision = tp / matrix.sum()
+    fn = float((matrix.sum(axis=1) - np.diag(matrix)).sum())
+    fp = float((matrix.sum(axis=0) - np.diag(matrix)).sum())
+    recall, precision = tp / (tp + fn), tp / (tp + fp)
     f1 = 2 * precision * recall / (precision + recall) if tp else 0.0
     return recall, precision, f1
 
@@ -131,7 +140,7 @@ def micro_auroc_loop(records):
 
 # The record-list references of the METRIC_FUNCS entries, under the same keys.
 REFERENCE_METRICS = {
-    ("recall", "precision", "f1"): micro_counts_loop,
+    ("accuracy",): accuracy_loop,
     ("auroc", "ap"): lambda rs: (micro_auroc_loop(rs), average_precision_loop(*binarize_loop(rs))),
 }
 
@@ -175,13 +184,8 @@ def assert_same(value, expected):
 
 
 # The weights-contract form of each metric: (probs, actual, weights) -> (B, k).
-COUNTS = METRIC_FUNCS[("recall", "precision", "f1")]
+ACCURACY = METRIC_FUNCS[("accuracy",)]
 SCORES = METRIC_FUNCS[("auroc", "ap")]
-
-
-def accuracy(p, a, w):
-    """Micro recall alone, (B, 1)."""
-    return COUNTS(p, a, w)[:, :1]
 
 
 def micro_auroc(p, a, w):
@@ -328,13 +332,13 @@ class TestConflictology:
 
 
 class TestConfusion:
-    """The argmax hits behind `_micro_counts`, at one all-ones weight row,
+    """The argmax hits behind `_accuracy`, at one all-ones weight row,
     against `confusion_loop`."""
 
     def test_perfect_is_diagonal(self):
         records = [record(c, onehotish(c)) for c in range(4)]
         assert np.array_equal(confusion_loop(records), np.eye(4, dtype=int))
-        assert ones_row(COUNTS, records).tolist() == [1.0, 1.0, 1.0]
+        assert ones_row(ACCURACY, records).tolist() == [1.0]
 
     def test_hand_fixture(self):
         truths = [1, 1, 2, 3]
@@ -343,32 +347,34 @@ class TestConfusion:
         matrix = confusion_loop(records)
         assert int(np.trace(matrix)) == 3
         assert matrix[1, 2] == 1
-        assert ones_row(COUNTS, records)[0] == np.trace(matrix) / matrix.sum()
+        assert ones_row(ACCURACY, records)[0] == np.trace(matrix) / matrix.sum()
 
     def test_tie_goes_to_lowest_class(self):
         uniform = (0.25, 0.25, 0.25, 0.25)
         assert confusion_loop([record(3, uniform)])[3, 0] == 1
-        assert ones_row(COUNTS, [record(3, uniform)]).tolist() == [0.0, 0.0, 0.0]
-        assert ones_row(COUNTS, [record(0, uniform)]).tolist() == [1.0, 1.0, 1.0]
+        assert ones_row(ACCURACY, [record(3, uniform)]).tolist() == [0.0]
+        assert ones_row(ACCURACY, [record(0, uniform)]).tolist() == [1.0]
 
 
 class TestMicroMetrics:
-    """`_micro_counts` against `micro_counts_loop`, at all-ones and at random weight rows."""
+    """`_accuracy` against the micro recall, precision and F1 of `micro_counts_loop`,
+    at all-ones and at random weight rows: it is all three."""
 
     def test_diagonal_is_perfect(self):
         records = [record(c, onehotish(c)) for c, k in enumerate([5, 2, 9, 1]) for _ in range(k)]
-        assert ones_row(COUNTS, records)[2] == 1.0
+        assert ones_row(ACCURACY, records)[0] == 1.0
 
     def test_hand_fixture_is_075(self):
         truths = [1, 1, 2, 3]
         preds = [1, 2, 2, 3]
         records = [record(t, onehotish(p)) for t, p in zip(truths, preds)]
-        assert ones_row(COUNTS, records).tolist() == [0.75, 0.75, 0.75]
+        assert ones_row(ACCURACY, records).tolist() == [0.75]
         assert micro_counts_loop(records) == (0.75, 0.75, 0.75)
 
     def test_all_wrong_is_zero(self):
         records = [record(0, onehotish(1)), record(1, onehotish(2))]
-        assert ones_row(COUNTS, records).tolist() == [0.0, 0.0, 0.0]
+        assert ones_row(ACCURACY, records).tolist() == [0.0]
+        assert micro_counts_loop(records) == (0.0, 0.0, 0.0)
 
     def test_accuracy_identity_on_random_matrices(self):
         # a weight row counts each record that many times: the loop sees the repeated list
@@ -380,12 +386,11 @@ class TestMicroMetrics:
             ]
             weights = rng.integers(0, 4, size=(5, len(records)))
             weights[:, 0] += 1  # every row holds a record
-            values = COUNTS(*arrays(records), weights)
+            values = ACCURACY(*arrays(records), weights)
             for row, value in zip(weights, values):
                 repeated = [r for r, k in zip(records, row) for _ in range(k)]
-                assert value.tolist() == list(micro_counts_loop(repeated))
-                accuracy = np.trace(confusion_loop(repeated)) / row.sum()
-                assert value[2] == pytest.approx(accuracy, abs=1e-12)
+                assert value.tolist() == list(accuracy_loop(repeated))
+                assert micro_counts_loop(repeated) == pytest.approx((value[0],) * 3, abs=1e-12)
 
 
 class TestAveragePrecision:
@@ -536,8 +541,8 @@ class TestBootstrapCI:
             record(int(rng.integers(0, 4)), onehotish(int(rng.integers(0, 4))))
             for _ in range(40)
         ]
-        single = bootstrap_ci(*arrays(records), accuracy, n=50, seed=3)
-        doubled = bootstrap_ci(*arrays(records * 2), accuracy, n=50, seed=3)
+        single = bootstrap_ci(*arrays(records), ACCURACY, n=50, seed=3)
+        doubled = bootstrap_ci(*arrays(records * 2), ACCURACY, n=50, seed=3)
         assert single.point[0] == pytest.approx(doubled.point[0], abs=1e-15)
 
     def test_column_undefined_on_the_full_set_is_nan(self):
@@ -564,8 +569,8 @@ class TestBootstrapCI:
         ]
         widths_big, widths_small = [], []
         for seed in range(5):
-            wb = bootstrap_ci(*arrays(big), accuracy, n=200, seed=seed)
-            ws = bootstrap_ci(*arrays(big[:100]), accuracy, n=200, seed=seed)
+            wb = bootstrap_ci(*arrays(big), ACCURACY, n=200, seed=seed)
+            ws = bootstrap_ci(*arrays(big[:100]), ACCURACY, n=200, seed=seed)
             widths_big.append(wb.upper[0] - wb.lower[0])
             widths_small.append(ws.upper[0] - ws.lower[0])
         assert np.mean(widths_small) > np.mean(widths_big)
@@ -623,7 +628,7 @@ class TestArrayKernelsMatchLoops:
     @given(tied_records)
     def test_kernels_equal_references(self, records):
         probs, actual = arrays(records)
-        assert ones_row(COUNTS, records).tolist() == list(micro_counts_loop(records))
+        assert ones_row(ACCURACY, records).tolist() == list(accuracy_loop(records))
         scores, labels = binarize(probs, actual)
         ref_scores, ref_labels = binarize_loop(records)
         assert np.array_equal(scores, ref_scores) and scores.dtype == ref_scores.dtype
@@ -683,22 +688,6 @@ class TestEmitReport:
             )
         assert by_source["model"] == by_source["baseline"]
 
-    def test_grid_shape(self, tmp_path):
-        model = self._records("model")
-        baseline = [
-            ForecastRecord(
-                r.dyad_id, r.month, r.step, r.probabilities, r.actual, "baseline", r.kind
-            )
-            for r in model
-        ]
-        emit_report(model, baseline, tmp_path, n_boot=20, seed=7)
-        grids = sorted((tmp_path / "grids").glob("dyad_grid_*.csv"))
-        assert len(grids) == 2
-        with open(grids[0], newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["month", "p0", "p1", "p2", "p3", "actual"]
-        assert len(rows) - 1 == 12  # one row per month
-
     def test_zero_resamples_rejected_before_any_work(self, tmp_path):
         model = self._records("model")
         baseline = [replace(r, source="baseline") for r in model]
@@ -717,21 +706,6 @@ class TestEmitReport:
         with pytest.raises(ValueError):
             emit_report(model, baseline, tmp_path)
 
-    def test_probability_rows_sum_to_one(self, tmp_path):
-        model = self._records("model")
-        baseline = [
-            ForecastRecord(
-                r.dyad_id, r.month, r.step, r.probabilities, r.actual, "baseline", r.kind
-            )
-            for r in model
-        ]
-        emit_report(model, baseline, tmp_path, n_boot=20, seed=8)
-        for grid in (tmp_path / "grids").glob("*.csv"):
-            with open(grid, newline="") as fh:
-                for row in csv.DictReader(fh):
-                    total = sum(float(row[f"p{c}"]) for c in range(4))
-                    assert abs(total - 1.0) < 1e-6
-
     def test_single_state_slice_reports_nan(self, tmp_path, caplog):
         mixed = self._records("model", kind="high_context")
         single = [
@@ -744,7 +718,7 @@ class TestEmitReport:
             emit_report(model, baseline, tmp_path, n_boot=50, seed=9)
         with open(tmp_path / "metrics.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == 2 * 2 * 5  # kinds x sources x metrics
+        assert len(rows) == 2 * 2 * 3  # kinds x sources x metrics
         for row in rows:
             values = [float(row[k]) for k in ("point", "lo", "hi")]
             if row["kind"] == "low_context" and row["metric"] == "auroc":
@@ -760,7 +734,6 @@ class TestEmitReport:
             per_class = list(csv.DictReader(fh))
         # every class of the single-state kind is in no record or in all of them
         assert per_class and all(row["kind"] == "high_context" for row in per_class)
-        assert len(list((tmp_path / "grids").glob("dyad_grid_*.csv"))) == 4
 
     def test_undefined_resamples_are_counted_and_logged(self, tmp_path, caplog):
         # micro AUROC is undefined on the 2 of 50 resamples (seed 0) that miss state 1
@@ -809,19 +782,7 @@ class TestEmitReport:
         # one sort of a group's 5 weight rows, plus one all-ones row per per-class row
         assert sorts.count(5) == 16 and sorts.count(1) == 16 * 4 and set(sorts) == {1, 5}
         with open(tmp_path / "metrics.csv", newline="") as fh:
-            assert sum(1 for _ in csv.DictReader(fh)) == 16 * 5
-
-    def test_grid_rows_equal_the_forecast_rows(self, tmp_path):
-        # one dyad, step and kind: the grid holds that dyad's forecasts, string for string
-        model = self._records("model", kind="high_context") + self._records("model", seed=6)
-        baseline = [replace(r, source="conflictology") for r in model]
-        emit_report(model, baseline, tmp_path, n_boot=5, seed=1)
-        save_forecasts_csv([r for r in model if r.kind == "high_context"], tmp_path / "f.csv")
-        with open(tmp_path / "f.csv", newline="") as fh:
-            forecasts = [row[1:] for row in csv.reader(fh) if row[0] == "d2"]
-        with open(tmp_path / "grids" / "dyad_grid_d2_high_context_step1.csv", newline="") as fh:
-            grid = list(csv.reader(fh))[1:]
-        assert len(grid) == 12 and grid == forecasts
+            assert sum(1 for _ in csv.DictReader(fh)) == 16 * 3
 
     def test_two_records_for_one_dyad_month_rejected(self, tmp_path):
         low = self._records("model")
@@ -868,15 +829,13 @@ def pinned_report_records(seed=12):
 
 
 class TestPinnedReport:
-    """emit_report's files, byte for byte. Pinned when the fixture became one record
-    per dyad-month: metrics.csv then equalled the row-level rows of the earlier
-    two-level report (row and dyad-month mean), and per_class.csv its per-class table;
-    the grids hold the records' probabilities as they are."""
+    """emit_report's files, byte for byte. per_class.csv was pinned when the fixture
+    became one record per dyad-month. metrics.csv was re-pinned when its recall,
+    precision and F1 rows became one accuracy row: it is the earlier file with the
+    precision and f1 rows dropped and recall renamed accuracy."""
 
-    METRICS_SHA256 = "72872eb666c20b4e9abe0f5eb0d2bb40e70bb0c3156bc33a2e01ab15325511ef"
+    METRICS_SHA256 = "b3f0d179677161217e46bff802593cb70506b35f5000ff5ec1ea492853c39925"
     PER_CLASS_SHA256 = "8675901a5d102e7e938ed5b521119cf36756e27254e07a3de7176d54eae77060"
-    # sha256 of the lines "<grid file name> <its sha256>\n", in name order
-    GRIDS_SHA256 = "a5a71f3b97882e5e1c23c2c3746820adf82143d362d2e80cbccd4269ede0aefe"
 
     def test_outputs_hash_to_pinned_values(self, tmp_path):
         model, baseline = pinned_report_records()
@@ -885,12 +844,9 @@ class TestPinnedReport:
         def sha256(path):
             return hashlib.sha256(path.read_bytes()).hexdigest()
 
-        grids = sorted((tmp_path / "grids").glob("*.csv"))
-        assert len(grids) == 5 * 2 * 2
-        listing = "".join(f"{g.name} {sha256(g)}\n" for g in grids)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv", "per_class.csv"]
         assert sha256(tmp_path / "metrics.csv") == self.METRICS_SHA256
         assert sha256(tmp_path / "per_class.csv") == self.PER_CLASS_SHA256
-        assert hashlib.sha256(listing.encode()).hexdigest() == self.GRIDS_SHA256
 
 
 class TestForecastCsvRoundTrip:

@@ -42,7 +42,7 @@ STATES = {
     for dyad in ("d1", "d2")
 }
 DIGESTS = [
-    Digest("d1", 24000 + m, kind, [Snippet(f"a{m}", "x y z", 3), Snippet("b", "w", 1)], 4)
+    Digest("d1", 24000 + m, kind, [Snippet(f"a{m}", "x y z", 3), Snippet("b", "w", 1)])
     for kind in (LOW_CONTEXT, HIGH_CONTEXT) for m in range(2)
 ]
 MODEL = SoftmaxModel(np.arange(12.0).reshape(4, 3) / 7, np.ones(4), TrainConfig(epochs=5),
@@ -158,7 +158,8 @@ def test_every_saver_writes_through_write_atomic(tmp_path, monkeypatch):
     baseline = [replace(r, source="conflictology") for r in FORECASTS]
     emit_report(FORECASTS, baseline, tmp_path / "report", n_boot=3)
     files = {p for p in tmp_path.rglob("*") if p.is_file()}
-    assert len(files) > len(CASES) + 3  # the sidecar, metrics, per_class and the grids
+    # each embeddings case also writes its partner file, then metrics and per_class
+    assert len(files) == len(CASES) + 2 + 2
     assert files == set(written)
 
 

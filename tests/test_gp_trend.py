@@ -1,7 +1,9 @@
 import contextlib
 import itertools
+import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -637,3 +639,14 @@ class TestTrendFitRoundTrip:
         path = tmp_path / "fit.json"
         save_trend_fit(fit, path)
         assert load_trend_fit(path).jitter_level == 2
+
+    @pytest.mark.parametrize("field", ["grid", "mean", "derivative"])
+    def test_field_of_another_length_names_the_file(self, tmp_path, field):
+        series = make_series([0, 1, 5, 20, 44, 31, 12, 4, 1, 0, 2, 9])
+        path = tmp_path / "fit.json"
+        save_trend_fit(fit_trend(series, PRIOR, KernelParams(6.0, 1.5, 0.5)), path)
+        payload = json.loads(path.read_text())
+        payload[field] = payload[field][:-1]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*differ in length"):
+            load_trend_fit(path)

@@ -62,8 +62,10 @@ class TestLoaderContract:
         [
             '{"article_id":"a","probs":{"d1":"x"}}',
             '{"article_id":"b","probs":[1,2]}',
+            '{"article_id":"c","probs":{"d1":true}}',  # float(true) is 1.0
+            '{"article_id":"d","probs":{"d1":0.2,"d2":false}}',
         ],
-        ids=["non-numeric-probability", "probs-not-an-object"],
+        ids=["non-numeric-probability", "probs-not-an-object", "boolean-true", "boolean-false"],
     )
     def test_dyad_probs_bad_row(self, tmp_path, bad):
         path = write_jsonl(

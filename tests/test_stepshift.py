@@ -28,13 +28,7 @@ from nexus.stepshift import (
 
 def digest_of(dyad, month_text, member_ids, kind="low_context"):
     snippets = [Snippet(aid, f"text {aid}", 2) for aid in member_ids]
-    return Digest(
-        dyad_id=dyad,
-        month=parse_month(month_text),
-        kind=kind,
-        snippets=snippets,
-        total_tokens=2 * len(member_ids),
-    )
+    return Digest(dyad_id=dyad, month=parse_month(month_text), kind=kind, snippets=snippets)
 
 
 class TestPoolEmbedding:
