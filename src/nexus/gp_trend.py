@@ -3,14 +3,16 @@
 The trend of a dyad's log-fatality series is modeled as a zero-mean GP
 with a Matérn 3/2 kernel plus i.i.d. observation noise. Hyperparameters
 (length scale, amplitude, noise sd) are fit by MAP under a LogNormal
-length-scale prior, by scipy's L-BFGS-B in log space from three starts
-(one multi-start driver serves both fits), with two-stage country-level
-pooling of the length scale when a country has several dyads. Given those
-parameters, ``fit_trend`` delivers per dyad the posterior mean on the
-series' own months and its numerical first derivative, which downstream
-code discretizes into escalation states.
+length-scale prior and half-Normal amplitude and noise priors, by scipy's
+L-BFGS-B in log space from three starts, with two-stage country-level
+pooling of the length scale when a country has several dyads. One
+objective (a group's shared length scale, each dyad's amplitude and
+noise; a single dyad is the group of one) and one multi-start driver
+serve every fit. Given those parameters, ``fit_trend`` delivers per dyad
+the posterior mean on the series' own months and its numerical first
+derivative, which downstream code discretizes into escalation states.
 
-Each objective returns its exact gradient in the log-parameters with its
+The objective returns its exact gradient in the log-parameters with its
 value (Rasmussen & Williams, *GPML* 2006, eq. 5.9, plus the priors'
 terms). Series run to a few hundred months at most, so dense LAPACK is
 cheap and exact: per dyad and evaluation one ``potrf`` factorizes
@@ -104,6 +106,8 @@ class TrendFit:
         lengths = (len(self.grid), len(self.mean), len(self.derivative))
         if len(set(lengths)) != 1:
             raise ValueError(f"grid, mean and derivative differ in length: {lengths}")
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.derivative).all()):
+            raise ValueError("mean and derivative must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -299,46 +303,30 @@ def _ascend(func, z0: np.ndarray, max_iter: int = 200):
     return result.x, -float(result.fun), trace
 
 
-def _default_init(series: DyadMonthSeries) -> KernelParams:
-    y = np.asarray(series.log_fatalities, dtype=float)
-    spread = float(np.std(y))
-    eta = spread if spread > 1e-3 else 1.0
-    sigma = max(0.5 * spread, 0.1)
-    # data-scale length scale so the scaled starts probe the short-l basin
-    ell = max(2.0, len(y) / 12.0)
-    return KernelParams(length_scale=ell, amplitude=eta, noise_sd=sigma)
+def _objective(group: list[DyadMonthSeries], prior: PriorSpec):
+    """z = (ln l, ln eta_1, ln sigma_1, ln eta_2, ...) -> (log posterior, gradient) of `group`.
 
-
-def _map_objective(series: DyadMonthSeries, prior: PriorSpec):
-    """fit_map's objective: z = (ln l, ln eta, ln sigma) -> (log posterior, gradient)."""
-    distance, y = _series_data(series)
-
-    def objective(z: np.ndarray) -> tuple[float, np.ndarray]:
-        params = KernelParams(*np.exp(z))
-        value, grad, _ = _log_marginal_and_grad(distance, y, params)
-        prior_grad = -np.exp(2.0 * z) / AMPLITUDE_NOISE_PRIOR_SD**2  # half-Normal terms
-        prior_grad[0] = -(z[0] - prior.log_median) / prior.log_sd**2
-        return value + log_prior(params, prior), grad + prior_grad
-
-    return objective
-
-
-def _pooled_objective(group: list[DyadMonthSeries], prior: PriorSpec):
-    """Stage 1: (ln l_c, ln eta_1, ln sigma_1, ...) -> (sum of log marginals + prior, gradient)."""
+    One length scale shared by the group under the LogNormal prior, and
+    each dyad's amplitude and noise under the half-Normal priors. A single
+    dyad is the group of one; its value is then ``log_posterior`` bit for bit.
+    """
     data = [_series_data(series) for series in group]
 
     def objective(z: np.ndarray) -> tuple[float, np.ndarray]:
-        ell = math.exp(z[0])
-        total = length_scale_log_prior(ell, prior)
-        grad = np.empty_like(z)
+        theta = np.exp(z)
+        marginal = 0.0
+        priors = length_scale_log_prior(theta[0], prior)
+        grad = -np.exp(2.0 * z) / AMPLITUDE_NOISE_PRIOR_SD**2  # half-Normal terms
         grad[0] = -(z[0] - prior.log_median) / prior.log_sd**2
         for i, (distance, y) in enumerate(data):
-            params = KernelParams(ell, math.exp(z[1 + 2 * i]), math.exp(z[2 + 2 * i]))
+            params = KernelParams(theta[0], theta[1 + 2 * i], theta[2 + 2 * i])
             value, dyad_grad, _ = _log_marginal_and_grad(distance, y, params)
-            total += value
+            marginal += value
+            priors += halfnormal_logpdf(params.amplitude, AMPLITUDE_NOISE_PRIOR_SD)
+            priors += halfnormal_logpdf(params.noise_sd, AMPLITUDE_NOISE_PRIOR_SD)
             grad[0] += dyad_grad[0]
-            grad[1 + 2 * i : 3 + 2 * i] = dyad_grad[1:]
-        return total, grad
+            grad[1 + 2 * i : 3 + 2 * i] += dyad_grad[1:]
+        return marginal + priors, grad
 
     return objective
 
@@ -347,14 +335,19 @@ def _starts(group: list[DyadMonthSeries], prior: PriorSpec) -> list[np.ndarray]:
     """The three optimizer starts (ln l, ln eta_1, ln sigma_1, ln eta_2, ...) for `group`.
 
     The first takes the prior median length scale and each series'
-    data-scale amplitude and noise. The other two take the mean data-scale
-    length scale of the group, and scale it and every amplitude and noise
-    by 0.5 and by 2. The length-scale posterior is often bimodal
+    data-scale amplitude (its sd) and noise (half its sd). The other two
+    take the mean data-scale length scale of the group (a twelfth of each
+    series' length, at least 2 months), and scale it and every amplitude
+    and noise by 0.5 and by 2. The length-scale posterior is often bimodal
     (smooth-trend vs noise readings), so the starts cover both the prior's
     basin and the data-scale one.
     """
-    inits = [_default_init(series) for series in group]
-    data_ell = float(np.mean([init.length_scale for init in inits]))
+    scales, ells = [], []
+    for series in group:
+        spread = float(np.std(np.asarray(series.log_fatalities, dtype=float)))
+        scales.append((spread if spread > 1e-3 else 1.0, max(0.5 * spread, 0.1)))
+        ells.append(max(2.0, len(series.log_fatalities) / 12.0))
+    data_ell = float(np.mean(ells))
     starts = []
     for ell, factor in (
         (math.exp(prior.log_median), 1.0),
@@ -362,24 +355,27 @@ def _starts(group: list[DyadMonthSeries], prior: PriorSpec) -> list[np.ndarray]:
         (2.0 * data_ell, 2.0),
     ):
         values = [ell]
-        for init in inits:
-            values.extend([init.amplitude * factor, init.noise_sd * factor])
+        for eta, sigma in scales:
+            values.extend([eta * factor, sigma * factor])
         starts.append(np.log(values))
     return starts
 
 
-def _best_start(objective, starts: list[np.ndarray], max_iter: int, what: str) -> np.ndarray:
-    """The optimum reached from the best of `starts` by _ascend (the first on ties).
+def _fit_group(group: list[DyadMonthSeries], prior: PriorSpec, max_iter: int) -> np.ndarray:
+    """MAP z of `_objective(group, prior)`: the best optimum _ascend reaches from `_starts`.
 
-    Raises :class:`FitError`, naming `what` and the number of starts, when
-    every start ends at a non-finite objective.
+    Ties go to the first start. Raises :class:`FitError`, naming the dyad
+    (the country of a larger group), when every start ends non-finite.
     """
+    objective = _objective(group, prior)
+    starts = _starts(group, prior)
     best: tuple[float, np.ndarray] | None = None
     for z0 in starts:
         z, value, _ = _ascend(objective, z0, max_iter=max_iter)
         if math.isfinite(value) and (best is None or value > best[0]):
             best = (value, z)
     if best is None:
+        what = f"dyad {group[0].dyad_id}" if len(group) == 1 else f"country {group[0].country_id}"
         raise FitError(f"all {len(starts)} optimizer starts diverged for {what}")
     return best[1]
 
@@ -388,9 +384,7 @@ def fit_map(series: DyadMonthSeries, prior: PriorSpec, max_iter: int = 200) -> K
     """MAP kernel hyperparameters by multi-start L-BFGS-B in log space, from `_starts`."""
     if len(series.months) < 4:
         raise ValueError(f"series too short to fit: {len(series.months)} months")
-    starts = _starts([series], prior)
-    z = _best_start(_map_objective(series, prior), starts, max_iter, f"dyad {series.dyad_id}")
-    return KernelParams(*np.exp(z))
+    return KernelParams(*np.exp(_fit_group([series], prior, max_iter)))
 
 
 def fit_hierarchical(
@@ -401,10 +395,11 @@ def fit_hierarchical(
     """Two-stage empirical pooling of the length scale within countries.
 
     Stage 1 fits one country length scale by maximizing the sum of the
-    per-dyad log marginals (amplitude and noise free per dyad) plus the
-    global LogNormal prior. Stage 2 refits each dyad with the prior
-    re-centered at the country length scale and log-sd halved. Countries
-    with a single dyad skip stage 1 and keep the global prior.
+    per-dyad log posteriors (amplitude and noise free per dyad, each under
+    its half-Normal prior) with the global LogNormal prior taken once.
+    Stage 2 refits each dyad with the prior re-centered at the country
+    length scale and log-sd halved. Countries with a single dyad skip
+    stage 1 and keep the global prior.
     """
     by_country: dict[str, list[DyadMonthSeries]] = {}
     for series in series_list:
@@ -416,21 +411,12 @@ def fit_hierarchical(
         if len(group) == 1:
             results[group[0].dyad_id] = fit_map(group[0], prior, max_iter=max_iter)
             continue
-        ell_c = _fit_country_length_scale(group, prior, max_iter=max_iter)
+        ell_c = math.exp(_fit_group(group, prior, max_iter)[0])
         logger.info("country %s pooled length scale %.3f", country, ell_c)
         pooled = PriorSpec(log_median=math.log(ell_c), log_sd=prior.log_sd / 2.0)
         for series in group:
             results[series.dyad_id] = fit_map(series, pooled, max_iter=max_iter)
     return results
-
-
-def _fit_country_length_scale(
-    group: list[DyadMonthSeries], prior: PriorSpec, max_iter: int = 200
-) -> float:
-    """Stage-1 shared length scale: joint L-BFGS-B over (ln l_c, ln eta_d, ln sigma_d)."""
-    what = f"country {group[0].country_id}"
-    z = _best_start(_pooled_objective(group, prior), _starts(group, prior), max_iter, what)
-    return math.exp(z[0])
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import datetime as dt
 import functools
+import hashlib
 import logging
 import re
 import string
@@ -292,16 +293,24 @@ def _meta_path(f32_path: Path) -> Path:
 
 
 def load_embeddings(path: str | Path) -> EmbeddingMatrix:
-    """Load a flat little-endian float32 matrix plus its JSON sidecar."""
+    """Load a flat little-endian float32 matrix plus its JSON sidecar.
+
+    A sidecar that holds the matrix file's ``sha256`` (as ``save_embeddings``
+    writes it) must match that file, so a pair cut apart by a crash between
+    its two writes raises instead of loading one save's ids beside another's
+    vectors.
+    """
     path = Path(path)
-    dim, ids = _files.read_json(
-        _meta_path(path), lambda meta: (int(meta["dim"]), [str(x) for x in meta["ids"]])
-    )
+    dim, ids, sha256 = _files.read_json(_meta_path(path), lambda meta: (
+        int(meta["dim"]), [str(x) for x in meta["ids"]], meta.get("sha256")
+    ))
     raw = np.fromfile(path, dtype="<f4")
     if raw.size != dim * len(ids):
         raise ValueError(
             f"{path}: expected {dim * len(ids)} float32 values, found {raw.size}"
         )
+    if sha256 is not None and hashlib.sha256(path.read_bytes()).hexdigest() != sha256:
+        raise ValueError(f"{path}: sha256 differs from the one in {_meta_path(path).name}")
     vectors = raw.reshape(len(ids), dim)
     if not np.all(np.isfinite(vectors)):
         raise ValueError(f"{path}: non-finite embedding components")
@@ -309,12 +318,15 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
 
 
 def save_embeddings(path: str | Path, ids: list[str], vectors: np.ndarray) -> None:
-    """Write the flat .f32 matrix and its .meta.json sidecar."""
+    """Write the flat .f32 matrix and its .meta.json sidecar, which holds the matrix's sha256."""
     path = Path(path)
     vectors = np.ascontiguousarray(vectors, dtype="<f4")
     if vectors.ndim != 2 or vectors.shape[0] != len(ids):
         raise ValueError(f"need a 2-D matrix with {len(ids)} rows, got shape {vectors.shape}")
-    _files.write_json(_meta_path(path), {"dim": int(vectors.shape[1]), "ids": list(ids)})
+    sha256 = hashlib.sha256(vectors).hexdigest()
+    _files.write_json(
+        _meta_path(path), {"dim": int(vectors.shape[1]), "ids": list(ids), "sha256": sha256}
+    )
     _files.write_atomic(path, vectors.tofile)
 
 

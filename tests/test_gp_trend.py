@@ -277,7 +277,7 @@ class TestAnalyticGradient:
     @example(ell=math.log(30.0), scales=(0.0, math.log(0.3)), level=4)
     def test_map_objective(self, ell, scales, level):
         series = make_series([0, 3, 10, 44, 12, 7, 0, 2, 30, 18])
-        objective = gp_trend._map_objective(series, PRIOR)
+        objective = gp_trend._objective([series], PRIOR)
         z = np.array([ell, *scales])
         with forced_jitter(level):
             assert gp_trend._log_marginal_and_grad(
@@ -291,15 +291,43 @@ class TestAnalyticGradient:
            level=st.integers(0, 4))
     @example(ell=math.log(30.0), scales=[(0.0, math.log(0.3))] * 3, level=4)
     def test_pooled_objective(self, ell, scales, level):
-        group = [
-            make_series([0, 1, 5, 20, 44, 31, 12, 4, 1, 0, 2, 9], dyad_id="a"),
-            make_series([0, 3, 10, 44, 12, 7, 0, 2, 30, 18, 5, 1], dyad_id="b"),
-            make_series([2, 0, 0, 7, 9, 15, 3], dyad_id="c", start_month=24190),
-        ]
-        objective = gp_trend._pooled_objective(group, PRIOR)
+        objective = gp_trend._objective(pooled_group(), PRIOR)
         z = np.array([ell, *itertools.chain.from_iterable(scales)])
         with forced_jitter(level):
             assert_gradient_matches(objective, z)
+
+    @settings(max_examples=30, deadline=None)
+    @given(ell=log_length, scales=st.lists(log_scales, min_size=3, max_size=3))
+    def test_pooled_objective_sums_the_single_dyad_ones(self, ell, scales):
+        # each dyad's log posterior at the shared length scale, with the
+        # length-scale prior counted once rather than once per dyad
+        group = pooled_group()
+        value, grad = gp_trend._objective(group, PRIOR)(
+            np.array([ell, *itertools.chain.from_iterable(scales)])
+        )
+        singles = [
+            gp_trend._objective([series], PRIOR)(np.array([ell, *dyad_scales]))
+            for series, dyad_scales in zip(group, scales)
+        ]
+        extra = len(group) - 1
+        assert value == pytest.approx(
+            sum(v for v, _ in singles)
+            - extra * length_scale_log_prior(math.exp(ell), PRIOR),
+            rel=1e-12, abs=1e-12,
+        )
+        assert grad[0] == pytest.approx(
+            sum(g[0] for _, g in singles) + extra * (ell - PRIOR.log_median) / PRIOR.log_sd**2,
+            rel=1e-12, abs=1e-12,
+        )
+        assert np.array_equal(grad[1:], np.concatenate([g[1:] for _, g in singles]))
+
+
+def pooled_group():
+    return [
+        make_series([0, 1, 5, 20, 44, 31, 12, 4, 1, 0, 2, 9], dyad_id="a"),
+        make_series([0, 3, 10, 44, 12, 7, 0, 2, 30, 18, 5, 1], dyad_id="b"),
+        make_series([2, 0, 0, 7, 9, 15, 3], dyad_id="c", start_month=24190),
+    ]
 
 
 def parent_log_marginal_and_grad(distance, y, params, first_level=0):
@@ -392,7 +420,7 @@ class TestParentKernelOracle:
 
 
 class TestReferenceFits:
-    """MAP parameters of the finite-difference fits these objectives replaced."""
+    """MAP parameters of finite-difference fits: L-BFGS-B on the objective's value alone."""
 
     # Fixtures where the fit is well determined. Left out: white noise, and
     # the pure sines, where the amplitude or the noise sd runs towards zero
@@ -404,11 +432,12 @@ class TestReferenceFits:
         (0, 3, 10, 44, 12, 7, 0, 2, 30, 18, 5, 1):
             (122.9924024105629, 1.4306979478102613, 1.2378740044918857),
     }
+    # Both stages from `_starts`, stage 1 with each dyad's half-Normal priors.
     HIERARCHICAL = {
-        "f0": (12.313246601039976, 2.9772639009362027, 0.2906352921881679),
-        "f1": (13.416501227968503, 2.8770271789719506, 0.2800617173443629),
-        "s0": (74.40415518089551, 2.1078610262244313, 0.32417878459232335),
-        "s1": (64.25378654033831, 2.161274072133303, 0.27248579832029435),
+        "f0": (10.861050569882408, 2.640544232838967, 0.287596541607119),
+        "f1": (11.535615066358485, 2.5299301773212237, 0.2747054162528902),
+        "s0": (63.61309880355542, 1.9088019351673577, 0.32324113960142414),
+        "s1": (54.66626769127965, 1.882239592471619, 0.27097620477162315),
     }
 
     @staticmethod
@@ -459,11 +488,8 @@ class TestFitMap:
     def test_trace_non_decreasing(self):
         # from each of fit_map's three starts
         series = make_series([0, 1, 5, 20, 44, 31, 12, 4, 1, 0, 2, 9])
-        objective = gp_trend._map_objective(series, PRIOR)
-        init = gp_trend._default_init(series)
-        z_init = np.log([init.length_scale, init.amplitude, init.noise_sd])
-        for z0 in (np.array([PRIOR.log_median, *z_init[1:]]), z_init + math.log(0.5),
-                   z_init + math.log(2.0)):
+        objective = gp_trend._objective([series], PRIOR)
+        for z0 in gp_trend._starts([series], PRIOR):
             _, value, trace = gp_trend._ascend(objective, z0)
             assert len(trace) > 1 and trace[-1] == value
             assert all(b >= a for a, b in zip(trace, trace[1:]))
@@ -649,4 +675,16 @@ class TestTrendFitRoundTrip:
         payload[field] = payload[field][:-1]
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*differ in length"):
+            load_trend_fit(path)
+
+    @pytest.mark.parametrize("field", ["mean", "derivative"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_names_the_file(self, tmp_path, field, bad):
+        series = make_series([0, 1, 5, 20, 44, 31, 12, 4, 1, 0, 2, 9])
+        path = tmp_path / "fit.json"
+        save_trend_fit(fit_trend(series, PRIOR, KernelParams(6.0, 1.5, 0.5)), path)
+        payload = json.loads(path.read_text())
+        payload[field][3] = bad  # json writes NaN, Infinity, -Infinity
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*must be finite"):
             load_trend_fit(path)

@@ -1,6 +1,8 @@
 import datetime as dt
 import json
 import logging
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_series
-from nexus import months
+from nexus import _files, months
 from nexus.ingest import (
     DYAD_THRESHOLD,
     MAX_COUNT,
@@ -499,3 +501,20 @@ class TestRoundTrips:
         with pytest.raises(error):
             save_embeddings(tmp_path / "emb.f32", ids, vectors)
         assert list(tmp_path.iterdir()) == []
+
+    def test_embeddings_cut_apart_by_a_crash_raise(self, tmp_path, monkeypatch):
+        path = tmp_path / "emb.f32"
+        save_embeddings(path, ["a", "b"], np.ones((2, 3)))
+        write_atomic = _files.write_atomic
+
+        def crash_on_f32(target, write):
+            if Path(target).suffix == ".f32":
+                raise OSError("killed")
+            write_atomic(target, write)
+
+        monkeypatch.setattr(_files, "write_atomic", crash_on_f32)
+        with pytest.raises(OSError, match="killed"):
+            save_embeddings(path, ["x", "y"], np.full((2, 3), 2.0))
+        # the new sidecar lists x and y beside the first save's vectors
+        with pytest.raises(ValueError, match=re.escape(f"{path}: sha256")):
+            load_embeddings(path)
