@@ -1,10 +1,11 @@
 """Actor-dyad conflict escalation forecasting pipeline.
 
-Stages: ingest -> fit-trends -> label -> index -> digest -> forecast ->
-evaluate. Each stage is a module of plain functions over in-memory
-collections and the files they save; seeds are explicit arguments.
+Stages: ingest -> fit-trends -> label -> digest -> forecast -> evaluate.
+Each stage is a module of plain functions over in-memory collections and
+the files they save; seeds are explicit arguments.
 
-The files the stages save and load, named as the benchmark names them. Every
+The files the stages save and load, named as the benchmark names them;
+only the benchmark writes ``index_<dyad>.bin``, and no stage reads it. Every
 writer goes through ``_files.write_atomic``; a reader that cannot read its
 file raises ``ValueError`` naming it, and the record's first line for JSONL
 and CSV (a file is read as CSV when its name ends in ``.csv``).

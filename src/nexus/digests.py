@@ -22,13 +22,13 @@ and ``PER_TOPIC``.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import _files, months
-from .hnsw import HnswIndex, normalize
 from .ingest import Article
 
 logger = logging.getLogger(__name__)
@@ -86,8 +86,19 @@ class Digest:
 
 
 # ---------------------------------------------------------------------------
-# Snippets
+# Unit vectors and snippets
 # ---------------------------------------------------------------------------
+
+def normalize(vector) -> np.ndarray:
+    """Unit-normalize to float32; zero vectors are rejected."""
+    v = np.asarray(vector, dtype=np.float32)
+    if v.ndim != 1:
+        raise ValueError("vector must be one-dimensional")
+    norm = float(np.linalg.norm(v))
+    if not math.isfinite(norm) or norm == 0.0:
+        raise ValueError("vector has zero or non-finite norm")
+    return v / np.float32(norm)
+
 
 def snippet(article: Article) -> Snippet:
     """First ``SNIPPET_TOKENS`` whitespace tokens of headline + body, single-spaced."""
@@ -206,22 +217,22 @@ def cluster_topics(
 # Digest assembly
 # ---------------------------------------------------------------------------
 
-def _event_ids(articles_by_id: dict[str, Article], gold_ids: set[str], month: int) -> list[str]:
-    """The month's event (gold) articles, sorted by id."""
-    return sorted(
-        aid for aid in gold_ids if aid in articles_by_id and articles_by_id[aid].month == month
-    )
-
-
-def _members_in_month(
-    topic_model: TopicModel, articles_by_id: dict[str, Article], month: int, keep
-) -> dict[int, list[str]]:
-    """Each topic's members dated in `month` for which `keep(id)` holds, in one pass."""
+def _month_articles(
+    topic_model: TopicModel, articles_by_id: dict[str, Article], gold_ids: set[str], month: int
+) -> tuple[list[str], dict[int, list[str]]]:
+    """The month's event (gold) ids, sorted, and each topic's in-month non-event members."""
+    in_month = {aid for aid, article in articles_by_id.items() if article.month == month}
     by_topic: dict[int, list[str]] = {}
     for aid, topic in topic_model.assignment.items():
-        if keep(aid) and aid in articles_by_id and articles_by_id[aid].month == month:
+        if aid in in_month and aid not in gold_ids:
             by_topic.setdefault(topic, []).append(aid)
-    return by_topic
+    return sorted(in_month & gold_ids), by_topic
+
+
+def _ranked(query: np.ndarray, ids: list[str], embeddings) -> list[str]:
+    """``ids`` by descending cosine similarity to the unit ``query``, ties by ascending id."""
+    sims = [(float(normalize(embeddings.get(aid)) @ query), aid) for aid in ids]
+    return [aid for _, aid in sorted(sims, key=lambda pair: (-pair[0], pair[1]))]
 
 
 def low_context_digest(
@@ -238,22 +249,12 @@ def low_context_digest(
     cosine similarity to the centroid. A dyad-month with no articles and
     no events yields no digest.
     """
-    event_ids = _event_ids(articles_by_id, gold_ids, month)
-    snippets = [snippet(articles_by_id[aid]) for aid in event_ids]
-    in_month_by_topic = _members_in_month(
-        topic_model, articles_by_id, month, lambda aid: aid not in gold_ids
-    )
+    ids, members = _month_articles(topic_model, articles_by_id, gold_ids, month)
     for topic in range(topic_model.topic_count):
-        in_month = in_month_by_topic.get(topic)
-        if not in_month:
-            continue
-        centroid = topic_model.centroids[topic]
-        sims = [(float(normalize(embeddings.get(aid)) @ centroid), aid) for aid in in_month]
-        sims.sort(key=lambda pair: (-pair[0], pair[1]))
-        for _, aid in sims[:PER_TOPIC]:
-            snippets.append(snippet(articles_by_id[aid]))
-    if not snippets:
+        ids += _ranked(topic_model.centroids[topic], members.get(topic, []), embeddings)[:PER_TOPIC]
+    if not ids:
         return None
+    snippets = [snippet(articles_by_id[aid]) for aid in ids]
     return Digest(dyad_id=dyad_id, month=month, kind=LOW_CONTEXT, snippets=snippets)
 
 
@@ -264,21 +265,22 @@ def rag_digest(
     articles_by_id: dict[str, Article],
     gold_ids: set[str],
     embeddings,
-    index: HnswIndex,
+    index,
     seed: int = 0,
 ) -> list[Digest]:
     """The month's high-context digest, as a list of at most one.
 
     Per event, in id order, an event-block: the event snippet, then the
-    exact nearest article of each non-violent topic. Retrieval sees only
-    the indexed articles dated in `month`; a topic with none of them is
-    skipped, and the skips are logged once per call. A month with no
-    event article that has an embedding takes the low-context digest's
-    snippets, tagged high-context. ``seed`` is unused; it is kept because
-    the benchmark's stage adapter passes it.
+    in-month non-event article of each non-violent topic closest to the
+    event. A topic with no such article is skipped, and the skips are
+    logged once per call. A month with no event article that has an
+    embedding takes the low-context digest's snippets, tagged high-context.
+    ``index`` and ``seed`` are unread; they are kept because the
+    benchmark's stage adapter passes them.
     """
+    month_events, members = _month_articles(topic_model, articles_by_id, gold_ids, month)
     event_ids = []
-    for eid in _event_ids(articles_by_id, gold_ids, month):
+    for eid in month_events:
         if eid in embeddings:
             event_ids.append(eid)
         else:
@@ -287,29 +289,19 @@ def rag_digest(
         low = low_context_digest(dyad_id, month, topic_model, articles_by_id, gold_ids, embeddings)
         return [replace(low, kind=HIGH_CONTEXT)] if low is not None else []
 
-    # each non-violent topic's indexed members dated in the month, as the retrieval filter
-    in_month = _members_in_month(topic_model, articles_by_id, month, lambda aid: aid in index)
-    allowed = {
-        t: set(in_month[t])
-        for t in range(topic_model.topic_count)
-        if t != topic_model.violent_topic and t in in_month
-    }
-    skipped = topic_model.topic_count - len(allowed) - (topic_model.violent_topic is not None)
+    topics = sorted(t for t in members if t != topic_model.violent_topic)
+    skipped = topic_model.topic_count - len(topics) - (topic_model.violent_topic is not None)
     if skipped:
         logger.debug(
             "dyad %s month %d: %d topics with no in-month article skipped for %d events",
-            dyad_id,
-            month,
-            skipped,
-            len(event_ids),
+            dyad_id, month, skipped, len(event_ids),
         )
-    snippets = []
+    ids = []
     for eid in event_ids:
         query = normalize(embeddings.get(eid))
-        snippets.append(snippet(articles_by_id[eid]))
-        for members in allowed.values():
-            found, _ = index.search(query, k=1, allowed=members)[0]
-            snippets.append(snippet(articles_by_id[found]))
+        ids.append(eid)
+        ids += [_ranked(query, members[t], embeddings)[0] for t in topics]
+    snippets = [snippet(articles_by_id[aid]) for aid in ids]
     return [Digest(dyad_id=dyad_id, month=month, kind=HIGH_CONTEXT, snippets=snippets)]
 
 

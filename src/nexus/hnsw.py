@@ -1,21 +1,21 @@
-"""Exact cosine nearest-neighbour retrieval over unit vectors.
+"""Exact cosine nearest-neighbour retrieval over unit vectors, for the benchmark only.
 
 Vectors are L2-normalized at insertion, so cosine similarity is a dot
 product. :meth:`HnswIndex.search` scores a query against every stored row
 with one matrix-vector product and returns the top k, ties broken by
-ascending id; answers do not depend on insertion order. The digests ask
-for k = 1 inside one topic of one dyad, a few hundred vectors, where an
-exact scan is cheaper than an approximate graph. The module was an HNSW
-graph index once; its names (the module, ``HnswIndex``, the one-field
-``HnswConfig``, ``build_index``, ``save`` and the ``brute_force_search``
-alias) stay because the pipeline benchmark in ``nexus_bench/`` calls them.
+ascending id; answers do not depend on insertion order. The program does
+not call this module: the digests rank each topic's in-month articles
+themselves. The pipeline benchmark in ``nexus_bench/`` still builds and
+saves one index per dyad through the names kept here (the module,
+``HnswIndex``, the one-field ``HnswConfig``, ``build_index``, ``save`` and
+the ``brute_force_search`` alias). The module is deleted once the
+benchmark stops calling it (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _files
+from .digests import normalize
 
 logger = logging.getLogger(__name__)
 
@@ -34,17 +35,6 @@ class HnswConfig:
     """Index settings; the seed is recorded in the file and changes no answer."""
 
     seed: int = 0
-
-
-def normalize(vector) -> np.ndarray:
-    """Unit-normalize to float32; zero vectors are rejected."""
-    v = np.asarray(vector, dtype=np.float32)
-    if v.ndim != 1:
-        raise ValueError("vector must be one-dimensional")
-    norm = float(np.linalg.norm(v))
-    if not math.isfinite(norm) or norm == 0.0:
-        raise ValueError("vector has zero or non-finite norm")
-    return v / np.float32(norm)
 
 
 class HnswIndex:
@@ -100,9 +90,6 @@ class HnswIndex:
 
     # the benchmark's tracer patches and calls the method by this name
     brute_force_search = search
-
-    def __contains__(self, article_id: str) -> bool:
-        return article_id in self._row
 
     def save(self, path: str | Path) -> None:
         """Write magic, u32 header length, JSON header, little-endian float32 rows."""

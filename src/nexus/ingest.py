@@ -158,7 +158,7 @@ class EmbeddingMatrix:
     def __post_init__(self) -> None:
         self.vectors = np.asarray(self.vectors, dtype=np.float32)
         if self.vectors.ndim != 2 or self.vectors.shape[0] != len(self.ids):
-            raise ValueError("embedding matrix shape does not match id count")
+            raise ValueError(f"embedding matrix of shape {self.vectors.shape} for {len(self.ids)} ids")
         self._row: dict[str, int] = {}
         for i, aid in enumerate(self.ids):
             if self._row.setdefault(aid, i) != i:
@@ -304,25 +304,25 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     dim, ids, sha256 = _files.read_json(_meta_path(path), lambda meta: (
         int(meta["dim"]), [str(x) for x in meta["ids"]], meta.get("sha256")
     ))
-    raw = np.fromfile(path, dtype="<f4")
-    if raw.size != dim * len(ids):
-        raise ValueError(
-            f"{path}: expected {dim * len(ids)} float32 values, found {raw.size}"
-        )
-    if sha256 is not None and hashlib.sha256(path.read_bytes()).hexdigest() != sha256:
+    data = np.fromfile(path, dtype=np.uint8)  # the file's bytes, read once
+    if data.size != 4 * dim * len(ids):
+        raise ValueError(f"{path}: expected {4 * dim * len(ids)} bytes, found {data.size}")
+    if sha256 is not None and hashlib.sha256(data).hexdigest() != sha256:
         raise ValueError(f"{path}: sha256 differs from the one in {_meta_path(path).name}")
-    vectors = raw.reshape(len(ids), dim)
+    vectors = data.view("<f4").reshape(len(ids), dim)
     if not np.all(np.isfinite(vectors)):
         raise ValueError(f"{path}: non-finite embedding components")
-    return EmbeddingMatrix(ids=ids, vectors=vectors)
+    try:
+        return EmbeddingMatrix(ids=ids, vectors=vectors)
+    except ValueError as exc:  # a repeated id
+        raise ValueError(f"{_meta_path(path)}: {exc}") from exc
 
 
 def save_embeddings(path: str | Path, ids: list[str], vectors: np.ndarray) -> None:
     """Write the flat .f32 matrix and its .meta.json sidecar, which holds the matrix's sha256."""
     path = Path(path)
     vectors = np.ascontiguousarray(vectors, dtype="<f4")
-    if vectors.ndim != 2 or vectors.shape[0] != len(ids):
-        raise ValueError(f"need a 2-D matrix with {len(ids)} rows, got shape {vectors.shape}")
+    EmbeddingMatrix(ids=list(ids), vectors=vectors)  # the loader's shape and repeated-id checks
     sha256 = hashlib.sha256(vectors).hexdigest()
     _files.write_json(
         _meta_path(path), {"dim": int(vectors.shape[1]), "ids": list(ids), "sha256": sha256}

@@ -20,11 +20,12 @@ from nexus.digests import (
     initial_topic_count,
     load_digests,
     low_context_digest,
+    normalize,
     rag_digest,
     save_digests,
     snippet,
 )
-from nexus.hnsw import HnswConfig, HnswIndex, normalize
+from nexus.hnsw import HnswConfig, HnswIndex
 from nexus.ingest import Article, EmbeddingMatrix
 from nexus.months import format_month, parse_month
 from nexus.stepshift import build_dataset
@@ -38,6 +39,26 @@ def art(article_id, n_tokens=20, month="2021-03"):
         headline=f"h-{article_id}",
         body=words,
     )
+
+
+class TestNormalize:
+    def test_zero_vector_rejected(self):
+        with pytest.raises(ValueError):
+            normalize(np.zeros(8))
+
+    def test_unit_norm(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            v = normalize(rng.normal(size=16))
+            assert abs(float(np.linalg.norm(v)) - 1.0) < 1e-6
+
+    def test_cosine_equals_dot_after_normalization(self):
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            a, b = rng.normal(size=24), rng.normal(size=24)
+            na, nb = normalize(a), normalize(b)
+            cos = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+            assert abs(float(na @ nb) - cos) < 1e-6
 
 
 class TestSnippet:
@@ -315,20 +336,11 @@ class TestLowContextMatchesReference:
         assert (digest.snippet_ids if digest is not None else []) == expected
 
 
-def build_context_index(matrix, gold_ids):
-    index = HnswIndex(matrix.dim, HnswConfig(seed=5))
-    for aid in matrix.ids:
-        if aid not in gold_ids:
-            index.insert(aid, matrix.get(aid))
-    return index
-
-
 class TestRagDigest:
     def test_event_block_size(self):
         articles, matrix, model, gold = make_fixture(per_topic_in_month=6, n_events=1)
-        index = build_context_index(matrix, gold)
         digests = rag_digest(
-            "dy", parse_month("2021-03"), model, articles, gold, matrix, index, seed=1
+            "dy", parse_month("2021-03"), model, articles, gold, matrix, None, seed=1
         )
         # one event, three non-violent topics -> one digest of one 4-snippet block
         assert len(digests) == 1
@@ -338,9 +350,8 @@ class TestRagDigest:
     def test_violent_topic_excluded(self):
         articles, matrix, model, gold = make_fixture(per_topic_in_month=6, n_events=1)
         model.violent_topic = 0
-        index = build_context_index(matrix, gold)
         digests = rag_digest(
-            "dy", parse_month("2021-03"), model, articles, gold, matrix, index, seed=1
+            "dy", parse_month("2021-03"), model, articles, gold, matrix, None, seed=1
         )
         assert len(digests[0].snippets) == 1 + 2
         retrieved = digests[0].snippet_ids[1:]
@@ -348,9 +359,8 @@ class TestRagDigest:
 
     def test_contexts_from_distinct_topics(self):
         articles, matrix, model, gold = make_fixture(per_topic_in_month=6, n_events=2)
-        index = build_context_index(matrix, gold)
         digests = rag_digest(
-            "dy", parse_month("2021-03"), model, articles, gold, matrix, index, seed=1
+            "dy", parse_month("2021-03"), model, articles, gold, matrix, None, seed=1
         )
         snippets = digests[0].snippets
         # each 4-snippet block: event + one member of each topic
@@ -361,9 +371,8 @@ class TestRagDigest:
 
     def test_no_events_falls_back_to_low_context(self):
         articles, matrix, model, gold = make_fixture(per_topic_in_month=6, n_events=0)
-        index = build_context_index(matrix, gold)
         digests = rag_digest(
-            "dy", parse_month("2021-03"), model, articles, gold, matrix, index, seed=1
+            "dy", parse_month("2021-03"), model, articles, gold, matrix, None, seed=1
         )
         low = low_context_digest("dy", parse_month("2021-03"), model, articles, gold, matrix)
         assert len(digests) == 1
@@ -374,16 +383,14 @@ class TestRagDigest:
         articles, matrix, model, gold = make_fixture(per_topic_in_month=6, n_events=0)
         articles["ev_0"] = art("ev_0")  # an event article with no embedding
         gold = {"ev_0"}
-        index = build_context_index(matrix, gold)
-        digests = rag_digest("dy", parse_month("2021-03"), model, articles, gold, matrix, index)
+        digests = rag_digest("dy", parse_month("2021-03"), model, articles, gold, matrix, None)
         low = low_context_digest("dy", parse_month("2021-03"), model, articles, gold, matrix)
         assert low.snippet_ids[0] == "ev_0"
         assert [(d.kind, d.snippet_ids) for d in digests] == [(HIGH_CONTEXT, low.snippet_ids)]
 
     def test_every_event_block_in_one_digest(self):
         articles, matrix, model, gold = make_fixture(per_topic_in_month=6, n_events=12)
-        index = build_context_index(matrix, gold)
-        digests = rag_digest("dy", parse_month("2021-03"), model, articles, gold, matrix, index)
+        digests = rag_digest("dy", parse_month("2021-03"), model, articles, gold, matrix, None)
         assert len(digests) == 1
         ids = digests[0].snippet_ids
         assert len(ids) == 12 * (1 + 3)
@@ -391,12 +398,12 @@ class TestRagDigest:
         assert digests[0].total_tokens == sum(s.token_count for s in digests[0].snippets)
 
 
-def all_digests(month_range, model, articles, gold, matrix, index):
+def all_digests(month_range, model, articles, gold, matrix):
     out = []
     for month in month_range:
         low = low_context_digest("dy", month, model, articles, gold, matrix)
         out += ([low] if low is not None else [])
-        out += rag_digest("dy", month, model, articles, gold, matrix, index)
+        out += rag_digest("dy", month, model, articles, gold, matrix, None)
     return out
 
 
@@ -419,7 +426,7 @@ def rows_fixture(rows, unembedded_event_offsets=()):
     centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
     model = TopicModel("dy", centroids, assignment, violent_topic=None)
     matrix = EmbeddingMatrix(ids=ids, vectors=np.asarray(vectors, dtype=np.float32).reshape(-1, 4))
-    return articles, gold, model, matrix, build_context_index(matrix, gold)
+    return articles, gold, model, matrix
 
 
 # 2021-03 and 2021-04 hold the articles of `rows_fixture`; 2021-05 is empty
@@ -430,8 +437,8 @@ class TestCausalDigests:
     @settings(max_examples=100, deadline=None)
     @given(article_rows)
     def test_every_snippet_dated_in_its_digest_month(self, rows):
-        articles, gold, model, matrix, index = rows_fixture(rows)
-        for digest in all_digests(ROW_MONTHS, model, articles, gold, matrix, index):
+        articles, gold, model, matrix = rows_fixture(rows)
+        for digest in all_digests(ROW_MONTHS, model, articles, gold, matrix):
             assert all(articles[aid].month == digest.month for aid in digest.snippet_ids)
 
     @staticmethod
@@ -460,7 +467,7 @@ class TestCausalDigests:
         topic = {aid: (0 if aid in gold else int(aid[-2:]) % 3) for aid in matrix.ids}
         model = TopicModel("dy", np.eye(3, 8, dtype=np.float32), topic, violent_topic=None)
         months = range(parse_month("2021-01"), parse_month("2021-06") + 1)
-        digests = all_digests(months, model, articles, gold, matrix, build_context_index(matrix, gold))
+        digests = all_digests(months, model, articles, gold, matrix)
         labels_train = {"dy": {m: m % 4 for m in months if m <= train_end}}
         labels_val = {"dy": {m: m % 4 for m in months}}
         train, _, _ = build_dataset(
@@ -478,15 +485,60 @@ class TestOneDigestPerMonth:
     @settings(max_examples=100, deadline=None)
     @given(article_rows, st.lists(st.integers(0, 1), max_size=3))
     def test_high_context_exactly_when_low_context(self, rows, unembedded):
-        articles, gold, model, matrix, index = rows_fixture(rows, unembedded)
+        articles, gold, model, matrix = rows_fixture(rows, unembedded)
         for month in ROW_MONTHS:
             low = low_context_digest("dy", month, model, articles, gold, matrix)
-            high = rag_digest("dy", month, model, articles, gold, matrix, index)
+            high = rag_digest("dy", month, model, articles, gold, matrix, None)
             assert len(high) == (low is not None)
             assert all(d.kind == HIGH_CONTEXT and d.month == month for d in high)
             events = [aid for aid in gold if aid in matrix and articles[aid].month == month]
             if high and not events:
                 assert high[0].snippet_ids == low.snippet_ids  # the fallback
+
+
+def build_context_index(matrix, gold_ids):
+    index = HnswIndex(matrix.dim, HnswConfig(seed=5))
+    for aid in matrix.ids:
+        if aid not in gold_ids:
+            index.insert(aid, matrix.get(aid))
+    return index
+
+
+def rag_reference(month, topic_model, articles_by_id, gold_ids, embeddings):
+    """Snippet ids of `rag_digest` by one index search per event and topic, its reference."""
+    index = build_context_index(embeddings, gold_ids)
+    events = sorted(
+        aid for aid in gold_ids if aid in embeddings and articles_by_id[aid].month == month
+    )
+    if not events:
+        return low_context_reference(month, topic_model, articles_by_id, gold_ids, embeddings)
+    ids = []
+    for eid in events:
+        ids.append(eid)
+        for topic in range(topic_model.topic_count):
+            allowed = {
+                aid for aid in topic_model.members(topic)
+                if aid in index.ids and articles_by_id[aid].month == month
+            }
+            if topic != topic_model.violent_topic and allowed:
+                query = normalize(embeddings.get(eid))
+                ids.append(index.search(query, k=1, allowed=allowed)[0][0])
+    return ids
+
+
+class TestRagMatchesIndexSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(article_rows, st.lists(st.integers(0, 1), max_size=2))
+    def test_snippet_ids_equal_reference(self, rows, unembedded):
+        articles, gold, model, matrix = rows_fixture(rows, unembedded)
+        # members in descending id order, so that ties must be broken by id
+        model.assignment = dict(reversed(model.assignment.items()))
+        for violent_topic in (None, 0, 1, 2):
+            model.violent_topic = violent_topic
+            for month in ROW_MONTHS:
+                digests = rag_digest("dy", month, model, articles, gold, matrix, None)
+                expected = rag_reference(month, model, articles, gold, matrix)
+                assert [d.snippet_ids for d in digests] == ([expected] if expected else [])
 
 
 class TestDigestRoundTrip:
@@ -509,12 +561,12 @@ class TestDigestRoundTrip:
         rows = [(0, t, [t % 2, 1, 0], False, True) for t in range(3)]
         rows += [(0, 0, [1, 0, 0], True, True)]
         rows += [(1, t, [0, t % 2, 1], False, True) for t in range(3)]
-        articles, gold, model, matrix, index = rows_fixture(rows)
+        articles, gold, model, matrix = rows_fixture(rows)
         by_kind = {LOW_CONTEXT: [], HIGH_CONTEXT: []}
         for month in ROW_MONTHS:
             low = low_context_digest("dy", month, model, articles, gold, matrix)
             by_kind[LOW_CONTEXT] += [low] if low is not None else []
-            by_kind[HIGH_CONTEXT] += rag_digest("dy", month, model, articles, gold, matrix, index)
+            by_kind[HIGH_CONTEXT] += rag_digest("dy", month, model, articles, gold, matrix, None)
         path = tmp_path / "digests.jsonl"
         save_digests(by_kind[LOW_CONTEXT] + by_kind[HIGH_CONTEXT], path)
         loaded = load_digests(path)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nexus.hnsw import HnswConfig, HnswIndex, build_index, normalize
+from nexus.digests import normalize
+from nexus.hnsw import HnswConfig, HnswIndex, build_index
 
 
 def random_unit(rng, n, d):
@@ -20,26 +21,6 @@ def small_index():
     data = random_unit(rng, 1000, 32)
     ids = [f"a{i:04d}" for i in range(1000)]
     return build_index(ids, data, HnswConfig(seed=11)), ids, data
-
-
-class TestNormalize:
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            normalize(np.zeros(8))
-
-    def test_unit_norm(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            v = normalize(rng.normal(size=16))
-            assert abs(float(np.linalg.norm(v)) - 1.0) < 1e-6
-
-    def test_cosine_equals_dot_after_normalization(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            a, b = rng.normal(size=24), rng.normal(size=24)
-            na, nb = normalize(a), normalize(b)
-            cos = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
-            assert abs(float(na @ nb) - cos) < 1e-6
 
 
 class TestInsert:

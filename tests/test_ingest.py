@@ -486,6 +486,7 @@ class TestRoundTrips:
         assert loaded.ids == ["a", "b", "c", "d"]
         np.testing.assert_array_equal(loaded.vectors, vectors)
         np.testing.assert_array_equal(loaded.get("c"), vectors[2])
+        assert loaded.vectors.flags.writeable
 
     @pytest.mark.parametrize(
         "ids, vectors, error",
@@ -493,9 +494,10 @@ class TestRoundTrips:
             (list("abcd"), np.ones(4), ValueError),
             (list("abcd"), np.ones((3, 2)), ValueError),
             (list("abcd"), np.ones((4, 2, 1)), ValueError),
+            (list("abca"), np.ones((4, 2)), ValueError),  # a pair its own loader rejects
             ([b"a"], np.ones((1, 2)), TypeError),  # an id the JSON sidecar cannot hold
         ],
-        ids=["1-d", "too-few-rows", "3-d", "bytes-id"],
+        ids=["1-d", "too-few-rows", "3-d", "repeated-id", "bytes-id"],
     )
     def test_embeddings_bad_input_writes_nothing(self, tmp_path, ids, vectors, error):
         with pytest.raises(error):
@@ -518,3 +520,25 @@ class TestRoundTrips:
         # the new sidecar lists x and y beside the first save's vectors
         with pytest.raises(ValueError, match=re.escape(f"{path}: sha256")):
             load_embeddings(path)
+
+    @staticmethod
+    def _without_sha256(path, ids, vectors):
+        """An embeddings pair whose sidecar has no sha256, as older writers left it."""
+        path.write_bytes(np.asarray(vectors, dtype="<f4").tobytes())
+        meta = path.with_name("emb.meta.json")
+        meta.write_text(json.dumps({"dim": 3, "ids": ids}))
+        return meta
+
+    @pytest.mark.parametrize("extra", [1, 2, 3])
+    def test_embeddings_with_a_partial_trailing_value_raise(self, tmp_path, extra):
+        path = tmp_path / "emb.f32"
+        self._without_sha256(path, ["a", "b"], np.ones((2, 3)))
+        with open(path, "ab") as fh:
+            fh.write(b"\0" * extra)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: expected 24 bytes, found {24 + extra}")):
+            load_embeddings(path)
+
+    def test_embeddings_sidecar_repeating_an_id_names_it(self, tmp_path):
+        meta = self._without_sha256(tmp_path / "emb.f32", ["a", "a"], np.ones((2, 3)))
+        with pytest.raises(ValueError, match=re.escape(f"{meta}: duplicate embedding id 'a'")):
+            load_embeddings(tmp_path / "emb.f32")
