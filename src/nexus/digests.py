@@ -161,7 +161,10 @@ def cluster_topics(
     n = len(ids)
     if n == 0:
         raise ValueError(f"dyad {dyad_id}: no articles to cluster")
-    unit = np.stack([normalize(v) for v in np.asarray(vectors, dtype=np.float32)])
+    vectors = np.asarray(vectors, dtype=np.float32)
+    if len(vectors) != n:
+        raise ValueError(f"dyad {dyad_id}: {len(vectors)} vectors for {n} article ids")
+    unit = np.stack([normalize(v) for v in vectors])
 
     k = initial_topic_count(n, min_topic_size, max_topics)
     rng = np.random.Generator(np.random.PCG64(seed))

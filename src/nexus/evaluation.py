@@ -229,17 +229,6 @@ def _score_rows(
     return np.stack([auc, ap], axis=1)
 
 
-def _one_row(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """(AUROC, AP) of the unweighted pairs: `_score_rows` on one all-ones weight row.
-
-    Both are NaN without a positive pair, which `_score_rows` needs.
-    """
-    if not np.any(labels):
-        return np.full(2, np.nan)
-    rows = np.arange(len(scores))
-    return _score_rows(scores, labels, rows, np.ones((1, len(rows)), dtype=int))[0]
-
-
 def _micro_scores(probs: np.ndarray, actual: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """(B, 2) micro AUROC and AP of each weight row over all one-versus-rest
     (record, class) pairs.
@@ -257,13 +246,19 @@ def _micro_scores(probs: np.ndarray, actual: np.ndarray, weights: np.ndarray) ->
     return values
 
 
-def per_class_binary_report(probs: np.ndarray, actual: np.ndarray, cls: int) -> dict[str, float]:
-    """Binary AP and AUROC for one class versus the rest, from one sort.
+def per_class_binary_report(probs: np.ndarray, actual: np.ndarray) -> list[dict[str, float]]:
+    """Binary AP and AUROC of each class versus the rest, in class order, from one sort.
 
-    AP is NaN when the class is absent, AUROC also when every record has it.
+    Weight row c of one `_score_rows` call over the `binarize` pairs holds
+    class c's pairs only. AP is NaN when the class is absent, AUROC also
+    when every record has it.
     """
-    auc, ap = _one_row(probs[:, cls], (actual == cls).astype(int))
-    return {"ap": float(ap), "auroc": float(auc)}
+    scores, labels = binarize(probs, actual)
+    weights = np.tile(np.eye(N_CLASSES, dtype=int), len(actual))  # (4, 4N)
+    return [
+        {"ap": float(ap), "auroc": float(auc)}
+        for auc, ap in _score_rows(scores, labels, np.arange(len(scores)), weights)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +413,7 @@ def emit_report(
                 )
             bounds_text = [_fmt(point), _fmt(lower), _fmt(upper)]
             metric_rows.append([step, kind, source, name, *bounds_text, len(actual)])
-        for cls in range(N_CLASSES):
-            report = per_class_binary_report(probs, actual, cls)
+        for cls, report in enumerate(per_class_binary_report(probs, actual)):
             if math.isnan(report["auroc"]):
                 continue  # class in no record of this slice, or in all (AP NaN implies AUROC NaN)
             per_class_rows.append(

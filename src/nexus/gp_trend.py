@@ -14,10 +14,13 @@ derivative, which downstream code discretizes into escalation states.
 
 The objective returns its exact gradient in the log-parameters with its
 value (Rasmussen & Williams, *GPML* 2006, eq. 5.9, plus the priors'
-terms). Series run to a few hundred months at most, so dense LAPACK is
-cheap and exact: per dyad and evaluation one ``potrf`` factorizes
-K = K_f + sigma^2 I (+ jitter), one ``potrs`` gives alpha = K^-1 y and one
-``potri`` gives the lower triangle of K^-1, with nothing else of order n^3.
+terms). ``_kernel`` alone forms the Matérn Gram K_f, ``_factorize`` alone
+factorizes K = K_f + sigma^2 I (+ jitter) and ``_log_prior`` alone sums the
+priors, for the objective, ``log_posterior`` and ``fit_trend`` alike.
+Series run to a few hundred months at most, so dense LAPACK is cheap and
+exact: per dyad and evaluation one ``potrf`` factorizes K, one ``potrs``
+gives alpha = K^-1 y and one ``potri`` gives the lower triangle of K^-1,
+with nothing else of order n^3.
 Only the length-scale term reads that triangle. dK/d ln eta = 2 (K - sigma^2 I)
 (the jitter scales with eta^2), so the amplitude and noise terms need only
 y^T alpha, alpha^T alpha and tr K^-1 (see ``_log_marginal_and_grad``).
@@ -86,6 +89,8 @@ class PriorSpec:
     log_sd: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.log_median):
+            raise ValueError(f"log_median must be finite: {self.log_median}")
         if not (math.isfinite(self.log_sd) and self.log_sd > 0.0):
             raise ValueError(f"log_sd must be positive: {self.log_sd}")
 
@@ -114,21 +119,17 @@ class TrendFit:
 # Kernel and linear algebra
 # ---------------------------------------------------------------------------
 
-def matern32(distance, length_scale: float, amplitude: float):
-    """Matérn 3/2 covariance at the given distance(s) in months.
+def _kernel(
+    distance: np.ndarray, params: KernelParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """r = sqrt(3) d / l, exp(-r) and the Matérn 3/2 Gram K_f = eta^2 (1 + r) exp(-r).
 
-    k(d) = eta^2 (1 + sqrt(3) d / l) exp(-sqrt(3) d / l).
+    `distance` holds month distances d >= 0 (see ``_series_data``); the
+    length-scale gradient reuses r and exp(-r).
     """
-    if not (math.isfinite(length_scale) and length_scale > 0.0):
-        raise ValueError(f"length_scale must be positive and finite: {length_scale}")
-    if not (math.isfinite(amplitude) and amplitude > 0.0):
-        raise ValueError(f"amplitude must be positive and finite: {amplitude}")
-    d = np.asarray(distance, dtype=float)
-    if np.any(~np.isfinite(d)) or np.any(d < 0):
-        raise ValueError("distances must be finite and non-negative")
-    r = SQRT3 * d / length_scale
-    out = amplitude**2 * (1.0 + r) * np.exp(-r)
-    return out if out.ndim else float(out)
+    r = SQRT3 * distance / params.length_scale
+    decay = np.exp(-r)
+    return r, decay, params.amplitude**2 * (1.0 + r) * decay
 
 
 def cholesky_with_jitter(gram: np.ndarray, amplitude: float) -> tuple[np.ndarray, int]:
@@ -170,9 +171,15 @@ def _series_data(series: DyadMonthSeries) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(x[:, None] - x[None, :]), y
 
 
-def _factorize(gram: np.ndarray, y: np.ndarray, amplitude: float):
-    """Log marginal, alpha = K^-1 y, the Cholesky factor of K = gram (+ jitter), jitter level."""
-    L, level = cholesky_with_jitter(gram, amplitude)
+def _factorize(gram: np.ndarray, y: np.ndarray, params: KernelParams):
+    """Log marginal, alpha = K^-1 y, the Cholesky factor of K, jitter level.
+
+    K = gram + sigma^2 I (+ jitter), for `gram` the K_f of ``_kernel``, which
+    is left as it is.
+    """
+    noisy = gram.copy()
+    noisy.flat[:: y.size + 1] += params.noise_sd**2
+    L, level = cholesky_with_jitter(noisy, params.amplitude)
     alpha = dpotrs(L, y, lower=1)[0]
     value = float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * y.size * LOG_2PI)
     return value, alpha, L, level
@@ -194,13 +201,9 @@ def _log_marginal_and_grad(
     Cost: one potrf, one potrs and one potri (the lower triangle of K^-1,
     its upper triangle left zero), plus O(n^2) elementwise work.
     """
-    ell, eta, sigma = params.length_scale, params.amplitude, params.noise_sd
-    n = y.size
-    r = SQRT3 * distance / ell
-    decay = np.exp(-r)
-    gram = eta**2 * (1.0 + r) * decay  # the arithmetic of matern32, so the same bits
-    gram.flat[:: n + 1] += sigma**2
-    value, alpha, L, level = _factorize(gram, y, eta)
+    eta, sigma = params.amplitude, params.noise_sd
+    r, decay, gram = _kernel(distance, params)
+    value, alpha, L, level = _factorize(gram, y, params)
     inverse_lower = dpotri(L, lower=1)[0]
     trace = np.trace(inverse_lower)
     alpha_sq = alpha @ alpha
@@ -208,57 +211,39 @@ def _log_marginal_and_grad(
     grad = np.array(
         [
             0.5 * alpha @ dk_ell @ alpha - np.vdot(inverse_lower, dk_ell),
-            y @ alpha - sigma**2 * alpha_sq - n + sigma**2 * trace,
+            y @ alpha - sigma**2 * alpha_sq - y.size + sigma**2 * trace,
             sigma**2 * (alpha_sq - trace),
         ]
     )
     return value, grad, level
 
 
-def _factorize_series(series: DyadMonthSeries, params: KernelParams):
-    """K_f on the series' own months, then _factorize's (value, alpha, L, level) for it."""
-    distance, y = _series_data(series)
-    k_f = matern32(distance, params.length_scale, params.amplitude)
-    gram = k_f.copy()
-    gram.flat[:: y.size + 1] += params.noise_sd**2
-    return (k_f, *_factorize(gram, y, params.amplitude))
-
-
 def log_marginal(series: DyadMonthSeries, params: KernelParams) -> float:
     """Zero-mean GP log marginal likelihood of the series under the kernel."""
-    return _factorize_series(series, params)[1]
+    distance, y = _series_data(series)
+    return _factorize(_kernel(distance, params)[2], y, params)[0]
 
 
-def length_scale_log_prior(length_scale: float, prior: PriorSpec) -> float:
-    """LogNormal length-scale prior, taken in its log-parameterization.
+def _log_prior(theta, prior: PriorSpec) -> float:
+    """Log prior of the positive theta = (l, eta_1, sigma_1, eta_2, ...), summed left to right.
 
-    Over z = ln l the density is Normal(log_median, log_sd); this form is
-    maximized at the median and becomes flat (constant in l) as
-    log_sd grows, which is the behavior the optimizer relies on.
+    The LogNormal length-scale prior is taken in its log-parameterization:
+    over ln l the density is Normal(log_median, log_sd), which is maximized
+    at the median and becomes flat (constant in l) as log_sd grows, the
+    behavior the optimizer relies on. Each later entry, an amplitude or a
+    noise sd, is half-Normal with sd ``AMPLITUDE_NOISE_PRIOR_SD``.
     """
-    if length_scale <= 0.0:
-        return -math.inf
-    z = (math.log(length_scale) - prior.log_median) / prior.log_sd
-    return -math.log(prior.log_sd) - 0.5 * LOG_2PI - 0.5 * z * z
-
-
-def halfnormal_logpdf(x: float, sd: float) -> float:
-    if x < 0.0:
-        return -math.inf
-    return 0.5 * math.log(2.0 / math.pi) - math.log(sd) - 0.5 * (x / sd) ** 2
-
-
-def log_prior(params: KernelParams, prior: PriorSpec) -> float:
-    """LogNormal prior on the length scale, half-Normal on amplitude and noise."""
-    return (
-        length_scale_log_prior(params.length_scale, prior)
-        + halfnormal_logpdf(params.amplitude, AMPLITUDE_NOISE_PRIOR_SD)
-        + halfnormal_logpdf(params.noise_sd, AMPLITUDE_NOISE_PRIOR_SD)
-    )
+    z = (math.log(theta[0]) - prior.log_median) / prior.log_sd
+    total = -math.log(prior.log_sd) - 0.5 * LOG_2PI - 0.5 * z * z
+    sd = AMPLITUDE_NOISE_PRIOR_SD
+    for scale in theta[1:]:
+        total += 0.5 * math.log(2.0 / math.pi) - math.log(sd) - 0.5 * (scale / sd) ** 2
+    return total
 
 
 def log_posterior(series: DyadMonthSeries, params: KernelParams, prior: PriorSpec) -> float:
-    return log_marginal(series, params) + log_prior(params, prior)
+    theta = (params.length_scale, params.amplitude, params.noise_sd)
+    return log_marginal(series, params) + _log_prior(theta, prior)
 
 
 # ---------------------------------------------------------------------------
@@ -315,18 +300,15 @@ def _objective(group: list[DyadMonthSeries], prior: PriorSpec):
     def objective(z: np.ndarray) -> tuple[float, np.ndarray]:
         theta = np.exp(z)
         marginal = 0.0
-        priors = length_scale_log_prior(theta[0], prior)
         grad = -np.exp(2.0 * z) / AMPLITUDE_NOISE_PRIOR_SD**2  # half-Normal terms
         grad[0] = -(z[0] - prior.log_median) / prior.log_sd**2
         for i, (distance, y) in enumerate(data):
             params = KernelParams(theta[0], theta[1 + 2 * i], theta[2 + 2 * i])
             value, dyad_grad, _ = _log_marginal_and_grad(distance, y, params)
             marginal += value
-            priors += halfnormal_logpdf(params.amplitude, AMPLITUDE_NOISE_PRIOR_SD)
-            priors += halfnormal_logpdf(params.noise_sd, AMPLITUDE_NOISE_PRIOR_SD)
             grad[0] += dyad_grad[0]
             grad[1 + 2 * i : 3 + 2 * i] += dyad_grad[1:]
-        return marginal + priors, grad
+        return marginal + _log_prior(theta, prior), grad
 
     return objective
 
@@ -438,7 +420,9 @@ def fit_trend(series: DyadMonthSeries, prior: PriorSpec, params: KernelParams) -
     `params` come from :func:`fit_map` or :func:`fit_hierarchical`; `prior`
     only scores them for ``log_posterior_at_map``.
     """
-    k_f, _, alpha, _, level = _factorize_series(series, params)
+    distance, y = _series_data(series)
+    k_f = _kernel(distance, params)[2]
+    _, alpha, _, level = _factorize(k_f, y, params)
     mean = k_f @ alpha
     return TrendFit(
         dyad_id=series.dyad_id,

@@ -458,7 +458,9 @@ def aggregate_monthly(
 ) -> DyadMonthSeries:
     """Monthly fatality sums for one dyad over a contiguous window.
 
-    Months without events carry raw 0; y_t = ln(1 + raw_t).
+    Months without events carry raw 0; y_t = ln(1 + raw_t). The dyad's
+    events must name one country (an empty ``country_id`` names none), the
+    one the series keeps.
     """
     lo, hi = window
     grid = np.arange(lo, hi + 1)
@@ -471,6 +473,11 @@ def aggregate_monthly(
             raise ValueError(
                 f"event {event.event_id} dated {event.date} outside window "
                 f"{months.format_month(lo)}..{months.format_month(hi)}"
+            )
+        if country and event.country_id not in ("", country):
+            raise ValueError(
+                f"dyad {dyad_id} has events in two countries: {country!r} and "
+                f"{event.country_id!r} (event {event.event_id})"
             )
         raw[event.month - lo] += event.fatalities
         country = country or event.country_id

@@ -10,6 +10,7 @@ observed after the training cutoff can touch a training label.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -40,6 +41,11 @@ STATE_NAMES = {
 }
 
 
+def _check_tau(tau: float) -> None:
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be positive and finite: {tau}")
+
+
 @dataclass(frozen=True)
 class LabelerConfig:
     tau: float
@@ -47,8 +53,7 @@ class LabelerConfig:
     val_end: int
 
     def __post_init__(self) -> None:
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive: {self.tau}")
+        _check_tau(self.tau)
         if self.val_end < self.train_end:
             raise ValueError("val_end precedes train_end")
 
@@ -69,8 +74,7 @@ def discretize(derivative, raw_fatalities, tau: float = DEFAULT_TAU) -> np.ndarr
     raw = np.asarray(raw_fatalities, dtype=int)
     if d.shape != raw.shape:
         raise ValueError(f"length mismatch: {d.shape} vs {raw.shape}")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive: {tau}")
+    _check_tau(tau)
     states = np.full(d.shape, int(EscalationState.PLATEAU))
     states[d > tau] = int(EscalationState.ESCALATION)
     states[d < -tau] = int(EscalationState.DEESCALATION)

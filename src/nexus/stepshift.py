@@ -46,6 +46,10 @@ class TrainConfig:
 
     epochs: int = 2000
 
+    def __post_init__(self) -> None:
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be non-negative: {self.epochs}")
+
 
 @dataclass
 class TrainingPair:
@@ -67,6 +71,15 @@ class SoftmaxModel:
     converged: bool = False
     step: int | None = None
     kind: str | None = None
+
+    def __post_init__(self) -> None:
+        shape = self.weights.shape
+        if len(shape) != 2 or shape[0] != N_CLASSES or shape[1] < 2:
+            raise ValueError(f"weights must be shaped (4, D + 1) with D >= 1, not {shape}")
+        if not np.isfinite(self.weights).all():
+            raise ValueError("weights must be finite")
+        if self.class_weights.shape != (N_CLASSES,):
+            raise ValueError(f"class_weights must have 4 entries: {self.class_weights.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +233,17 @@ def train_softmax(pairs: list[TrainingPair], config: TrainConfig = TrainConfig()
 
     start = np.zeros(shape[0] * shape[1])
     if config.epochs == 0:  # L-BFGS-B takes one step even at maxiter=0
-        model = SoftmaxModel(start.reshape(shape), cw, config, final_loss=objective(start)[0])
+        x, loss, n_iter, converged = start, objective(start)[0], 0, False
     else:
         result = minimize(
             objective, start, jac=True, method="L-BFGS-B", options={"maxiter": config.epochs}
         )
-        model = SoftmaxModel(result.x.reshape(shape), cw, config, final_loss=float(result.fun),
-                             n_iter=int(result.nit), converged=bool(result.success))
-    if not np.isfinite(model.final_loss):
-        raise TrainingCollapseError(model.n_iter, model.final_loss)
-    return model
+        x, loss = result.x, float(result.fun)
+        n_iter, converged = int(result.nit), bool(result.success)
+    if not np.isfinite(loss):
+        raise TrainingCollapseError(n_iter, loss)
+    return SoftmaxModel(x.reshape(shape), cw, config, final_loss=loss, n_iter=n_iter,
+                        converged=converged)
 
 
 def predict(model: SoftmaxModel, features) -> np.ndarray:

@@ -120,6 +120,13 @@ class TestClusterTopics:
         assert model.topic_count == 1
         assert set(model.assignment.values()) == {0}
 
+    @pytest.mark.parametrize("n_vectors", [8, 12])
+    def test_vector_count_other_than_id_count_rejected(self, n_vectors):
+        ids = [f"a{i}" for i in range(10)]
+        vectors = np.random.default_rng(2).normal(size=(n_vectors, 8))
+        with pytest.raises(ValueError, match=f"dyad dy: {n_vectors} vectors for 10 article ids"):
+            cluster_topics("dy", ids, vectors, gold_ids=set(), min_topic_size=2)
+
     def test_identical_embeddings_single_topic(self):
         ids = [f"x{i}" for i in range(100)]
         vectors = np.tile(np.ones(8), (100, 1))

@@ -70,7 +70,7 @@ def auroc_pair_enumeration(scores, labels):
 
 
 def auroc_rankdata(scores, labels):
-    """Binary AUROC from scipy's tie-averaged ranks, the reference for `_one_row`."""
+    """Binary AUROC from scipy's tie-averaged ranks, the reference for `one_row`."""
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     rank_sum = float(rankdata(scores)[labels == 1].sum())
@@ -93,7 +93,7 @@ def binarize_loop(records):
 
 
 def average_precision_loop(scores, labels):
-    """Tie-group walk with a running total, the reference for the AP of `_one_row`."""
+    """Tie-group walk with a running total, the reference for the AP of `one_row`."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
     n_pos = int(labels.sum())
@@ -198,14 +198,22 @@ def micro_ap(p, a, w):
     return SCORES(p, a, w)[:, 1:]
 
 
+def one_row(scores, labels):
+    """(AUROC, AP) of the unweighted pairs, at least one positive: `_score_rows` on one
+    all-ones weight row."""
+    rows = np.arange(len(scores))
+    return evaluation._score_rows(np.asarray(scores, dtype=float), np.asarray(labels), rows,
+                                  np.ones((1, len(rows)), dtype=int))[0]
+
+
 def one_row_auroc(scores, labels):
-    """Binary AUROC of the unweighted pairs: the AUROC column of `_one_row`."""
-    return float(evaluation._one_row(np.asarray(scores, dtype=float), np.asarray(labels))[0])
+    """Binary AUROC of the unweighted pairs: the AUROC column of `one_row`."""
+    return float(one_row(scores, labels)[0])
 
 
 def one_row_ap(scores, labels):
-    """Binary AP of the unweighted pairs: the AP column of `_one_row`."""
-    return float(evaluation._one_row(np.asarray(scores, dtype=float), np.asarray(labels))[1])
+    """Binary AP of the unweighted pairs: the AP column of `one_row`."""
+    return float(one_row(scores, labels)[1])
 
 
 def ones_row(kernel, records):
@@ -415,9 +423,9 @@ class TestAveragePrecision:
 
     def test_no_positives_rejected(self):
         # undefined: NaN, which keeps the class out of per_class.csv (see TestEmitReport)
-        assert math.isnan(one_row_ap(np.array([0.5]), np.array([0])))
-        report = per_class_binary_report(np.array([[0.5, 0.5, 0.0, 0.0]]), np.array([0]), 1)
-        assert math.isnan(report["ap"]) and math.isnan(report["auroc"])
+        reports = per_class_binary_report(np.array([[0.5, 0.5, 0.0, 0.0]]), np.array([0]))
+        for report in reports[1:]:
+            assert math.isnan(report["ap"]) and math.isnan(report["auroc"])
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(17)
@@ -451,7 +459,8 @@ class TestAuroc:
     def test_single_label_rejected(self):
         # undefined: NaN, which keeps the class out of per_class.csv (see TestEmitReport)
         assert math.isnan(one_row_auroc(np.array([0.5, 0.7]), np.array([1, 1])))
-        assert math.isnan(one_row_auroc(np.array([0.5, 0.7]), np.array([0, 0])))
+        probs = np.array([[0.5, 0.5, 0.0, 0.0], [0.3, 0.7, 0.0, 0.0]])
+        assert math.isnan(per_class_binary_report(probs, np.array([0, 0]))[1]["auroc"])
         assert one_row_ap(np.array([0.5, 0.7]), np.array([1, 1])) == 1.0
 
     @settings(max_examples=300, deadline=None)
@@ -496,7 +505,7 @@ class TestMicroPooling:
         for _ in range(30):
             actual = int(rng.integers(0, 2))
             records.append(record(actual, onehotish(int(rng.integers(0, 4)))))
-        report = per_class_binary_report(*arrays(records), 1)
+        report = per_class_binary_report(*arrays(records))[1]
         scores = np.array([r.probabilities[1] for r in records])
         labels = np.array([int(r.actual == 1) for r in records])
         assert report["ap"] == pytest.approx(one_row_ap(scores, labels))
@@ -515,8 +524,8 @@ class TestMicroPooling:
             records.append(record(int(actual), tuple(probs)))
             permuted.append(record(int(fake), tuple(probs)))
         assert (
-            per_class_binary_report(*arrays(records), 1)["ap"]
-            > per_class_binary_report(*arrays(permuted), 1)["ap"]
+            per_class_binary_report(*arrays(records))[1]["ap"]
+            > per_class_binary_report(*arrays(permuted))[1]["ap"]
         )
 
 
@@ -635,10 +644,11 @@ class TestArrayKernelsMatchLoops:
         assert np.array_equal(labels, ref_labels) and labels.dtype == ref_labels.dtype
         assert one_row_ap(scores, labels) == average_precision_loop(ref_scores, ref_labels)
         assert ones_row(SCORES, records)[1] == average_precision_loop(ref_scores, ref_labels)
+        reports = per_class_binary_report(probs, actual)
         for cls in {r.actual for r in records}:
             cls_scores = np.array([r.probabilities[cls] for r in records])
             cls_labels = np.array([int(r.actual == cls) for r in records])
-            report = per_class_binary_report(probs, actual, cls)
+            report = reports[cls]
             assert report["ap"] == average_precision_loop(cls_scores, cls_labels)
             if cls_labels.all():  # binary AUROC undefined
                 assert math.isnan(report["auroc"])
@@ -779,8 +789,8 @@ class TestEmitReport:
         monkeypatch.setattr(evaluation, "_positive_tie_groups", counted_tie_groups)
         emit_report(model, baseline, tmp_path, n_boot=4, seed=1)
         assert boots == [504] * 16  # one per (step, kind, source) group
-        # one sort of a group's 5 weight rows, plus one all-ones row per per-class row
-        assert sorts.count(5) == 16 and sorts.count(1) == 16 * 4 and set(sorts) == {1, 5}
+        # per group, one sort for its 5 bootstrap weight rows and one for its 4 class rows
+        assert sorts.count(5) == 16 and sorts.count(4) == 16 and set(sorts) == {4, 5}
         with open(tmp_path / "metrics.csv", newline="") as fh:
             assert sum(1 for _ in csv.DictReader(fh)) == 16 * 3
 

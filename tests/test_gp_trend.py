@@ -23,11 +23,9 @@ from nexus.gp_trend import (
     fit_hierarchical,
     fit_map,
     fit_trend,
-    length_scale_log_prior,
     load_trend_fit,
     log_marginal,
     log_posterior,
-    matern32,
     save_trend_fit,
 )
 
@@ -76,21 +74,21 @@ def oracle_posterior_mean(series, params, grid):
 # Kernel
 # ---------------------------------------------------------------------------
 
+def kernel_value(distance, length_scale, amplitude):
+    """K_f of `gp_trend._kernel` at one distance in months (the noise sd is not read)."""
+    params = KernelParams(length_scale, amplitude, 1.0)
+    return float(gp_trend._kernel(np.array(distance, dtype=float), params)[2])
+
+
 class TestMatern32:
     def test_zero_distance_is_squared_amplitude(self):
-        assert matern32(0.0, 3.7, 2.0) == pytest.approx(4.0, abs=1e-12)
+        assert kernel_value(0.0, 3.7, 2.0) == pytest.approx(4.0, abs=1e-12)
 
     def test_unit_evaluation(self):
-        assert matern32(1.0, 1.0, 1.0) == pytest.approx(0.4833577245965077, abs=1e-12)
+        assert kernel_value(1.0, 1.0, 1.0) == pytest.approx(0.4833577245965077, abs=1e-12)
 
     def test_decay_limit(self):
-        assert matern32(1e9, 1.0, 1.0) == pytest.approx(0.0, abs=1e-30)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            matern32(float("nan"), 1.0, 1.0)
-        with pytest.raises(ValueError):
-            matern32(1.0, 0.0, 1.0)
+        assert kernel_value(1e9, 1.0, 1.0) == pytest.approx(0.0, abs=1e-30)
 
     @given(
         d1=st.floats(0.0, 100.0),
@@ -103,7 +101,28 @@ class TestMatern32:
         # skip pairs too close to resolve in float64 and the exp-underflow tail
         if hi - lo < 1e-3 or math.sqrt(3.0) * hi / ell > 500.0:
             return
-        assert matern32(lo, ell, eta) > matern32(hi, ell, eta)
+        assert kernel_value(lo, ell, eta) > kernel_value(hi, ell, eta)
+
+
+class TestKernelParams:
+    @pytest.mark.parametrize("field", ["length_scale", "amplitude", "noise_sd"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_non_positive_or_non_finite(self, field, bad):
+        values = {"length_scale": 2.0, "amplitude": 1.5, "noise_sd": 0.5, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            KernelParams(**values)
+
+
+class TestPriorSpec:
+    @pytest.mark.parametrize("log_median", [math.nan, math.inf, -math.inf])
+    def test_non_finite_log_median_rejected(self, log_median):
+        with pytest.raises(ValueError, match="log_median must be finite"):
+            PriorSpec(log_median, 0.5)
+
+    @pytest.mark.parametrize("log_sd", [0.0, -0.5, math.nan, math.inf])
+    def test_non_positive_or_non_finite_log_sd_rejected(self, log_sd):
+        with pytest.raises(ValueError, match="log_sd must be positive"):
+            PriorSpec(math.log(122.38), log_sd)
 
 
 class TestGram:
@@ -117,7 +136,8 @@ class TestGram:
         params = KernelParams(1.0, 1.0, 0.5)
         gram = oracle_gram([0, 1], params)
         assert gram[0, 1] == pytest.approx(0.48336, abs=1e-5)
-        assert gram[0, 1] == pytest.approx(matern32(1.0, 1.0, 1.0), abs=1e-15)
+        k_f = gp_trend._kernel(np.array([[0.0, 1.0], [1.0, 0.0]]), params)[2]
+        assert gram[0, 1] == pytest.approx(k_f[0, 1], abs=1e-15)
         assert gram[0, 1] == gram[1, 0]
 
     def test_random_grids_factorize_at_low_jitter(self):
@@ -189,10 +209,10 @@ class TestLogMarginal:
 class TestLogPosterior:
     def test_prior_maximized_at_median_in_log_space(self):
         prior = PriorSpec(log_median=math.log(122.38), log_sd=0.5)
-        at_median = length_scale_log_prior(122.38, prior)
+        at_median = gp_trend._log_prior((122.38,), prior)
         for ell in (30.0, 80.0, 122.0, 123.0, 400.0):
             if ell != 122.38:
-                assert length_scale_log_prior(ell, prior) < at_median
+                assert gp_trend._log_prior((ell,), prior) < at_median
 
     def test_default_prior_median(self):
         assert math.log(122.38) == pytest.approx(4.80713, abs=1e-5)
@@ -312,7 +332,7 @@ class TestAnalyticGradient:
         extra = len(group) - 1
         assert value == pytest.approx(
             sum(v for v, _ in singles)
-            - extra * length_scale_log_prior(math.exp(ell), PRIOR),
+            - extra * gp_trend._log_prior((math.exp(ell),), PRIOR),
             rel=1e-12, abs=1e-12,
         )
         assert grad[0] == pytest.approx(

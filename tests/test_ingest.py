@@ -379,8 +379,9 @@ def article(article_id, headline="h", date=dt.date(2015, 3, 14)):
     return Article(article_id=article_id, date=date, headline=headline, body="b")
 
 
-def event(event_id, dyad_id, headline="h", date=dt.date(2015, 3, 14), fatalities=1):
-    return ConflictEvent(event_id, dyad_id, "c1", date, fatalities, headline)
+def event(event_id, dyad_id, headline="h", date=dt.date(2015, 3, 14), fatalities=1,
+          country_id="c1"):
+    return ConflictEvent(event_id, dyad_id, country_id, date, fatalities, headline)
 
 
 class TestMatchHeadlines:
@@ -456,6 +457,17 @@ class TestAggregateMonthly:
         events = [event("e1", "d1"), event("e2", "d1", date=dt.date(2016, 1, 1))]
         with pytest.raises(ValueError, match="e2 dated 2016-01-01 outside window"):
             aggregate_monthly(events, "d1", self.WINDOW)
+
+    def test_rejects_dyad_in_two_countries(self):
+        events = [event("e1", "d1"), event("e2", "d1", country_id="c2"),
+                  event("e3", "d2", country_id="c3")]
+        with pytest.raises(ValueError, match="dyad d1 has events in two countries: 'c1' and 'c2'"):
+            aggregate_monthly(events, "d1", self.WINDOW)
+        assert aggregate_monthly(events, "d2", self.WINDOW).country_id == "c3"
+
+    def test_empty_country_names_none(self):
+        events = [event("e1", "d1", country_id=""), event("e2", "d1")]
+        assert aggregate_monthly(events, "d1", self.WINDOW).country_id == "c1"
 
 
 class TestRoundTrips:

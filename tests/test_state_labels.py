@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -73,6 +74,13 @@ class TestDiscretize:
             int(EscalationState.PLATEAU),
             int(EscalationState.ESCALATION),
         ]
+
+    @pytest.mark.parametrize("tau", [0.0, -0.25, math.nan, math.inf])
+    def test_non_positive_or_non_finite_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            discretize([0.1], [3], tau)
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            LabelerConfig(tau=tau, train_end=24000, val_end=24012)
 
     def test_pure_function_repeatable(self):
         d = np.array([0.3, -0.3, 0.0])

@@ -1,3 +1,7 @@
+import json
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -210,6 +214,10 @@ class TestTrainSoftmax:
             int(np.argmax(predict(model, p.features))) == p.target for p in pairs
         )
         assert correct == len(pairs)
+
+    def test_negative_epochs_rejected(self):
+        with pytest.raises(ValueError, match="epochs must be non-negative: -1"):
+            TrainConfig(epochs=-1)
 
     def test_zero_epochs_uniform_prediction(self):
         pairs = separable_pairs()
@@ -439,3 +447,18 @@ class TestModelRoundTrip:
         assert loaded.n_iter == model.n_iter > 0
         assert loaded.converged is model.converged is True
         assert loaded.step == 1 and loaded.kind == "low_context"
+
+    @pytest.mark.parametrize("field,value,error", [
+        ("weights", [[0.0, 0.0, 0.0]] * 3, "weights must be shaped (4, D + 1)"),
+        ("weights", [[0.0]] * 4, "weights must be shaped (4, D + 1)"),
+        ("weights", [[0.0, 0.0, math.nan]] * 4, "weights must be finite"),
+        ("class_weights", [1.0, 1.0, 1.0], "class_weights must have 4 entries"),
+    ])
+    def test_malformed_model_file_names_it(self, tmp_path, field, value, error):
+        path = tmp_path / "model.json"
+        save_model(SoftmaxModel(np.zeros((4, 3)), np.ones(4), TrainConfig()), path)
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {error}")):
+            load_model(path)
