@@ -13,8 +13,9 @@ owns the per-record error rules. The input loaders turn its errors into
 ``RowError``-s. Each intermediate-file reader passes the parsed value or
 record to ``build`` and turns any parse or build error into a
 ``ValueError`` naming the file and, for JSONL and CSV, the record's first
-line. JSONL and CSV files have no trailer, so a file cut exactly at a row
-boundary reads as a shorter file; atomic writes are what prevent such a cut.
+line; a record repeating an earlier one's key is such an error. JSONL and
+CSV files have no trailer, so a file cut exactly at a row boundary reads
+as a shorter file; atomic writes are what prevent such a cut.
 """
 
 from __future__ import annotations
@@ -146,14 +147,24 @@ def _csv_rows(lines):
         start = reader.line_num + 1
 
 
-def read_rows(path: str | Path, build) -> list:
-    """``build(row)`` of each record of ``path``; the first bad record raises."""
+def read_rows(path: str | Path, build, key) -> list:
+    """``build(row)`` of each record of ``path``; the first bad record raises.
+
+    ``key(value)`` names what a record is about; a second record with an
+    earlier record's key is bad, and its error names the first one's line.
+    """
     out = []
+    first_line: dict = {}
     for line, row, error in rows(path):
         try:
             if error is not None:
                 raise ValueError(error)
-            out.append(build(row))
+            value = build(row)
+            name = key(value)
+            if name in first_line:
+                raise ValueError(f"second row for {name} (first at line {first_line[name]})")
+            first_line[name] = line
+            out.append(value)
         except _ERRORS as exc:
             raise _named(f"{path}, line {line}", exc) from exc
     return out

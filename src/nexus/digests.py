@@ -156,11 +156,16 @@ def cluster_topics(
     Clusters still undersized after convergence are merged into their
     nearest centroid, so the final topic count may drop below the initial
     k. Fewer than 2 * min_topic_size articles cannot fill two topics, so
-    they end in one catch-all topic.
+    they end in one catch-all topic. ``min_topic_size`` must be at least 1
+    and ``max_topics`` at least 3, the floor of k.
     """
     n = len(ids)
     if n == 0:
         raise ValueError(f"dyad {dyad_id}: no articles to cluster")
+    if min_topic_size < 1:
+        raise ValueError(f"dyad {dyad_id}: min_topic_size must be at least 1: {min_topic_size}")
+    if max_topics < 3:
+        raise ValueError(f"dyad {dyad_id}: max_topics must be at least 3: {max_topics}")
     vectors = np.asarray(vectors, dtype=np.float32)
     if len(vectors) != n:
         raise ValueError(f"dyad {dyad_id}: {len(vectors)} vectors for {n} article ids")
@@ -330,8 +335,9 @@ def save_digests(digests: list[Digest], path: str | Path) -> None:
 def load_digests(path: str | Path) -> list[Digest]:
     """Digests from a JSONL file; keys other than the saved fields are ignored.
 
-    A row whose snippet ids and text lines differ in number, or whose
-    ``total_tokens`` is not its snippets' token count, is an error.
+    A row whose snippet ids and text lines differ in number, whose
+    ``total_tokens`` is not its snippets' token count, or whose kind, dyad
+    and month an earlier row has, is an error.
     """
 
     def build(row: dict) -> Digest:
@@ -351,4 +357,6 @@ def load_digests(path: str | Path) -> list[Digest]:
             raise ValueError(f"total_tokens {total_tokens} is not the snippets' token count")
         return digest
 
-    return _files.read_rows(path, build)
+    return _files.read_rows(path, build, lambda d: (
+        f"{d.kind} digest of dyad {d.dyad_id}, month {months.format_month(d.month)}"
+    ))

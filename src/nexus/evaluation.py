@@ -108,9 +108,9 @@ def conflictology(
     """Bootstrap pseudo-probabilities from the trailing state window.
 
     The window covers the `window` months ending at horizon - step - 1,
-    so nothing the forecast could not have seen leaks in. Shorter
-    histories degrade to whatever months exist; an empty window is an
-    error.
+    so nothing the forecast could not have seen leaks in; a negative step
+    would reach the horizon itself and is an error. Shorter histories
+    degrade to whatever months exist; an empty window is an error.
 
     The result is the exact limit of bootstrapping the window: the pooled
     class shares of the resamples converge to, and under a balanced
@@ -118,6 +118,8 @@ def conflictology(
     directly in O(window). `n_boot` and `seed` are accepted so callers
     need not change, but they do not change the result.
     """
+    if step < 0:
+        raise ValueError(f"step must be non-negative: {step}")
     end = horizon - step - 1
     wanted = [m for m in range(end - window + 1, end + 1)]
     states = np.array([history[m] for m in wanted if m in history], dtype=int)
@@ -449,6 +451,7 @@ def save_forecasts_csv(records: list[ForecastRecord], path: str | Path) -> None:
 def load_forecasts_csv(
     path: str | Path, step: int, kind: str | None, source: str = "model"
 ) -> list[ForecastRecord]:
+    """The records of one forecasts CSV; a second row for a dyad-month is an error."""
     return _files.read_rows(path, lambda row: ForecastRecord(
         dyad_id=row["dyad_id"],
         month=months.parse_month(row["month"]),
@@ -457,4 +460,4 @@ def load_forecasts_csv(
         actual=int(row["actual_state"]),
         source=source,
         kind=kind,
-    ))
+    ), lambda r: f"dyad {r.dyad_id}, month {months.format_month(r.month)}")

@@ -519,10 +519,11 @@ def save_labels_file(labels: dict[str, ArticleLabel], path: str | Path) -> None:
 
 
 def load_labels_file(path: str | Path) -> dict[str, ArticleLabel]:
+    """Article labels by id; a second row for an article is an error."""
     labels = _files.read_rows(path, lambda row: ArticleLabel(
         article_id=row["article_id"],
         dyads=tuple(row["dyads"]),
         gold=bool(row["gold"]),
         ambiguous=bool(row["ambiguous"]),
-    ))
+    ), lambda label: f"article {label.article_id}")
     return {label.article_id: label for label in labels}

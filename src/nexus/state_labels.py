@@ -155,16 +155,16 @@ def load_labels_csv(path: str | Path) -> dict[str, dict[int, int]]:
     A state code outside 0-3, or a second row for one dyad and month, is a
     ``ValueError`` naming the file and line.
     """
-    out: dict[str, dict[int, int]] = {}
 
-    def build(row) -> None:
-        dyad_id, month = row["dyad_id"], months.parse_month(row["month"])
+    def build(row) -> tuple[str, int, int]:
         code = int(row["state_code"])
         if not 0 <= code < len(EscalationState):
             raise ValueError(f"state code {code} is not 0-3")
-        if month in out.setdefault(dyad_id, {}):
-            raise ValueError(f"second row for dyad {dyad_id}, month {row['month']}")
-        out[dyad_id][month] = code
+        return row["dyad_id"], months.parse_month(row["month"]), code
 
-    _files.read_rows(path, build)
+    out: dict[str, dict[int, int]] = {}
+    for dyad_id, month, code in _files.read_rows(
+        path, build, lambda r: f"dyad {r[0]}, month {months.format_month(r[1])}"
+    ):
+        out.setdefault(dyad_id, {})[month] = code
     return out

@@ -40,15 +40,15 @@ class TrainingCollapseError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """``epochs`` caps the L-BFGS-B iterations; a model stopped by it has
-    ``converged`` False. The name predates the optimiser and is kept
+    """``epochs >= 1`` caps the L-BFGS-B iterations; a model stopped by it
+    has ``converged`` False. The name predates the optimiser and is kept
     because callers pass ``TrainConfig(epochs=...)``."""
 
     epochs: int = 2000
 
     def __post_init__(self) -> None:
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be non-negative: {self.epochs}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1: {self.epochs}")
 
 
 @dataclass
@@ -127,8 +127,11 @@ def build_dataset(
 
     Train pairs require digest month + step <= train_end with the target
     drawn from the train-window labels; test pairs start at test_start
-    and read validation labels, dropping anything past val_end.
+    and read validation labels, dropping anything past val_end. A negative
+    step would pair a digest with an earlier month's state and is an error.
     """
+    if step < 0:
+        raise ValueError(f"step must be non-negative: {step}")
     train: list[TrainingPair] = []
     test: list[TrainingPair] = []
     dropped = 0
@@ -215,10 +218,9 @@ def train_softmax(pairs: list[TrainingPair], config: TrainConfig = TrainConfig()
     """Minimise ``loss_and_grad`` (penalty ``L2``) with one L-BFGS-B call.
 
     Starts from zero weights and stops at scipy's default tolerances or
-    after ``config.epochs`` iterations (zero iterations leave the weights
-    at zero), so the result is deterministic. The class weights are the
-    balanced ones of ``class_weights``. Raises ``TrainingCollapseError`` if
-    the loss at the result is not finite.
+    after ``config.epochs`` iterations, so the result is deterministic.
+    The class weights are the balanced ones of ``class_weights``. Raises
+    ``TrainingCollapseError`` if the loss at the result is not finite.
     """
     if not pairs:
         raise ValueError("no training pairs")
@@ -231,19 +233,13 @@ def train_softmax(pairs: list[TrainingPair], config: TrainConfig = TrainConfig()
         loss, grad = loss_and_grad(flat.reshape(shape), features, targets, cw, L2)
         return loss, grad.ravel()
 
-    start = np.zeros(shape[0] * shape[1])
-    if config.epochs == 0:  # L-BFGS-B takes one step even at maxiter=0
-        x, loss, n_iter, converged = start, objective(start)[0], 0, False
-    else:
-        result = minimize(
-            objective, start, jac=True, method="L-BFGS-B", options={"maxiter": config.epochs}
-        )
-        x, loss = result.x, float(result.fun)
-        n_iter, converged = int(result.nit), bool(result.success)
+    result = minimize(objective, np.zeros(shape[0] * shape[1]), jac=True, method="L-BFGS-B",
+                      options={"maxiter": config.epochs})
+    loss, n_iter = float(result.fun), int(result.nit)
     if not np.isfinite(loss):
         raise TrainingCollapseError(n_iter, loss)
-    return SoftmaxModel(x.reshape(shape), cw, config, final_loss=loss, n_iter=n_iter,
-                        converged=converged)
+    return SoftmaxModel(result.x.reshape(shape), cw, config, final_loss=loss, n_iter=n_iter,
+                        converged=bool(result.success))
 
 
 def predict(model: SoftmaxModel, features) -> np.ndarray:
@@ -280,51 +276,30 @@ def run_steps(
     """
     out: dict[tuple[int, str], tuple[SoftmaxModel, list[ForecastRecord]]] = {}
     for step in steps:
-        train_by_kind: dict[str, list[TrainingPair]] = {}
-        test_by_kind: dict[str, list[TrainingPair]] = {}
-        for kind in sorted(digests_by_kind):
-            train, test, _ = build_dataset(
-                digests_by_kind[kind],
-                labels_train,
-                labels_val,
-                step,
-                train_end,
-                test_start,
-                val_end,
-                embeddings,
-            )
-            train_by_kind[kind] = train
-            test_by_kind[kind] = test
-        keys = [[(p.dyad_id, p.digest_month) for p in test] for test in test_by_kind.values()]
-        if any(k != keys[0] for k in keys):
+        datasets = {
+            kind: build_dataset(digests_by_kind[kind], labels_train, labels_val, step,
+                                train_end, test_start, val_end, embeddings)
+            for kind in sorted(digests_by_kind)
+        }
+        keys = {tuple((p.dyad_id, p.digest_month) for p in test)
+                for _, test, _ in datasets.values()}
+        if len(keys) > 1:
             raise ValueError(f"step {step}: the digest kinds' test (dyad, month) keys differ")
-        for kind in sorted(digests_by_kind):
-            model = train_softmax(train_by_kind[kind], config)
+        for kind, (train, test, _) in datasets.items():
+            model = train_softmax(train, config)
             model.step, model.kind = step, kind
-            test = test_by_kind[kind]
             probs = predict(model, np.stack([p.features for p in test])) if test else []
             records = [
-                ForecastRecord(
-                    dyad_id=p.dyad_id,
-                    month=p.target_month,
-                    step=step,
-                    probabilities=tuple(row.tolist()),
-                    actual=p.target,
-                    source="model",
-                    kind=kind,
-                )
+                ForecastRecord(dyad_id=p.dyad_id, month=p.target_month, step=step,
+                               probabilities=tuple(row.tolist()), actual=p.target,
+                               source="model", kind=kind)
                 for p, row in zip(test, probs)
             ]
             out[(step, kind)] = (model, records)
             logger.info(
                 "step %d kind %s: %d train pairs, %d test records, final loss %.4f "
                 "after %d iterations (converged: %s)",
-                step,
-                kind,
-                len(train_by_kind[kind]),
-                len(records),
-                model.final_loss,
-                model.n_iter,
+                step, kind, len(train), len(records), model.final_loss, model.n_iter,
                 model.converged,
             )
     return out

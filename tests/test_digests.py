@@ -2,6 +2,7 @@ import datetime as dt
 import json
 import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,6 +127,18 @@ class TestClusterTopics:
         vectors = np.random.default_rng(2).normal(size=(n_vectors, 8))
         with pytest.raises(ValueError, match=f"dyad dy: {n_vectors} vectors for 10 article ids"):
             cluster_topics("dy", ids, vectors, gold_ids=set(), min_topic_size=2)
+
+    @pytest.mark.parametrize("min_topic_size, max_topics, error", [
+        (0, 21, "min_topic_size must be at least 1: 0"),
+        (-3, 21, "min_topic_size must be at least 1: -3"),
+        (1, 1, "max_topics must be at least 3: 1"),
+        (25, 2, "max_topics must be at least 3: 2"),
+    ])
+    def test_bad_topic_settings_rejected(self, min_topic_size, max_topics, error):
+        ids = [f"a{i}" for i in range(10)]
+        vectors = np.random.default_rng(2).normal(size=(10, 8))
+        with pytest.raises(ValueError, match=re.escape(f"dyad dy: {error}")):
+            cluster_topics("dy", ids, vectors, set(), min_topic_size, max_topics)
 
     def test_identical_embeddings_single_topic(self):
         ids = [f"x{i}" for i in range(100)]
@@ -615,6 +628,20 @@ class TestLoadDigestsErrors:
             else:
                 with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: ")):
                     load_digests(path)
+
+    def test_second_row_for_a_kind_dyad_month_names_path_and_lines(self, tmp_path):
+        path = tmp_path / "digests.jsonl"
+        digests = self._three()
+        save_digests(digests + [replace(digests[1], kind=HIGH_CONTEXT)], path)
+        assert len(load_digests(path)) == 4  # the other kind's digest of a month is no repeat
+        save_digests(digests, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines + [lines[1].replace('"a2"', '"a9"')]))
+        with pytest.raises(ValueError, match=re.escape(
+            f"{path}, line 4: second row for low_context digest of dyad dy, month 2021-02 "
+            "(first at line 2)"
+        )):
+            load_digests(path)
 
     def test_missing_field_names_path_and_line(self, tmp_path):
         path = tmp_path / "digests.jsonl"

@@ -304,6 +304,16 @@ class TestConflictology:
                 window=1,
             )
 
+    def test_negative_step_rejected(self):
+        # step -1 would put the horizon month's own state in the window
+        history = self._history([2, 1], end="2022-01")
+        assert np.array_equal(
+            conflictology(history, step=0, horizon=parse_month("2022-01"), window=1), [0, 0, 1, 0]
+        )
+        for step in (-1, -6):
+            with pytest.raises(ValueError, match=f"step must be non-negative: {step}$"):
+                conflictology(history, step=step, horizon=parse_month("2022-01"), window=1)
+
     def test_short_history_degrades(self, caplog):
         history = self._history([2, 2])
         with caplog.at_level("WARNING"):
@@ -868,6 +878,19 @@ class TestForecastCsvRoundTrip:
         save_forecasts_csv(records, path)
         loaded = load_forecasts_csv(path, step=3, kind="high_context")
         assert loaded == records
+
+    def test_second_row_for_a_dyad_month_names_path_and_lines(self, tmp_path):
+        records = [record(c, onehotish(c), month=24000 + c) for c in range(3)]
+        path = tmp_path / "forecasts.csv"
+        save_forecasts_csv(records + [record(1, onehotish(1), dyad="e", month=24001)], path)
+        assert len(load_forecasts_csv(path, step=1, kind="low_context")) == 4
+        save_forecasts_csv(records, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines + [lines[2]]))
+        with pytest.raises(ValueError, match=re.escape(
+            f"{path}, line 5: second row for dyad d, month 2000-02 (first at line 3)"
+        )):
+            load_forecasts_csv(path, step=1, kind="low_context")
 
     def test_cut_off_file_names_path_and_line(self, tmp_path):
         records = [record(c, onehotish(c), month=24000 + c) for c in range(3)]

@@ -488,6 +488,19 @@ class TestRoundTrips:
         save_labels_file(labels, tmp_path / "labels.jsonl")
         assert load_labels_file(tmp_path / "labels.jsonl") == labels
 
+    def test_second_row_for_an_article_names_path_and_lines(self, tmp_path):
+        # a classifier label after the gold one must not replace it
+        path = tmp_path / "labels.jsonl"
+        path.write_text(
+            '{"article_id": "a1", "dyads": ["d1"], "gold": true, "ambiguous": false}\n'
+            '{"article_id": "b", "dyads": ["d1"], "gold": false, "ambiguous": false}\n'
+            '{"article_id": "a1", "dyads": ["d2"], "gold": false, "ambiguous": false}\n'
+        )
+        with pytest.raises(ValueError, match=re.escape(
+            f"{path}, line 3: second row for article a1 (first at line 1)"
+        )):
+            load_labels_file(path)
+
     @pytest.mark.parametrize("name, sidecar", [("emb.f32", "emb.meta.json"),
                                                ("emb.bin", "emb.bin.meta.json")])
     def test_embeddings(self, tmp_path, name, sidecar):

@@ -249,7 +249,7 @@ class TestLabelWindows:
             "d1,2020-01,1,Escalation,0.5\nd2,2020-01,1,Escalation,0.5\nd1,2020-01,2,Plateau,0.0\n"
         )
         with pytest.raises(ValueError, match=re.escape(
-            f"{path}, line 4: second row for dyad d1, month 2020-01"
+            f"{path}, line 4: second row for dyad d1, month 2020-01 (first at line 2)"
         )):
             load_labels_csv(path)
 

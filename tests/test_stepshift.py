@@ -10,6 +10,7 @@ from scipy.optimize import minimize
 
 from nexus import stepshift
 from nexus.digests import Digest, Snippet
+from nexus.evaluation import ForecastRecord
 from nexus.ingest import EmbeddingMatrix
 from nexus.months import parse_month
 from nexus.stepshift import (
@@ -130,6 +131,11 @@ class TestBuildDataset:
         assert all(p.digest_month >= self.test_start for p in test)
         assert all(p.target_month <= self.val_end for p in test)
 
+    @pytest.mark.parametrize("step", [-1, -3])
+    def test_negative_step_rejected(self, step):
+        with pytest.raises(ValueError, match=f"step must be non-negative: {step}$"):
+            self._build(step)
+
     def test_missing_labels_dropped_with_count(self):
         labels = {"d": {parse_month("2021-02"): 1}}
         train, test, dropped = build_dataset(
@@ -216,14 +222,9 @@ class TestTrainSoftmax:
         assert correct == len(pairs)
 
     def test_negative_epochs_rejected(self):
-        with pytest.raises(ValueError, match="epochs must be non-negative: -1"):
-            TrainConfig(epochs=-1)
-
-    def test_zero_epochs_uniform_prediction(self):
-        pairs = separable_pairs()
-        model = train_softmax(pairs, TrainConfig(epochs=0))
-        probs = predict(model, pairs[0].features)
-        assert np.allclose(probs, 0.25)
+        for epochs in (0, -1):
+            with pytest.raises(ValueError, match=f"epochs must be at least 1: {epochs}$"):
+                TrainConfig(epochs=epochs)
 
     def test_analytic_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -411,6 +412,26 @@ class TestRunSteps:
         b = run_steps(digests, **kwargs)
         for key in a:
             assert a[key][1] == b[key][1]
+
+    def test_records_equal_hand_built_ones(self):
+        digests, labels, matrix = two_kind_fixture()
+        window = (parse_month("2021-12"), parse_month("2022-01"), parse_month("2022-06"))
+        config = TrainConfig(epochs=50)
+        out = run_steps(digests, labels, labels, matrix, *window, steps=(0, 1), config=config)
+        assert set(out) == {(s, k) for s in (0, 1) for k in ("high_context", "low_context")}
+        for (step, kind), (model, records) in out.items():
+            train, test, _ = build_dataset(digests[kind], labels, labels, step, *window, matrix)
+            expected = train_softmax(train, config)
+            probs = predict(expected, np.stack([p.features for p in test]))
+            assert (model.step, model.kind) == (step, kind)
+            assert np.array_equal(model.weights, expected.weights)
+            assert test and records == [
+                ForecastRecord(dyad_id=p.dyad_id, month=p.target_month, step=step,
+                               probabilities=tuple(row.tolist()), actual=p.target,
+                               source="model", kind=kind)
+                for p, row in zip(test, probs)
+            ]
+            assert all(r.month == r.step + p.digest_month for r, p in zip(records, test))
 
     def test_unequal_test_keys_across_kinds_raise(self):
         digests, labels, matrix = two_kind_fixture()
