@@ -317,8 +317,14 @@ def rag_digest(
 # JSONL interface
 # ---------------------------------------------------------------------------
 
+def _digest_key(d: Digest) -> str:
+    return f"{d.kind} digest of dyad {d.dyad_id}, month {months.format_month(d.month)}"
+
+
 def save_digests(digests: list[Digest], path: str | Path) -> None:
+    """Write one JSONL row per digest; two digests of one kind, dyad and month raise."""
     ordered = sorted(digests, key=lambda d: (d.kind, d.dyad_id, d.month))
+    _files.check_keys(path, ordered, _digest_key)
     _files.write_jsonl(path, (
         {
             "dyad_id": digest.dyad_id,
@@ -335,16 +341,18 @@ def save_digests(digests: list[Digest], path: str | Path) -> None:
 def load_digests(path: str | Path) -> list[Digest]:
     """Digests from a JSONL file; keys other than the saved fields are ignored.
 
-    A row whose snippet ids and text lines differ in number, whose
-    ``total_tokens`` is not its snippets' token count, or whose kind, dyad
-    and month an earlier row has, is an error.
+    A row whose text is not a string or snippet ids not a list of strings,
+    whose snippet ids and text lines differ in number, whose ``total_tokens``
+    is not its snippets' token count, or whose kind, dyad and month an
+    earlier row has, is an error.
     """
 
     def build(row: dict) -> Digest:
-        texts = row["text"].split("\n") if row["text"] else []
+        text = _files.field(row, "text", str)
         snippets = [
-            Snippet(aid, text, len(text.split()))
-            for aid, text in zip(row["snippet_ids"], texts, strict=True)
+            Snippet(aid, line, len(line.split()))
+            for aid, line in zip(_files.strings(row, "snippet_ids"),
+                                 text.split("\n") if text else [], strict=True)
         ]
         digest = Digest(
             dyad_id=row["dyad_id"],
@@ -357,6 +365,4 @@ def load_digests(path: str | Path) -> list[Digest]:
             raise ValueError(f"total_tokens {total_tokens} is not the snippets' token count")
         return digest
 
-    return _files.read_rows(path, build, lambda d: (
-        f"{d.kind} digest of dyad {d.dyad_id}, month {months.format_month(d.month)}"
-    ))
+    return _files.read_rows(path, build, _digest_key)

@@ -440,10 +440,17 @@ def emit_report(
 _PROB_COLUMNS = ["p_peace", "p_escalation", "p_plateau", "p_deescalation"]
 
 
+def _forecast_key(record: ForecastRecord) -> str:
+    return f"dyad {record.dyad_id}, month {months.format_month(record.month)}"
+
+
 def save_forecasts_csv(records: list[ForecastRecord], path: str | Path) -> None:
+    """Write one CSV row per record; two records for one dyad-month raise."""
+    ordered = sorted(records, key=lambda r: (r.dyad_id, r.month))
+    _files.check_keys(path, ordered, _forecast_key)
     rows = [
         [r.dyad_id, months.format_month(r.month), *(_fmt(p) for p in r.probabilities), r.actual]
-        for r in sorted(records, key=lambda r: (r.dyad_id, r.month))
+        for r in ordered
     ]
     _files.write_csv(path, ["dyad_id", "month", *_PROB_COLUMNS, "actual_state"], rows)
 
@@ -460,4 +467,4 @@ def load_forecasts_csv(
         actual=int(row["actual_state"]),
         source=source,
         kind=kind,
-    ), lambda r: f"dyad {r.dyad_id}, month {months.format_month(r.month)}")
+    ), _forecast_key)

@@ -3,12 +3,13 @@
 Input files are JSONL (or CSV for events) plus a flat little-endian
 float32 embedding matrix with a JSON sidecar. Dates are ``YYYY-MM-DD``
 exactly. The three row loaders (events, articles, dyad probabilities)
-read records through :func:`nexus._files.rows`, which owns the parsing
-and the per-record error rules, and share one contract: a bad row never
-aborts the load but becomes a :class:`RowError` naming its first line;
-a row that repeats the id of an earlier loaded row (``event_id``, or
-``article_id`` for articles and probability rows) is one such error,
-naming the first line; errors come back, and are logged, in line order.
+read records through :func:`nexus._files.records`, the one loop that
+builds and key-checks every row-file record, and share one contract: a
+bad row never aborts the load but becomes a :class:`RowError` naming its
+first line; a row that repeats the id of an earlier loaded row is one such
+error, "second row for event_id 'e1' (first at line 1)" (``article_id``
+for articles and probability rows); errors come back, and are logged, in
+line order.
 Classifier labels need a best-dyad probability of at least
 ``DYAD_THRESHOLD``. All downstream operations are pure functions over the
 loaded collections.
@@ -207,25 +208,10 @@ def _parse_date(value) -> dt.date:
     return dt.date.fromisoformat(text)
 
 
-def _load_rows(path: str | Path, build, key: str) -> tuple[list, list[RowError]]:
-    """The loop behind every row loader: each record becomes an item or a RowError.
-
-    ``build(row)`` returns the item or raises ValueError with the row's
-    message. An item whose ``key`` attribute repeats an earlier loaded one
-    is rejected, naming the first line.
-    """
+def _load_rows(path: str | Path, build, key) -> tuple[list, list[RowError]]:
+    """The items of every good record of ``path``, and a RowError for every bad one."""
     items, errors = [], []
-    first_line: dict[str, int] = {}  # key -> line of the loaded row
-    for line, row, error in _files.rows(path):
-        if error is None:
-            try:
-                item = build(row)
-            except ValueError as exc:
-                error = str(exc)
-            else:
-                first = first_line.setdefault(getattr(item, key), line)
-                if first != line:
-                    error = f"duplicate {key} {getattr(item, key)!r}, first on line {first}"
+    for line, item, error in _files.records(path, build, key):
         if error is None:
             items.append(item)
         else:
@@ -245,11 +231,8 @@ def load_events(path: str | Path) -> tuple[list[ConflictEvent], list[RowError]]:
 
     def build(row: dict) -> ConflictEvent:
         _require(row, _EVENT_FIELDS)
-        try:
-            fatalities = _parse_count(row["fatalities"])
-            date = _parse_date(row["date"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"unparseable row: {exc}") from None
+        fatalities = _parse_count(row["fatalities"])
+        date = _parse_date(row["date"])
         if fatalities < 0:
             raise ValueError(f"negative fatalities: {fatalities}")
         if not str(row["dyad_id"]).strip():
@@ -263,7 +246,7 @@ def load_events(path: str | Path) -> tuple[list[ConflictEvent], list[RowError]]:
             headline=str(row["headline"]),
         )
 
-    events, errors = _load_rows(path, build, key="event_id")
+    events, errors = _load_rows(path, build, lambda e: f"event_id {e.event_id!r}")
     if not events:
         logger.warning("no events loaded from %s", path)
     return events, errors
@@ -274,18 +257,14 @@ def load_articles(path: str | Path) -> tuple[list[Article], list[RowError]]:
 
     def build(row: dict) -> Article:
         _require(row, _ARTICLE_FIELDS)
-        try:
-            date = _parse_date(row["date"])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"unparseable date: {exc}") from None
         return Article(
             article_id=str(row["article_id"]),
-            date=date,
+            date=_parse_date(row["date"]),
             headline=str(row["headline"]),
             body=str(row["body"]),
         )
 
-    return _load_rows(path, build, key="article_id")
+    return _load_rows(path, build, lambda a: f"article_id {a.article_id!r}")
 
 
 def _meta_path(f32_path: Path) -> Path:
@@ -353,7 +332,7 @@ def load_dyad_probs(
             probs[str(dyad)] = p
         return DyadProbabilityRow(article_id=str(row["article_id"]), probabilities=probs)
 
-    return _load_rows(path, build, key="article_id")
+    return _load_rows(path, build, lambda r: f"article_id {r.article_id!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -514,16 +493,22 @@ def load_series(path: str | Path) -> DyadMonthSeries:
     ))
 
 
+def _label_key(label: ArticleLabel) -> str:
+    return f"article {label.article_id}"
+
+
 def save_labels_file(labels: dict[str, ArticleLabel], path: str | Path) -> None:
-    _files.write_jsonl(path, (vars(labels[aid]) for aid in sorted(labels)))
+    ordered = [labels[aid] for aid in sorted(labels)]
+    _files.check_keys(path, ordered, _label_key)
+    _files.write_jsonl(path, map(vars, ordered))
 
 
 def load_labels_file(path: str | Path) -> dict[str, ArticleLabel]:
-    """Article labels by id; a second row for an article is an error."""
+    """Article labels by id; a second row for an article, or a wrong JSON type, is an error."""
     labels = _files.read_rows(path, lambda row: ArticleLabel(
         article_id=row["article_id"],
-        dyads=tuple(row["dyads"]),
-        gold=bool(row["gold"]),
-        ambiguous=bool(row["ambiguous"]),
-    ), lambda label: f"article {label.article_id}")
+        dyads=_files.strings(row, "dyads"),
+        gold=_files.field(row, "gold", bool),
+        ambiguous=_files.field(row, "ambiguous", bool),
+    ), _label_key)
     return {label.article_id: label for label in labels}

@@ -22,7 +22,7 @@ def month_index(year: int, month: int) -> int:
 
 def parse_month(text: str) -> int:
     """Parse 'YYYY-MM', in ASCII digits, into a flat month index."""
-    m = _MONTH_RE.match(text.strip())
+    m = _MONTH_RE.match(text.strip()) if isinstance(text, str) else None
     if m is None:
         raise ValueError(f"not a YYYY-MM month: {text!r}")
     return month_index(int(m.group(1)), int(m.group(2)))

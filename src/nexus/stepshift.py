@@ -329,7 +329,7 @@ def load_model(path: str | Path) -> SoftmaxModel:
         config=TrainConfig(**payload["config"]),
         final_loss=float(payload["final_loss"]),
         n_iter=int(payload["n_iter"]),
-        converged=bool(payload["converged"]),
+        converged=_files.field(payload, "converged", bool),
         step=payload["step"],
         kind=payload["kind"],
     ))

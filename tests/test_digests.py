@@ -643,6 +643,20 @@ class TestLoadDigestsErrors:
         )):
             load_digests(path)
 
+    def test_saving_a_second_digest_for_a_kind_dyad_month_raises_and_keeps_the_file(
+        self, tmp_path
+    ):
+        path = tmp_path / "digests.jsonl"
+        digests = self._three()
+        save_digests(digests, path)
+        old = path.read_bytes()
+        with pytest.raises(ValueError, match=re.escape(
+            f"{path}: two records for low_context digest of dyad dy, month 2021-02"
+        )):
+            save_digests(digests + [replace(digests[1], snippets=[Snippet("a9", "w", 1)])], path)
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["digests.jsonl"]
+
     def test_missing_field_names_path_and_line(self, tmp_path):
         path = tmp_path / "digests.jsonl"
         save_digests(self._three(), path)
@@ -654,10 +668,12 @@ class TestLoadDigestsErrors:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("snippet_ids", ["a2", "a9"]), ("text", "x y z\nu v"), ("total_tokens", 4)],
+        [("snippet_ids", ["a2", "a9"]), ("text", "x y z\nu v"), ("total_tokens", 4),
+         ("month", 202102), ("text", 5), ("snippet_ids", "a"), ("snippet_ids", [2])],
     )
     def test_row_at_odds_with_itself_names_path_and_line(self, tmp_path, field, value):
-        # ids and text lines differ in number, or the token total is not the snippets'
+        # ids and text lines differ in number, the token total is not the snippets',
+        # or a field is not of its JSON type (the string "a" is not the ids ["a"])
         path = tmp_path / "digests.jsonl"
         save_digests(self._three(), path)
         lines = path.read_text().splitlines(keepends=True)

@@ -892,6 +892,18 @@ class TestForecastCsvRoundTrip:
         )):
             load_forecasts_csv(path, step=1, kind="low_context")
 
+    def test_saving_a_second_record_for_a_dyad_month_raises_and_keeps_the_file(self, tmp_path):
+        records = [record(c, onehotish(c), month=24000 + c) for c in range(3)]
+        path = tmp_path / "forecasts.csv"
+        save_forecasts_csv(records, path)
+        old = path.read_bytes()
+        with pytest.raises(ValueError, match=re.escape(
+            f"{path}: two records for dyad d, month 2000-02"
+        )):
+            save_forecasts_csv(records + [record(3, onehotish(3), month=24001)], path)
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["forecasts.csv"]
+
     def test_cut_off_file_names_path_and_line(self, tmp_path):
         records = [record(c, onehotish(c), month=24000 + c) for c in range(3)]
         path = tmp_path / "forecasts.csv"

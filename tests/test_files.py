@@ -58,22 +58,30 @@ def _label_rows(loaded):
             for month, code in by_month.items()]
 
 
-# name: (save(path), load(path), the loaded rows, or None for a single-object file)
+def _resave_embeddings(matrix, path):
+    save_embeddings(path.with_name("emb.f32"), matrix.ids, matrix.vectors)
+
+
+# name: (save(path), load(path), the loaded rows, or None for a single-object file,
+#        resave(loaded, path) that saves what load returns, or None where it is not a saver's input)
 CASES = {
-    "series.json": (lambda p: save_series(make_series([0, 3, 17], "d7"), p), load_series, None),
+    "series.json": (lambda p: save_series(make_series([0, 3, 17], "d7"), p), load_series, None,
+                    save_series),
     "labels.jsonl": (lambda p: save_labels_file(LABELS, p), load_labels_file,
-                     lambda loaded: list(loaded.values())),
-    "emb.f32": (lambda p: save_embeddings(p, list("abcd"), VECTORS), load_embeddings, None),
+                     lambda loaded: list(loaded.values()), save_labels_file),
+    "emb.f32": (lambda p: save_embeddings(p, list("abcd"), VECTORS), load_embeddings, None,
+                _resave_embeddings),
     "emb.meta.json": (lambda p: save_embeddings(p.with_name("emb.f32"), list("abcd"), VECTORS),
-                      lambda p: load_embeddings(p.with_name("emb.f32")), None),
-    "trend.json": (lambda p: save_trend_fit(TREND, p), load_trend_fit, None),
-    "states.csv": (lambda p: save_labels_csv(STATES, p), load_labels_csv, _label_rows),
+                      lambda p: load_embeddings(p.with_name("emb.f32")), None,
+                      _resave_embeddings),
+    "trend.json": (lambda p: save_trend_fit(TREND, p), load_trend_fit, None, save_trend_fit),
+    "states.csv": (lambda p: save_labels_csv(STATES, p), load_labels_csv, _label_rows, None),
     "index.bin": (lambda p: build_index(list("abcd"), VECTORS, HnswConfig(seed=3)).save(p),
-                  HnswIndex.load, None),
-    "digests.jsonl": (lambda p: save_digests(DIGESTS, p), load_digests, list),
-    "model.json": (lambda p: save_model(MODEL, p), load_model, None),
+                  HnswIndex.load, None, None),
+    "digests.jsonl": (lambda p: save_digests(DIGESTS, p), load_digests, list, save_digests),
+    "model.json": (lambda p: save_model(MODEL, p), load_model, None, save_model),
     "forecasts.csv": (lambda p: save_forecasts_csv(FORECASTS, p),
-                      lambda p: load_forecasts_csv(p, 1, LOW_CONTEXT), list),
+                      lambda p: load_forecasts_csv(p, 1, LOW_CONTEXT), list, save_forecasts_csv),
 }
 
 
@@ -90,7 +98,7 @@ def _ignored_tail(name: str, data: bytes) -> int:
 @settings(max_examples=40)
 @given(data=st.data())
 def test_cut_file_raises_naming_it_or_loads_a_prefix(tmp_path_factory, name, data):
-    save, load, rows = CASES[name]
+    save, load, rows, _ = CASES[name]
     path = tmp_path_factory.mktemp("cut") / name
     save(path)
     whole = path.read_bytes()
@@ -111,6 +119,17 @@ def test_cut_file_raises_naming_it_or_loads_a_prefix(tmp_path_factory, name, dat
     assert loaded == full[: len(loaded)]
     if cut >= len(whole) - _ignored_tail(name, whole):
         assert loaded == full
+
+
+@pytest.mark.parametrize("name", [name for name, case in CASES.items() if case[3]])
+def test_saving_what_was_loaded_writes_the_same_bytes(tmp_path, name):
+    save, load, _, resave = CASES[name]
+    saved, resaved = tmp_path / "saved" / name, tmp_path / "resaved" / name
+    saved.parent.mkdir()
+    resaved.parent.mkdir()
+    save(saved)
+    resave(load(saved), resaved)
+    assert resaved.read_bytes() == saved.read_bytes()
 
 
 LABELS_HEADER = b"dyad_id,month,state_code,state_name,derivative_value\r\n"
@@ -152,7 +171,7 @@ def test_every_saver_writes_through_write_atomic(tmp_path, monkeypatch):
         write_atomic(path, write)
 
     monkeypatch.setattr(_files, "write_atomic", recorder)
-    for name, (save, _, _) in CASES.items():
+    for name, (save, *_) in CASES.items():
         (tmp_path / name).mkdir()
         save(tmp_path / name / name)
     baseline = [replace(r, source="conflictology") for r in FORECASTS]

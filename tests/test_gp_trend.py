@@ -697,6 +697,16 @@ class TestTrendFitRoundTrip:
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*differ in length"):
             load_trend_fit(path)
 
+    def test_grid_month_that_is_not_a_string_names_the_file(self, tmp_path):
+        series = make_series([0, 1, 5, 20, 44, 31, 12, 4, 1, 0, 2, 9])
+        path = tmp_path / "fit.json"
+        save_trend_fit(fit_trend(series, PRIOR, KernelParams(6.0, 1.5, 0.5)), path)
+        payload = json.loads(path.read_text())
+        payload["grid"][0] = None
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a YYYY-MM month: None")):
+            load_trend_fit(path)
+
     @pytest.mark.parametrize("field", ["mean", "derivative"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_names_the_file(self, tmp_path, field, bad):

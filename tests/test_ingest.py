@@ -372,7 +372,7 @@ class TestLoaderEdgeCases:
         assert [(r.article_id, r.probabilities) for r in rows] == [
             ("a", {"d1": 0.9}), ("b", {"d1": 0.1})
         ]
-        assert errors == [RowError(3, "duplicate article_id 'a', first on line 1")]
+        assert errors == [RowError(3, "second row for article_id 'a' (first at line 1)")]
 
 
 def article(article_id, headline="h", date=dt.date(2015, 3, 14)):
@@ -500,6 +500,43 @@ class TestRoundTrips:
             f"{path}, line 3: second row for article a1 (first at line 1)"
         )):
             load_labels_file(path)
+
+    def test_saving_two_labels_for_one_article_raises_and_keeps_the_file(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        save_labels_file({"a": ArticleLabel("a", ("d1",), gold=True)}, path)
+        old = path.read_bytes()
+        labels = {"a": ArticleLabel("a", ("d1",), gold=True),
+                  "b": ArticleLabel("a", ("d2",), gold=False)}
+        with pytest.raises(ValueError, match=re.escape(f"{path}: two records for article a")):
+            save_labels_file(labels, path)
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.jsonl"]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("dyads", "d1", "dyads is not a list of strings: 'd1'"),
+        ("dyads", [1], "dyads is not a list of strings: [1]"),
+        ("gold", "false", "gold is not a bool: 'false'"),
+        ("ambiguous", 0, "ambiguous is not a bool: 0"),
+    ])
+    def test_labels_field_of_the_wrong_json_type_names_path_and_line(
+        self, tmp_path, field, value, message
+    ):
+        path = tmp_path / "labels.jsonl"
+        rows = [{"article_id": aid, "dyads": ["d1"], "gold": True, "ambiguous": False}
+                for aid in ("a", "b")]
+        rows[1][field] = value
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 2: {message}")):
+            load_labels_file(path)
+
+    def test_series_month_that_is_not_a_string_names_the_file(self, tmp_path):
+        path = tmp_path / "series.json"
+        save_series(make_series([0, 3]), path)
+        payload = json.loads(path.read_text())
+        payload["months"][1] = 24001
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a YYYY-MM month: 24001")):
+            load_series(path)
 
     @pytest.mark.parametrize("name, sidecar", [("emb.f32", "emb.meta.json"),
                                                ("emb.bin", "emb.bin.meta.json")])

@@ -260,3 +260,9 @@ class TestLabelWindows:
 def test_parse_month_takes_ascii_digits_only(text):
     with pytest.raises(ValueError, match="not a YYYY-MM month"):
         parse_month(text)
+
+
+@pytest.mark.parametrize("value", [202001, None, b"2020-01", ["2020-01"]])
+def test_parse_month_rejects_a_non_string(value):
+    with pytest.raises(ValueError, match=re.escape(f"not a YYYY-MM month: {value!r}")):
+        parse_month(value)

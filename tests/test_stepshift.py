@@ -474,6 +474,8 @@ class TestModelRoundTrip:
         ("weights", [[0.0]] * 4, "weights must be shaped (4, D + 1)"),
         ("weights", [[0.0, 0.0, math.nan]] * 4, "weights must be finite"),
         ("class_weights", [1.0, 1.0, 1.0], "class_weights must have 4 entries"),
+        ("converged", "false", "converged is not a bool: 'false'"),
+        ("converged", 1, "converged is not a bool: 1"),
     ])
     def test_malformed_model_file_names_it(self, tmp_path, field, value, error):
         path = tmp_path / "model.json"
