@@ -190,11 +190,15 @@ def check_keys(path: str | Path, values, key) -> None:
         seen.add(name)
 
 
-def field(row: dict, name: str, kind: type):
-    """``row[name]``, which must be a JSON value of type ``kind`` (``bool``, ``str``)."""
+def field(row: dict, name: str, kind: type, null: bool = False):
+    """``row[name]``, a JSON ``kind`` (``bool``, ``int``, ``float``, ``str``) or, if ``null``,
+    ``null``. An integer is a ``float`` too, but ``true`` and ``false`` are only ``bool``-s."""
     value = row[name]
-    if not isinstance(value, kind):
-        raise ValueError(f"{name} is not a {kind.__name__}: {value!r}")
+    if value is None and null:
+        return None
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kinds):
+        raise ValueError(f"{name} is not {'an' if kind is int else 'a'} {kind.__name__}: {value!r}")
     return value
 
 

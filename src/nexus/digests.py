@@ -355,9 +355,9 @@ def load_digests(path: str | Path) -> list[Digest]:
                                  text.split("\n") if text else [], strict=True)
         ]
         digest = Digest(
-            dyad_id=row["dyad_id"],
+            dyad_id=_files.field(row, "dyad_id", str),
             month=months.parse_month(row["month"]),
-            kind=row["kind"],
+            kind=_files.field(row, "kind", str),
             snippets=snippets,
         )
         total_tokens = int(row["total_tokens"])

@@ -455,13 +455,13 @@ def save_trend_fit(fit: TrendFit, path: str | Path) -> None:
 
 def load_trend_fit(path: str | Path) -> TrendFit:
     return _files.read_json(path, lambda payload: TrendFit(
-        dyad_id=payload["dyad_id"],
-        params=KernelParams(
-            payload["length_scale"], payload["amplitude"], payload["noise_sd"]
-        ),
+        dyad_id=_files.field(payload, "dyad_id", str),
+        params=KernelParams(*(
+            _files.field(payload, name, float) for name in ("length_scale", "amplitude", "noise_sd")
+        )),
         grid=np.array([months.parse_month(m) for m in payload["grid"]], dtype=int),
         mean=np.array(payload["mean"], dtype=float),
         derivative=np.array(payload["derivative"], dtype=float),
-        log_posterior_at_map=float(payload["log_posterior"]),
-        jitter_level=int(payload["jitter_level"]),
+        log_posterior_at_map=float(_files.field(payload, "log_posterior", float)),
+        jitter_level=_files.field(payload, "jitter_level", int),
     ))

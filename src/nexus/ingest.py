@@ -485,8 +485,8 @@ def save_series(series: DyadMonthSeries, path: str | Path) -> None:
 
 def load_series(path: str | Path) -> DyadMonthSeries:
     return _files.read_json(path, lambda payload: DyadMonthSeries(
-        dyad_id=payload["dyad_id"],
-        country_id=payload["country_id"],
+        dyad_id=_files.field(payload, "dyad_id", str),
+        country_id=_files.field(payload, "country_id", str),
         months=np.array([months.parse_month(m) for m in payload["months"]]),
         log_fatalities=np.array(payload["log_fatalities"], dtype=float),
         raw_fatalities=np.array(payload["raw_fatalities"], dtype=int),
@@ -506,7 +506,7 @@ def save_labels_file(labels: dict[str, ArticleLabel], path: str | Path) -> None:
 def load_labels_file(path: str | Path) -> dict[str, ArticleLabel]:
     """Article labels by id; a second row for an article, or a wrong JSON type, is an error."""
     labels = _files.read_rows(path, lambda row: ArticleLabel(
-        article_id=row["article_id"],
+        article_id=_files.field(row, "article_id", str),
         dyads=_files.strings(row, "dyads"),
         gold=_files.field(row, "gold", bool),
         ambiguous=_files.field(row, "ambiguous", bool),

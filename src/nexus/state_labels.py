@@ -5,6 +5,10 @@ Escalation (derivative above tau), 2 Plateau (derivative within ±tau,
 boundaries inclusive), 3 De-escalation (derivative below -tau). Train and
 validation windows are labeled from two separate GP fits so that nothing
 observed after the training cutoff can touch a training label.
+
+A labels CSV holds states only (``dyad_id,month,state_code,state_name``),
+so its bytes do not move with the BLAS thread count; the derivative behind
+each state, whose last bits do, lives in the ``gp_trend.save_trend_fit`` file.
 """
 
 from __future__ import annotations
@@ -65,7 +69,6 @@ class LabeledSeries:
     dyad_id: str
     months: np.ndarray
     states: np.ndarray
-    derivatives: np.ndarray
 
 
 def discretize(derivative, raw_fatalities, tau: float = DEFAULT_TAU) -> np.ndarray:
@@ -92,9 +95,8 @@ def _window_states(
     if any(int(m) not in grid_pos for m in wanted):
         return None
     idx = np.array([grid_pos[int(m)] for m in wanted], dtype=int)
-    deriv = fit.derivative[idx]
-    states = discretize(deriv, series.raw_fatalities[sel], tau)
-    return LabeledSeries(series.dyad_id, wanted, states, deriv)
+    states = discretize(fit.derivative[idx], series.raw_fatalities[sel], tau)
+    return LabeledSeries(series.dyad_id, wanted, states)
 
 
 def label_windows(
@@ -135,31 +137,28 @@ def label_windows(
 
 def save_labels_csv(labels: dict[str, LabeledSeries], path: str | Path) -> None:
     rows = [
-        [
-            dyad_id,
-            months.format_month(int(m)),
-            int(code),
-            STATE_NAMES[EscalationState(int(code))],
-            repr(float(deriv)),
-        ]
+        [dyad_id, months.format_month(int(m)), int(code), STATE_NAMES[EscalationState(int(code))]]
         for dyad_id, ls in sorted(labels.items())
-        for m, code, deriv in zip(ls.months, ls.states, ls.derivatives)
+        for m, code in zip(ls.months, ls.states)
     ]
-    header = ["dyad_id", "month", "state_code", "state_name", "derivative_value"]
-    _files.write_csv(path, header, rows)
+    _files.write_csv(path, ["dyad_id", "month", "state_code", "state_name"], rows)
 
 
 def load_labels_csv(path: str | Path) -> dict[str, dict[int, int]]:
     """Per-dyad month -> state code mapping from a labels CSV.
 
-    A state code outside 0-3, or a second row for one dyad and month, is a
-    ``ValueError`` naming the file and line.
+    A state code outside 0-3, a state name other than its code's, or a
+    second row for one dyad and month, is a ``ValueError`` naming the file
+    and line.
     """
 
     def build(row) -> tuple[str, int, int]:
         code = int(row["state_code"])
         if not 0 <= code < len(EscalationState):
             raise ValueError(f"state code {code} is not 0-3")
+        name, given = STATE_NAMES[EscalationState(code)], row["state_name"]
+        if given != name:
+            raise ValueError(f"state name {given!r} does not match state code {code} ({name!r})")
         return row["dyad_id"], months.parse_month(row["month"]), code
 
     out: dict[str, dict[int, int]] = {}

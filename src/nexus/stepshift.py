@@ -326,10 +326,10 @@ def load_model(path: str | Path) -> SoftmaxModel:
     return _files.read_json(path, lambda payload: SoftmaxModel(
         weights=np.array(payload["weights"], dtype=float),
         class_weights=np.array(payload["class_weights"], dtype=float),
-        config=TrainConfig(**payload["config"]),
-        final_loss=float(payload["final_loss"]),
-        n_iter=int(payload["n_iter"]),
+        config=TrainConfig(epochs=_files.field(payload["config"], "epochs", int)),
+        final_loss=float(_files.field(payload, "final_loss", float)),
+        n_iter=_files.field(payload, "n_iter", int),
         converged=_files.field(payload, "converged", bool),
-        step=payload["step"],
-        kind=payload["kind"],
+        step=_files.field(payload, "step", int, null=True),
+        kind=_files.field(payload, "kind", str, null=True),
     ))

@@ -669,11 +669,12 @@ class TestLoadDigestsErrors:
     @pytest.mark.parametrize(
         "field, value",
         [("snippet_ids", ["a2", "a9"]), ("text", "x y z\nu v"), ("total_tokens", 4),
-         ("month", 202102), ("text", 5), ("snippet_ids", "a"), ("snippet_ids", [2])],
+         ("month", 202102), ("text", 5), ("snippet_ids", "a"), ("snippet_ids", [2]),
+         ("dyad_id", 7), ("kind", ["x"])],
     )
     def test_row_at_odds_with_itself_names_path_and_line(self, tmp_path, field, value):
         # ids and text lines differ in number, the token total is not the snippets',
-        # or a field is not of its JSON type (the string "a" is not the ids ["a"])
+        # or a field is not of its JSON type (the string "a" is not the ids ["a"], 7 not a dyad id)
         path = tmp_path / "digests.jsonl"
         save_digests(self._three(), path)
         lines = path.read_text().splitlines(keepends=True)

@@ -37,8 +37,7 @@ TREND = TrendFit(
     np.array([0.1, 0.2, 0.4, 0.3]), np.array([0.1, 0.15, 0.05, -0.1]), -3.25, 1,
 )
 STATES = {
-    dyad: LabeledSeries(dyad, np.arange(24000, 24003), np.array([0, 1, 3]),
-                        np.array([0.0, 0.123456789, -0.5]))
+    dyad: LabeledSeries(dyad, np.arange(24000, 24003), np.array([0, 1, 3]))
     for dyad in ("d1", "d2")
 }
 DIGESTS = [
@@ -85,15 +84,6 @@ CASES = {
 }
 
 
-def _ignored_tail(name: str, data: bytes) -> int:
-    """How many trailing bytes the loader does not read: the newline, or the unread last field."""
-    if name.endswith(".jsonl"):
-        return 1
-    if name == "states.csv":  # the derivative value is not loaded
-        return len(data) - data.rindex(b",") - 1
-    return 2  # "\r\n"
-
-
 @pytest.mark.parametrize("name", CASES)
 @settings(max_examples=40)
 @given(data=st.data())
@@ -117,7 +107,7 @@ def test_cut_file_raises_naming_it_or_loads_a_prefix(tmp_path_factory, name, dat
     if name.endswith(".jsonl") and cut:  # a JSONL row cut short of its closing brace raises
         assert b"\n" in whole[cut - 1 : cut + 1]
     assert loaded == full[: len(loaded)]
-    if cut >= len(whole) - _ignored_tail(name, whole):
+    if cut >= len(whole) - (1 if name.endswith(".jsonl") else 2):  # all but "\n" or "\r\n"
         assert loaded == full
 
 
@@ -132,15 +122,15 @@ def test_saving_what_was_loaded_writes_the_same_bytes(tmp_path, name):
     assert resaved.read_bytes() == saved.read_bytes()
 
 
-LABELS_HEADER = b"dyad_id,month,state_code,state_name,derivative_value\r\n"
+LABELS_HEADER = b"dyad_id,month,state_code,state_name\r\n"
 # name: (a labels CSV with one bad record, the record's first line)
 BAD_LABELS = {
-    "merged-rows": (LABELS_HEADER + b"d1,2020-01,2,Plateau,0.1d1,2020-02,0,Peace,0.0\r\n"
-                    b"d1,2020-03,1,Escalation,0.2\r\n", 2),
-    "invalid-utf8": (LABELS_HEADER + b"d1,2020-01,2,Plateau,0.1\r\n"
-                     b"d1,2020-02,0,Pe\xffce,0.0\r\n", 3),
-    "multi-line-record": (LABELS_HEADER + b'd1,2020-01,9,"two\r\nlines",0.1\r\n'
-                          b"d1,2020-02,0,Peace,0.0\r\n", 2),
+    "merged-rows": (LABELS_HEADER + b"d1,2020-01,2,Plateaud1,2020-02,0,Peace\r\n"
+                    b"d1,2020-03,1,Escalation\r\n", 2),
+    "invalid-utf8": (LABELS_HEADER + b"d1,2020-01,2,Plateau\r\n"
+                     b"d1,2020-02,0,Pe\xffce\r\n", 3),
+    "multi-line-record": (LABELS_HEADER + b'd1,2020-01,9,"two\r\nlines"\r\n'
+                          b"d1,2020-02,0,Peace\r\n", 2),
 }
 
 

@@ -697,14 +697,20 @@ class TestTrendFitRoundTrip:
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*differ in length"):
             load_trend_fit(path)
 
-    def test_grid_month_that_is_not_a_string_names_the_file(self, tmp_path):
+    @pytest.mark.parametrize("field, value, message", [
+        ("grid", [None], "not a YYYY-MM month: None"),
+        ("dyad_id", 7, "dyad_id is not a str: 7"),
+        ("length_scale", True, "length_scale is not a float: True"),
+        ("jitter_level", 2.7, "jitter_level is not an int: 2.7"),
+    ], ids=["grid", "dyad_id", "length_scale", "jitter_level"])
+    def test_field_of_the_wrong_json_type_names_the_file(self, tmp_path, field, value, message):
         series = make_series([0, 1, 5, 20, 44, 31, 12, 4, 1, 0, 2, 9])
         path = tmp_path / "fit.json"
         save_trend_fit(fit_trend(series, PRIOR, KernelParams(6.0, 1.5, 0.5)), path)
         payload = json.loads(path.read_text())
-        payload["grid"][0] = None
+        payload[field] = value
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: not a YYYY-MM month: None")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_trend_fit(path)
 
     @pytest.mark.parametrize("field", ["mean", "derivative"])

@@ -470,6 +470,51 @@ class TestAggregateMonthly:
         assert aggregate_monthly(events, "d1", self.WINDOW).country_id == "c1"
 
 
+# rows for every ingest step: a headline of two dyads, a gold article with a
+# classifier row, a probability tie, rows at and below the threshold, a row for
+# an unknown article, an event without a country and a tie in the dyad counts
+ORDER_EVENTS = [
+    event("e1", "d1", "shelling", dt.date(2015, 1, 3), 4),
+    event("e2", "d2", "Shelling.", dt.date(2015, 2, 3), 2, country_id="c2"),
+    event("e3", "d1", "raid", dt.date(2015, 2, 9), 7, country_id=""),
+    event("e4", "d3", "ambush", dt.date(2015, 3, 1), 1, country_id="c3"),
+    event("e5", "d1", "clash", dt.date(2015, 3, 5), 3),
+    event("e6", "d1", "clash", dt.date(2015, 3, 5), 5),
+]
+ORDER_ARTICLES = [
+    article(f"a{i}", headline, dt.date(2015, 1 + i % 3, 10))
+    for i, headline in enumerate(["shelling", "raid", "ambush", "x", "y", "clash", "z"])
+]
+ORDER_PROBS = [
+    DyadProbabilityRow("a0", {"d3": 0.99}),
+    DyadProbabilityRow("a3", {"d3": 0.9, "d2": 0.9}),
+    DyadProbabilityRow("a4", {"d2": DYAD_THRESHOLD}),
+    DyadProbabilityRow("a6", {"d1": float(np.nextafter(DYAD_THRESHOLD, 0.0))}),
+    DyadProbabilityRow("zz", {"d1": 0.99}),
+]
+VECTOR_IDS = ["a3", "a0", "a6", "a1", "a4"]
+
+
+def _ingest(events, articles, probs):
+    window = (months.month_index(2015, 1), months.month_index(2015, 3))
+    gold = match_headlines(articles, events)
+    labels = apply_dyad_filter(articles, probs, gold)
+    series = [aggregate_monthly(events, dyad, window) for dyad in ("d1", "d2", "d3")]
+    return (gold, labels, select_top_dyads(articles, labels, window, 2),
+            [(s.country_id, s.raw_fatalities.tolist()) for s in series])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.permutations(ORDER_EVENTS), st.permutations(ORDER_ARTICLES),
+       st.permutations(ORDER_PROBS), st.permutations(range(len(VECTOR_IDS))))
+def test_input_row_order_changes_no_result(events, articles, probs, rows):
+    assert _ingest(events, articles, probs) == _ingest(ORDER_EVENTS, ORDER_ARTICLES, ORDER_PROBS)
+    vectors = np.arange(15, dtype=np.float32).reshape(5, 3)
+    matrix = EmbeddingMatrix([VECTOR_IDS[i] for i in rows], vectors[list(rows)])
+    for i, aid in enumerate(VECTOR_IDS):
+        np.testing.assert_array_equal(matrix.get(aid), vectors[i])
+
+
 class TestRoundTrips:
     def test_series(self, tmp_path):
         series = make_series([0, 3, 0, 17, 250, 1], dyad_id="d7", country_id="c2")
@@ -517,6 +562,7 @@ class TestRoundTrips:
         ("dyads", [1], "dyads is not a list of strings: [1]"),
         ("gold", "false", "gold is not a bool: 'false'"),
         ("ambiguous", 0, "ambiguous is not a bool: 0"),
+        ("article_id", 5, "article_id is not a str: 5"),
     ])
     def test_labels_field_of_the_wrong_json_type_names_path_and_line(
         self, tmp_path, field, value, message
@@ -529,13 +575,20 @@ class TestRoundTrips:
         with pytest.raises(ValueError, match=re.escape(f"{path}, line 2: {message}")):
             load_labels_file(path)
 
-    def test_series_month_that_is_not_a_string_names_the_file(self, tmp_path):
+    @pytest.mark.parametrize("field, value, message", [
+        ("months", ["2015-01", 24001], "not a YYYY-MM month: 24001"),
+        ("dyad_id", 7, "dyad_id is not a str: 7"),
+        ("country_id", ["c"], "country_id is not a str: ['c']"),
+    ], ids=["months", "dyad_id", "country_id"])
+    def test_series_field_of_the_wrong_json_type_names_the_file(
+        self, tmp_path, field, value, message
+    ):
         path = tmp_path / "series.json"
         save_series(make_series([0, 3]), path)
         payload = json.loads(path.read_text())
-        payload["months"][1] = 24001
+        payload[field] = value
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: not a YYYY-MM month: 24001")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_series(path)
 
     @pytest.mark.parametrize("name, sidecar", [("emb.f32", "emb.meta.json"),

@@ -1,11 +1,16 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import nexus
 from nexus.gp_trend import PriorSpec, fit_map, fit_trend
 from nexus.months import parse_month
 from nexus.state_labels import (
@@ -200,25 +205,21 @@ class TestLabelWindows:
 
     def test_cut_off_file_names_path_and_line(self, tmp_path):
         labels = {
-            "d1": LabeledSeries(
-                "d1", np.arange(24000, 24003), np.array([0, 1, 3]), np.array([0.0, 0.5, -0.5])
-            )
+            "d1": LabeledSeries("d1", np.arange(24000, 24003), np.array([0, 1, 3]))
         }
         path = tmp_path / "labels.csv"
         save_labels_csv(labels, path)
         data = path.read_bytes()
         last_row = data.rindex(b"\n", 0, len(data) - 1) + 1
-        # every cut that leaves the last row short of a field
-        for cut in range(last_row + 1, data.rindex(b",") + 1):
+        # every cut that leaves the last row short of a field or inside its state name
+        for cut in range(last_row + 1, len(data) - 2):
             path.write_bytes(data[:cut])
             with pytest.raises(ValueError, match=re.escape(f"{path}, line 4: ")):
                 load_labels_csv(path)
 
     def test_non_ascii_month_names_path_and_line(self, tmp_path):
         labels = {
-            "d1": LabeledSeries(
-                "d1", np.arange(24000, 24003), np.array([0, 1, 3]), np.array([0.0, 0.5, -0.5])
-            )
+            "d1": LabeledSeries("d1", np.arange(24000, 24003), np.array([0, 1, 3]))
         }
         path = tmp_path / "labels.csv"
         save_labels_csv(labels, path)
@@ -232,26 +233,88 @@ class TestLabelWindows:
     @pytest.mark.parametrize(
         "rows,line,message",
         [
-            (["d1,2020-01,7,x,0.0", "d1,2020-02,-1,x,0.0"], 2, "state code 7 is not 0-3"),
-            (["d1,2020-01,1,x,0.0", "d1,2020-02,-1,x,0.0"], 3, "state code -1 is not 0-3"),
+            (["d1,2020-01,7,x", "d1,2020-02,-1,x"], 2, "state code 7 is not 0-3"),
+            (["d1,2020-01,1,Escalation", "d1,2020-02,-1,x"], 3, "state code -1 is not 0-3"),
         ],
     )
     def test_code_outside_0_to_3_names_path_and_line(self, tmp_path, rows, line, message):
         path = tmp_path / "labels.csv"
-        path.write_text("\n".join(["dyad_id,month,state_code,state_name,derivative_value", *rows, ""]))
+        path.write_text("\n".join(["dyad_id,month,state_code,state_name", *rows, ""]))
         with pytest.raises(ValueError, match=re.escape(f"{path}, line {line}: {message}")):
+            load_labels_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("d1,2020-02,2,Escalation", "state name 'Escalation' does not match state code 2 ('Plateau')"),
+            ("d1,2020-02,3,De", "state name 'De' does not match state code 3 ('De-escalation')"),
+            ("d1,2020-02,0,peace", "state name 'peace' does not match state code 0 ('Peace')"),
+        ],
+    )
+    def test_name_other_than_the_codes_names_path_and_line(self, tmp_path, row, message):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"dyad_id,month,state_code,state_name\nd1,2020-01,1,Escalation\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: {message}")):
             load_labels_csv(path)
 
     def test_second_row_for_a_dyad_month_names_path_and_line(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text(
-            "dyad_id,month,state_code,state_name,derivative_value\n"
-            "d1,2020-01,1,Escalation,0.5\nd2,2020-01,1,Escalation,0.5\nd1,2020-01,2,Plateau,0.0\n"
+            "dyad_id,month,state_code,state_name\n"
+            "d1,2020-01,1,Escalation\nd2,2020-01,1,Escalation\nd1,2020-01,2,Plateau\n"
         )
         with pytest.raises(ValueError, match=re.escape(
             f"{path}, line 4: second row for dyad d1, month 2020-01 (first at line 2)"
         )):
             load_labels_csv(path)
+
+
+# fit_hierarchical -> fit_trend -> label_windows -> save_labels_csv on three
+# seeded 48-month series of one country, writing both label files to argv[1]
+THREAD_JOB = """
+import sys
+import numpy as np
+from nexus.gp_trend import PriorSpec, fit_hierarchical, fit_trend
+from nexus.ingest import DyadMonthSeries
+from nexus.state_labels import LabelerConfig, label_windows, save_labels_csv
+
+rng = np.random.default_rng(1)
+grid = np.arange(24000, 24048)
+series = {}
+for i in range(3):
+    raw = rng.poisson(np.exp(2 + 1.5 * np.sin(np.arange(48) / 5 + i)))
+    series[f"d{i}"] = DyadMonthSeries(f"d{i}", "c1", grid, np.log1p(raw), raw)
+prior = PriorSpec(np.log(12.0), 0.5)
+fits = []
+for part in ({d: s.month_slice(24000, 24031) for d, s in series.items()}, series):
+    params = fit_hierarchical(list(part.values()), prior)
+    fits.append({d: fit_trend(s, prior, params[d]) for d, s in part.items()})
+train, val = label_windows(series, *fits, LabelerConfig(0.25, 24031, 24047))
+save_labels_csv(train, sys.argv[1] + "/labels_train.csv")
+save_labels_csv(val, sys.argv[1] + "/labels_val.csv")
+"""
+
+
+def test_label_files_are_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    # the fitted derivatives can differ in their last bits between the runs; the states must not
+    path = os.pathsep.join(filter(None, [str(Path(nexus.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    runs = []
+    try:
+        for threads in ("1", "2"):
+            (tmp_path / threads).mkdir()
+            env = {**os.environ, "PYTHONPATH": path,
+                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            runs.append(subprocess.Popen(
+                [sys.executable, "-c", THREAD_JOB, str(tmp_path / threads)], env=env
+            ))
+        assert [run.wait(timeout=120) for run in runs] == [0, 0]
+    finally:
+        for run in runs:
+            run.kill()
+            run.wait()
+    for name in ("labels_train.csv", "labels_val.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -476,6 +476,10 @@ class TestModelRoundTrip:
         ("class_weights", [1.0, 1.0, 1.0], "class_weights must have 4 entries"),
         ("converged", "false", "converged is not a bool: 'false'"),
         ("converged", 1, "converged is not a bool: 1"),
+        ("step", "1", "step is not an int: '1'"),
+        ("kind", 3, "kind is not a str: 3"),
+        ("config", {"epochs": True}, "epochs is not an int: True"),
+        ("n_iter", 2.5, "n_iter is not an int: 2.5"),
     ])
     def test_malformed_model_file_names_it(self, tmp_path, field, value, error):
         path = tmp_path / "model.json"
