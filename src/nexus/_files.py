@@ -29,6 +29,8 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
+
 # what bad data raises in json, int(), float() (OverflowError at inf), parse_month or a missing key
 _ERRORS = (KeyError, OverflowError, TypeError, ValueError)
 _UNDECODED = re.compile("[\udc80-\udcff]")  # bytes that surrogateescape kept
@@ -200,6 +202,19 @@ def field(row: dict, name: str, kind: type, null: bool = False):
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, kinds):
         raise ValueError(f"{name} is not {'an' if kind is int else 'a'} {kind.__name__}: {value!r}")
     return value
+
+
+def numbers(row: dict, name: str, kind: type = float, ndim: int = 1) -> np.ndarray:
+    """``row[name]``, a JSON list of ``kind``-s (``int`` or ``float``, as :func:`field` takes
+    them) or, for ``ndim`` 2, a list of such lists, as an array of ``kind``."""
+    items = [row[name]]
+    for _ in range(ndim):
+        if not all(isinstance(v, list) for v in items):
+            raise ValueError(f"{name} is not {'a list' if ndim == 1 else 'a list of lists'}")
+        items = [v for item in items for v in item]
+    for value in items:
+        field({name: value}, name, kind)
+    return np.array(row[name], dtype=kind)
 
 
 def strings(row: dict, name: str) -> tuple[str, ...]:

@@ -332,7 +332,6 @@ def save_digests(digests: list[Digest], path: str | Path) -> None:
             "kind": digest.kind,
             "snippet_ids": digest.snippet_ids,
             "text": digest.text,
-            "total_tokens": digest.total_tokens,
         }
         for digest in ordered
     ))
@@ -341,10 +340,10 @@ def save_digests(digests: list[Digest], path: str | Path) -> None:
 def load_digests(path: str | Path) -> list[Digest]:
     """Digests from a JSONL file; keys other than the saved fields are ignored.
 
-    A row whose text is not a string or snippet ids not a list of strings,
-    whose snippet ids and text lines differ in number, whose ``total_tokens``
-    is not its snippets' token count, or whose kind, dyad and month an
-    earlier row has, is an error.
+    Each snippet's token count is that of its text line. A row whose text is
+    not a string or snippet ids not a list of strings, whose snippet ids and
+    text lines differ in number, or whose kind, dyad and month an earlier row
+    has, is an error.
     """
 
     def build(row: dict) -> Digest:
@@ -354,15 +353,11 @@ def load_digests(path: str | Path) -> list[Digest]:
             for aid, line in zip(_files.strings(row, "snippet_ids"),
                                  text.split("\n") if text else [], strict=True)
         ]
-        digest = Digest(
+        return Digest(
             dyad_id=_files.field(row, "dyad_id", str),
             month=months.parse_month(row["month"]),
             kind=_files.field(row, "kind", str),
             snippets=snippets,
         )
-        total_tokens = int(row["total_tokens"])
-        if total_tokens != digest.total_tokens:
-            raise ValueError(f"total_tokens {total_tokens} is not the snippets' token count")
-        return digest
 
     return _files.read_rows(path, build, _digest_key)

@@ -9,8 +9,8 @@ pooling of the length scale when a country has several dyads. One
 objective (a group's shared length scale, each dyad's amplitude and
 noise; a single dyad is the group of one) and one multi-start driver
 serve every fit. Given those parameters, ``fit_trend`` delivers per dyad
-the posterior mean on the series' own months and its numerical first
-derivative, which downstream code discretizes into escalation states.
+the posterior mean on the series' own months, whose numerical first
+derivative downstream code discretizes into escalation states.
 
 The objective returns its exact gradient in the log-parameters with its
 value (Rasmussen & Williams, *GPML* 2006, eq. 5.9, plus the priors'
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -97,22 +97,23 @@ class PriorSpec:
 
 @dataclass
 class TrendFit:
-    """MAP hyperparameters plus posterior mean and derivative on the monthly grid."""
+    """MAP hyperparameters plus the posterior mean on months start, start + 1, ...
+
+    ``derivative`` is ``derivative(mean)``, not passed in; a one-month mean raises.
+    """
 
     dyad_id: str
     params: KernelParams
-    grid: np.ndarray
+    start: int  # month index of mean[0]
     mean: np.ndarray
-    derivative: np.ndarray
     log_posterior_at_map: float
     jitter_level: int = 0  # cholesky_with_jitter's level for the posterior factorization
+    derivative: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        lengths = (len(self.grid), len(self.mean), len(self.derivative))
-        if len(set(lengths)) != 1:
-            raise ValueError(f"grid, mean and derivative differ in length: {lengths}")
-        if not (np.isfinite(self.mean).all() and np.isfinite(self.derivative).all()):
-            raise ValueError("mean and derivative must be finite")
+        if not np.isfinite(self.mean).all():
+            raise ValueError("mean must be finite")
+        self.derivative = derivative(self.mean)
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +162,11 @@ def cholesky_with_jitter(gram: np.ndarray, amplitude: float) -> tuple[np.ndarray
 # ---------------------------------------------------------------------------
 
 def _series_data(series: DyadMonthSeries) -> tuple[np.ndarray, np.ndarray]:
-    """Month-distance matrix and log-fatalities, checked once per fit."""
-    x = np.asarray(series.months, dtype=float)
+    """Month distances |i - j| (a series' months are contiguous) and log-fatalities, checked."""
     y = np.asarray(series.log_fatalities, dtype=float)
     if y.size == 0 or not np.all(np.isfinite(y)):
         raise ValueError("log-fatalities must be finite and non-empty")
-    if len(np.unique(x)) != len(x):
-        raise ValueError("time points must be distinct")
+    x = np.arange(y.size, dtype=float)
     return np.abs(x[:, None] - x[None, :]), y
 
 
@@ -253,25 +252,28 @@ def log_posterior(series: DyadMonthSeries, params: KernelParams, prior: PriorSpe
 def _ascend(func, z0: np.ndarray, max_iter: int = 200):
     """Maximize func from z0 by L-BFGS-B inside the +-_LOG_BOUND box.
 
-    func returns (value, gradient); the gradient is analytic, so each
-    iteration costs one call per line-search trial. Points where func
-    raises (an unfactorizable Gram matrix, invalid parameters) score -inf.
+    func returns (value, gradient); the gradient is analytic, so z0 costs
+    one call and each iteration one per line-search trial. Points where func
+    raises (an unfactorizable Gram matrix, invalid parameters) or is not
+    finite score -inf with a zero gradient, so such a z0 is the end.
     Returns (z, value, trace) where trace holds the objective at the start
     and after every iteration; L-BFGS-B only accepts improving steps, so
     it is non-decreasing. scipy's iteration count and convergence flag
     are logged at DEBUG.
     """
+    trace: list[float] = []  # its first entry is scipy's first call, at z0
 
     def negated(z: np.ndarray) -> tuple[float, np.ndarray]:
         try:
             value, grad = func(z)
         except (FactorizationError, ValueError, OverflowError):
-            return math.inf, np.zeros_like(z)
+            value = -math.inf
+        if not math.isfinite(value):
+            value, grad = -math.inf, np.zeros_like(z)
+        if not trace:
+            trace.append(value)
         return -value, -grad
 
-    trace = [-negated(z0)[0]]
-    if not math.isfinite(trace[0]):
-        return z0, trace[0], trace
     result = minimize(
         negated,
         z0,
@@ -364,8 +366,8 @@ def _fit_group(group: list[DyadMonthSeries], prior: PriorSpec, max_iter: int) ->
 
 def fit_map(series: DyadMonthSeries, prior: PriorSpec, max_iter: int = 200) -> KernelParams:
     """MAP kernel hyperparameters by multi-start L-BFGS-B in log space, from `_starts`."""
-    if len(series.months) < 4:
-        raise ValueError(f"series too short to fit: {len(series.months)} months")
+    if len(series.log_fatalities) < 4:
+        raise ValueError(f"series too short to fit: {len(series.log_fatalities)} months")
     return KernelParams(*np.exp(_fit_group([series], prior, max_iter)))
 
 
@@ -415,7 +417,7 @@ def derivative(mean: np.ndarray) -> np.ndarray:
 
 
 def fit_trend(series: DyadMonthSeries, prior: PriorSpec, params: KernelParams) -> TrendFit:
-    """Posterior mean K_f (K_f + sigma^2 I)^-1 y on the series' own months, and its derivative.
+    """Posterior mean K_f (K_f + sigma^2 I)^-1 y on the series' own months.
 
     `params` come from :func:`fit_map` or :func:`fit_hierarchical`; `prior`
     only scores them for ``log_posterior_at_map``.
@@ -427,9 +429,8 @@ def fit_trend(series: DyadMonthSeries, prior: PriorSpec, params: KernelParams) -
     return TrendFit(
         dyad_id=series.dyad_id,
         params=params,
-        grid=np.asarray(series.months, dtype=int),
+        start=int(series.months[0]),
         mean=mean,
-        derivative=derivative(mean),
         log_posterior_at_map=log_posterior(series, params, prior),
         jitter_level=level,
     )
@@ -445,9 +446,8 @@ def save_trend_fit(fit: TrendFit, path: str | Path) -> None:
         "length_scale": fit.params.length_scale,
         "amplitude": fit.params.amplitude,
         "noise_sd": fit.params.noise_sd,
-        "grid": [months.format_month(int(m)) for m in fit.grid],
+        "start": months.format_month(fit.start),
         "mean": [float(v) for v in fit.mean],
-        "derivative": [float(v) for v in fit.derivative],
         "log_posterior": fit.log_posterior_at_map,
         "jitter_level": fit.jitter_level,
     })
@@ -459,9 +459,8 @@ def load_trend_fit(path: str | Path) -> TrendFit:
         params=KernelParams(*(
             _files.field(payload, name, float) for name in ("length_scale", "amplitude", "noise_sd")
         )),
-        grid=np.array([months.parse_month(m) for m in payload["grid"]], dtype=int),
-        mean=np.array(payload["mean"], dtype=float),
-        derivative=np.array(payload["derivative"], dtype=float),
+        start=months.parse_month(payload["start"]),
+        mean=_files.numbers(payload, "mean"),
         log_posterior_at_map=float(_files.field(payload, "log_posterior", float)),
         jitter_level=_files.field(payload, "jitter_level", int),
     ))

@@ -131,14 +131,13 @@ class DyadMonthSeries:
 class ArticleLabel:
     """Dyad attribution for one article.
 
-    ``gold`` marks event-headline matches; ``ambiguous`` marks headlines
-    shared by events of more than one dyad.
+    ``gold`` marks event-headline matches; a gold label of more than one
+    dyad is a headline shared by events of those dyads.
     """
 
     article_id: str
     dyads: tuple[str, ...]
     gold: bool
-    ambiguous: bool = False
 
 
 @dataclass(frozen=True)
@@ -351,7 +350,7 @@ def match_headlines(
     """Back-label articles whose normalized headline matches a labeled event.
 
     A headline shared by events of several dyads labels the article with
-    all of them and flags it ambiguous.
+    all of them, and is logged.
     """
     by_headline: dict[str, set[str]] = {}
     for event in events:
@@ -362,15 +361,14 @@ def match_headlines(
         if not dyads:
             continue
         ordered = tuple(sorted(dyads))
-        ambiguous = len(ordered) > 1
-        if ambiguous:
+        if len(ordered) > 1:
             logger.warning(
                 "article %s headline matches events of dyads %s",
                 article.article_id,
                 ", ".join(ordered),
             )
         labels[article.article_id] = ArticleLabel(
-            article_id=article.article_id, dyads=ordered, gold=True, ambiguous=ambiguous
+            article_id=article.article_id, dyads=ordered, gold=True
         )
     return labels
 
@@ -479,18 +477,23 @@ def save_series(series: DyadMonthSeries, path: str | Path) -> None:
         "country_id": series.country_id,
         "months": [months.format_month(int(m)) for m in series.months],
         "raw_fatalities": [int(v) for v in series.raw_fatalities],
-        "log_fatalities": [float(v) for v in series.log_fatalities],
     })
 
 
 def load_series(path: str | Path) -> DyadMonthSeries:
-    return _files.read_json(path, lambda payload: DyadMonthSeries(
-        dyad_id=_files.field(payload, "dyad_id", str),
-        country_id=_files.field(payload, "country_id", str),
-        months=np.array([months.parse_month(m) for m in payload["months"]]),
-        log_fatalities=np.array(payload["log_fatalities"], dtype=float),
-        raw_fatalities=np.array(payload["raw_fatalities"], dtype=int),
-    ))
+    """The saved series; its ``log_fatalities`` are ln(1 + raw), as ``aggregate_monthly``'s."""
+
+    def build(payload: dict) -> DyadMonthSeries:
+        raw = _files.numbers(payload, "raw_fatalities", int)
+        return DyadMonthSeries(
+            dyad_id=_files.field(payload, "dyad_id", str),
+            country_id=_files.field(payload, "country_id", str),
+            months=np.array([months.parse_month(m) for m in payload["months"]]),
+            log_fatalities=np.log1p(np.maximum(raw, 0)),  # DyadMonthSeries rejects raw < 0
+            raw_fatalities=raw,
+        )
+
+    return _files.read_json(path, build)
 
 
 def _label_key(label: ArticleLabel) -> str:
@@ -509,6 +512,5 @@ def load_labels_file(path: str | Path) -> dict[str, ArticleLabel]:
         article_id=_files.field(row, "article_id", str),
         dyads=_files.strings(row, "dyads"),
         gold=_files.field(row, "gold", bool),
-        ambiguous=_files.field(row, "ambiguous", bool),
     ), _label_key)
     return {label.article_id: label for label in labels}

@@ -8,7 +8,8 @@ observed after the training cutoff can touch a training label.
 
 A labels CSV holds states only (``dyad_id,month,state_code,state_name``),
 so its bytes do not move with the BLAS thread count; the derivative behind
-each state, whose last bits do, lives in the ``gp_trend.save_trend_fit`` file.
+each state, whose last bits do, follows from the posterior mean that
+``gp_trend.save_trend_fit`` writes.
 """
 
 from __future__ import annotations
@@ -88,15 +89,13 @@ def discretize(derivative, raw_fatalities, tau: float = DEFAULT_TAU) -> np.ndarr
 def _window_states(
     series: DyadMonthSeries, fit: TrendFit, lo: int, hi: int, tau: float
 ) -> LabeledSeries | None:
-    """Labels for series months in [lo, hi] using the given fit's derivative."""
+    """Labels for series months in [lo, hi] from the fit's derivative; None if it misses one."""
     sel = (series.months >= lo) & (series.months <= hi)
-    wanted = series.months[sel]
-    grid_pos = {int(m): i for i, m in enumerate(fit.grid)}
-    if any(int(m) not in grid_pos for m in wanted):
+    idx = series.months[sel] - fit.start  # contiguous months, so the first and last bound it
+    if idx.size and (idx[0] < 0 or idx[-1] >= fit.derivative.size):
         return None
-    idx = np.array([grid_pos[int(m)] for m in wanted], dtype=int)
     states = discretize(fit.derivative[idx], series.raw_fatalities[sel], tau)
-    return LabeledSeries(series.dyad_id, wanted, states)
+    return LabeledSeries(series.dyad_id, series.months[sel], states)
 
 
 def label_windows(
@@ -124,7 +123,7 @@ def label_windows(
         labeled_t = _window_states(series, fit_t, first, config.train_end, config.tau)
         labeled_v = _window_states(series, fit_v, config.train_end + 1, config.val_end, config.tau)
         if labeled_t is None or labeled_v is None:
-            logger.warning("dyad %s fit grid does not cover its window, skipped", dyad_id)
+            logger.warning("dyad %s fit does not cover its window, skipped", dyad_id)
             continue
         train[dyad_id] = labeled_t
         val[dyad_id] = labeled_v

@@ -324,8 +324,8 @@ def save_model(model: SoftmaxModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> SoftmaxModel:
     return _files.read_json(path, lambda payload: SoftmaxModel(
-        weights=np.array(payload["weights"], dtype=float),
-        class_weights=np.array(payload["class_weights"], dtype=float),
+        weights=_files.numbers(payload, "weights", ndim=2),
+        class_weights=_files.numbers(payload, "class_weights"),
         config=TrainConfig(epochs=_files.field(payload["config"], "epochs", int)),
         final_loss=float(_files.field(payload, "final_loss", float)),
         n_iter=_files.field(payload, "n_iter", int),

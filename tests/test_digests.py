@@ -605,6 +605,16 @@ class TestDigestRoundTrip:
         path.write_text(row[:-1] + ', "seed": 0, "partition": 1}\n')
         assert load_digests(path) == [digest]
 
+    def test_stale_token_total_ignored(self, tmp_path):
+        # older files hold a token total; it is not saved, and not checked on load, whatever its value
+        digest = Digest("dy", parse_month("2021-03"), HIGH_CONTEXT, [Snippet("a", "x y", 2)])
+        path = tmp_path / "digests.jsonl"
+        save_digests([digest], path)
+        row = path.read_text().rstrip("\n")
+        assert "total_tokens" not in row
+        path.write_text(row[:-1] + ', "total_tokens": 9}\n')
+        assert load_digests(path) == [digest]
+
 
 class TestLoadDigestsErrors:
     def _three(self):
@@ -668,13 +678,11 @@ class TestLoadDigestsErrors:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("snippet_ids", ["a2", "a9"]), ("text", "x y z\nu v"), ("total_tokens", 4),
-         ("month", 202102), ("text", 5), ("snippet_ids", "a"), ("snippet_ids", [2]),
+        [("snippet_ids", ["a2", "a9"]), ("text", "x y z\nu v"), ("month", 202102), ("text", 5), ("snippet_ids", "a"), ("snippet_ids", [2]),
          ("dyad_id", 7), ("kind", ["x"])],
     )
     def test_row_at_odds_with_itself_names_path_and_line(self, tmp_path, field, value):
-        # ids and text lines differ in number, the token total is not the snippets',
-        # or a field is not of its JSON type (the string "a" is not the ids ["a"], 7 not a dyad id)
+        # ids and text lines differ in number, or a field is not of its JSON type (the string "a" is not the ids ["a"], 7 not a dyad id)
         path = tmp_path / "digests.jsonl"
         save_digests(self._three(), path)
         lines = path.read_text().splitlines(keepends=True)

@@ -1,5 +1,6 @@
 """The intermediate files: every saver writes atomically, every loader names a cut file."""
 
+import json
 import re
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import roundtrip_outputs
 from conftest import make_series
 from nexus import _files
 from nexus.digests import HIGH_CONTEXT, LOW_CONTEXT, Digest, Snippet, load_digests, save_digests
@@ -28,14 +30,11 @@ from nexus.stepshift import SoftmaxModel, TrainConfig, load_model, save_model
 
 VECTORS = np.arange(12, dtype=np.float32).reshape(4, 3) + 1
 LABELS = {
-    "a": ArticleLabel("a", ("d1", "d2"), gold=True, ambiguous=True),
+    "a": ArticleLabel("a", ("d1", "d2"), gold=True),
     "b": ArticleLabel("b", ("d3",), gold=False),
     "c": ArticleLabel("c", ("d1",), gold=True),
 }
-TREND = TrendFit(
-    "d1", KernelParams(6.0, 1.5, 0.3), np.arange(24000, 24004),
-    np.array([0.1, 0.2, 0.4, 0.3]), np.array([0.1, 0.15, 0.05, -0.1]), -3.25, 1,
-)
+TREND = TrendFit("d1", KernelParams(6.0, 1.5, 0.3), 24000, np.array([0.1, 0.2, 0.4, 0.3]), -3.25, 1)
 STATES = {
     dyad: LabeledSeries(dyad, np.arange(24000, 24003), np.array([0, 1, 3]))
     for dyad in ("d1", "d2")
@@ -120,6 +119,24 @@ def test_saving_what_was_loaded_writes_the_same_bytes(tmp_path, name):
     save(saved)
     resave(load(saved), resaved)
     assert resaved.read_bytes() == saved.read_bytes()
+
+
+def test_roundtrip_script_names_the_first_file_that_does_not_round_trip(tmp_path):
+    # one file of each kind, named as a pipeline run names it
+    for case, name in (("series.json", "series_d7.json"), ("labels.jsonl", "article_labels.jsonl"),
+                       ("trend.json", "trend_train_d1.json"), ("digests.jsonl", "digests.jsonl"),
+                       ("model.json", "model_step1_low_context.json"),
+                       ("forecasts.csv", "forecasts_step1_low_context.csv")):
+        CASES[case][0](tmp_path / name)
+    counts, error = roundtrip_outputs.check(tmp_path)
+    assert error is None and set(counts.values()) == {1}
+    trend = tmp_path / "trend_train_d1.json"
+    trend.write_text(json.dumps(json.loads(trend.read_text()), indent=1))  # same values
+    assert roundtrip_outputs.check(tmp_path)[1] == (
+        f"{trend}: saving what was loaded writes other bytes"
+    )
+    trend.unlink()
+    assert roundtrip_outputs.check(tmp_path)[1] == f"{tmp_path}: no trend_*.json file"
 
 
 LABELS_HEADER = b"dyad_id,month,state_code,state_name\r\n"

@@ -28,6 +28,7 @@ from nexus.gp_trend import (
     log_posterior,
     save_trend_fit,
 )
+from nexus.months import format_month, parse_month
 
 from conftest import make_log_series, make_series
 
@@ -153,12 +154,6 @@ class TestGram:
             gram = oracle_gram(times, params)
             _, level = cholesky_with_jitter(gram, params.amplitude)
             assert level <= 1
-
-    def test_duplicate_times_rejected(self):
-        series = make_series([1, 1, 2])
-        series.months[1] = series.months[0]
-        with pytest.raises(ValueError, match="distinct"):
-            log_marginal(series, KernelParams(1.0, 1.0, 0.1))
 
     def test_factorization_error_on_broken_matrix(self):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
@@ -514,6 +509,35 @@ class TestFitMap:
             assert len(trace) > 1 and trace[-1] == value
             assert all(b >= a for a, b in zip(trace, trace[1:]))
 
+    def test_objective_evaluated_once_at_the_start(self):
+        series = make_series([0, 1, 5, 20, 44, 31, 12, 4, 1, 0, 2, 9])
+        objective = gp_trend._objective([series], PRIOR)
+        z0 = gp_trend._starts([series], PRIOR)[0]
+        calls = []
+
+        def counted(z):
+            calls.append(z.copy())
+            return objective(z)
+
+        _, _, trace = gp_trend._ascend(counted, z0)
+        assert sum(np.array_equal(z, z0) for z in calls) == 1
+        assert trace[0] == objective(z0)[0]
+
+    @pytest.mark.parametrize("outcome", ["raises", "nan", "inf"])
+    def test_non_finite_start_stops_after_one_call(self, outcome):
+        calls = []
+
+        def func(z):
+            calls.append(z.copy())
+            if outcome == "raises":
+                raise FactorizationError("indefinite")
+            return (math.nan if outcome == "nan" else math.inf), np.ones_like(z)
+
+        z0 = np.array([0.5, -1.0, 2.0])
+        z, value, trace = gp_trend._ascend(func, z0)
+        assert len(calls) == 1 and np.array_equal(calls[0], z0)
+        assert np.array_equal(z, z0) and value == -math.inf and trace == [-math.inf]
+
     def test_prior_pull_limit(self):
         series = make_series([0, 3, 10, 44, 12, 7, 0, 2, 30, 18, 5, 1])
         tight = PriorSpec(math.log(122.38), 0.001)
@@ -664,17 +688,27 @@ class TestDerivative:
 
 
 class TestTrendFitRoundTrip:
+    def _saved(self, path):
+        series = make_series([0, 1, 5, 20, 44, 31, 12, 4, 1, 0, 2, 9])
+        save_trend_fit(fit_trend(series, PRIOR, KernelParams(6.0, 1.5, 0.5)), path)
+        return json.loads(path.read_text())
+
     def test_save_load(self, tmp_path):
         series = make_series([0, 1, 5, 20, 44, 31, 12, 4, 1, 0, 2, 9])
         fit = fit_trend(series, PRIOR, fit_map(series, PRIOR))
         path = tmp_path / "fit.json"
         save_trend_fit(fit, path)
+        assert sorted(json.loads(path.read_text())) == [
+            "amplitude", "dyad_id", "jitter_level", "length_scale", "log_posterior", "mean",
+            "noise_sd", "start",
+        ]
         loaded = load_trend_fit(path)
         assert loaded.dyad_id == fit.dyad_id
         assert loaded.params == fit.params
-        assert np.array_equal(loaded.grid, fit.grid)
-        assert np.allclose(loaded.mean, fit.mean)
-        assert np.allclose(loaded.derivative, fit.derivative)
+        assert loaded.start == fit.start == series.months[0]
+        assert np.array_equal(loaded.mean, fit.mean)
+        assert np.array_equal(loaded.derivative, fit.derivative)
+        assert np.array_equal(fit.derivative, derivative(fit.mean))
 
     def test_jitter_level_round_trips(self, tmp_path):
         series = make_series([0, 1, 5, 20, 44, 31, 12, 4, 1, 0, 2, 9])
@@ -686,40 +720,48 @@ class TestTrendFitRoundTrip:
         save_trend_fit(fit, path)
         assert load_trend_fit(path).jitter_level == 2
 
-    @pytest.mark.parametrize("field", ["grid", "mean", "derivative"])
-    def test_field_of_another_length_names_the_file(self, tmp_path, field):
-        series = make_series([0, 1, 5, 20, 44, 31, 12, 4, 1, 0, 2, 9])
+    def test_file_in_the_grid_format_names_the_file(self, tmp_path):
+        # the format before "start": a month per mean value and a saved derivative
         path = tmp_path / "fit.json"
-        save_trend_fit(fit_trend(series, PRIOR, KernelParams(6.0, 1.5, 0.5)), path)
-        payload = json.loads(path.read_text())
-        payload[field] = payload[field][:-1]
+        payload = self._saved(path)
+        first = parse_month(payload.pop("start"))
+        payload["grid"] = [format_month(first + i) for i in range(len(payload["mean"]))]
+        payload["derivative"] = derivative(payload["mean"]).tolist()
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*differ in length"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: missing field 'start'")):
+            load_trend_fit(path)
+
+    def test_one_month_mean_names_the_file(self, tmp_path):
+        path = tmp_path / "fit.json"
+        payload = self._saved(path)
+        payload["mean"] = payload["mean"][:1]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
             load_trend_fit(path)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("grid", [None], "not a YYYY-MM month: None"),
+        ("start", None, "not a YYYY-MM month: None"),
         ("dyad_id", 7, "dyad_id is not a str: 7"),
         ("length_scale", True, "length_scale is not a float: True"),
         ("jitter_level", 2.7, "jitter_level is not an int: 2.7"),
-    ], ids=["grid", "dyad_id", "length_scale", "jitter_level"])
+        ("mean", [0.1, "0.2", 0.3], "mean is not a float: '0.2'"),
+        ("mean", [0.1, True, 0.3], "mean is not a float: True"),
+        ("mean", "0.1", "mean is not a list"),
+    ], ids=["start", "dyad_id", "length_scale", "jitter_level", "mean-string", "mean-bool",
+            "mean-not-a-list"])
     def test_field_of_the_wrong_json_type_names_the_file(self, tmp_path, field, value, message):
-        series = make_series([0, 1, 5, 20, 44, 31, 12, 4, 1, 0, 2, 9])
         path = tmp_path / "fit.json"
-        save_trend_fit(fit_trend(series, PRIOR, KernelParams(6.0, 1.5, 0.5)), path)
-        payload = json.loads(path.read_text())
+        payload = self._saved(path)
         payload[field] = value
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_trend_fit(path)
 
-    @pytest.mark.parametrize("field", ["mean", "derivative"])
+    @pytest.mark.parametrize("field", ["mean"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_names_the_file(self, tmp_path, field, bad):
-        series = make_series([0, 1, 5, 20, 44, 31, 12, 4, 1, 0, 2, 9])
         path = tmp_path / "fit.json"
-        save_trend_fit(fit_trend(series, PRIOR, KernelParams(6.0, 1.5, 0.5)), path)
-        payload = json.loads(path.read_text())
+        payload = self._saved(path)
         payload[field][3] = bad  # json writes NaN, Infinity, -Infinity
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*must be finite"):

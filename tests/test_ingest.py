@@ -388,13 +388,14 @@ class TestMatchHeadlines:
     def test_ignores_case_whitespace_and_trailing_punctuation(self):
         articles = [article("a1", "  Clash\tnear   the RIVER!?. "), article("a2", "clash")]
         labels = match_headlines(articles, [event("e1", "d1", "clash near the river")])
-        assert labels == {"a1": ArticleLabel("a1", ("d1",), gold=True, ambiguous=False)}
+        assert labels == {"a1": ArticleLabel("a1", ("d1",), gold=True)}
 
-    def test_headline_of_several_dyads_is_ambiguous(self):
+    def test_headline_of_several_dyads_is_ambiguous(self, caplog):
         events = [event("e1", "d2", "Shelling."), event("e2", "d1", "shelling"),
                   event("e3", "d2", "SHELLING")]
         labels = match_headlines([article("a1", "shelling")], events)
-        assert labels == {"a1": ArticleLabel("a1", ("d1", "d2"), gold=True, ambiguous=True)}
+        assert labels == {"a1": ArticleLabel("a1", ("d1", "d2"), gold=True)}
+        assert "article a1 headline matches events of dyads d1, d2" in caplog.text
 
 
 class TestApplyDyadFilter:
@@ -406,7 +407,7 @@ class TestApplyDyadFilter:
         assert labels == {"a1": ArticleLabel("a1", ("d1",), gold=False)}
 
     def test_gold_labels_pass_through_unchanged(self):
-        gold = {"a1": ArticleLabel("a1", ("d1", "d2"), gold=True, ambiguous=True),
+        gold = {"a1": ArticleLabel("a1", ("d1", "d2"), gold=True),
                 "a2": ArticleLabel("a2", ("d3",), gold=True)}
         probs = [DyadProbabilityRow("a1", {"d9": 0.99}), DyadProbabilityRow("a2", {"d3": 0.1})]
         labels = apply_dyad_filter([article("a1"), article("a2")], probs, gold_labels=gold)
@@ -519,27 +520,40 @@ class TestRoundTrips:
     def test_series(self, tmp_path):
         series = make_series([0, 3, 0, 17, 250, 1], dyad_id="d7", country_id="c2")
         save_series(series, tmp_path / "series.json")
+        assert sorted(json.loads((tmp_path / "series.json").read_text())) == [
+            "country_id", "dyad_id", "months", "raw_fatalities"
+        ]
         loaded = load_series(tmp_path / "series.json")
         assert (loaded.dyad_id, loaded.country_id) == ("d7", "c2")
         for name in ("months", "raw_fatalities", "log_fatalities"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(series, name))
 
+    def test_series_log_fatalities_follow_from_the_counts(self, tmp_path):
+        # a file of the older format, whose log column disagrees with its counts
+        path = tmp_path / "series.json"
+        save_series(make_series([0, 1, 3]), path)
+        payload = json.loads(path.read_text())
+        payload["log_fatalities"] = [0.0, 2.89, 1.0]
+        path.write_text(json.dumps(payload))
+        np.testing.assert_array_equal(load_series(path).log_fatalities, np.log1p([0, 1, 3]))
+
     def test_labels_file(self, tmp_path):
         labels = {
-            "b": ArticleLabel("b", ("d1", "d2"), gold=True, ambiguous=True),
+            "b": ArticleLabel("b", ("d1", "d2"), gold=True),
             "a": ArticleLabel("a", ("d3",), gold=False),
             "c": ArticleLabel("c", ("d1",), gold=True),
         }
         save_labels_file(labels, tmp_path / "labels.jsonl")
+        assert '"ambiguous"' not in (tmp_path / "labels.jsonl").read_text()
         assert load_labels_file(tmp_path / "labels.jsonl") == labels
 
     def test_second_row_for_an_article_names_path_and_lines(self, tmp_path):
         # a classifier label after the gold one must not replace it
         path = tmp_path / "labels.jsonl"
         path.write_text(
-            '{"article_id": "a1", "dyads": ["d1"], "gold": true, "ambiguous": false}\n'
-            '{"article_id": "b", "dyads": ["d1"], "gold": false, "ambiguous": false}\n'
-            '{"article_id": "a1", "dyads": ["d2"], "gold": false, "ambiguous": false}\n'
+            '{"article_id": "a1", "dyads": ["d1"], "gold": true}\n'
+            '{"article_id": "b", "dyads": ["d1"], "gold": false}\n'
+            '{"article_id": "a1", "dyads": ["d2"], "gold": false}\n'
         )
         with pytest.raises(ValueError, match=re.escape(
             f"{path}, line 3: second row for article a1 (first at line 1)"
@@ -561,14 +575,13 @@ class TestRoundTrips:
         ("dyads", "d1", "dyads is not a list of strings: 'd1'"),
         ("dyads", [1], "dyads is not a list of strings: [1]"),
         ("gold", "false", "gold is not a bool: 'false'"),
-        ("ambiguous", 0, "ambiguous is not a bool: 0"),
         ("article_id", 5, "article_id is not a str: 5"),
     ])
     def test_labels_field_of_the_wrong_json_type_names_path_and_line(
         self, tmp_path, field, value, message
     ):
         path = tmp_path / "labels.jsonl"
-        rows = [{"article_id": aid, "dyads": ["d1"], "gold": True, "ambiguous": False}
+        rows = [{"article_id": aid, "dyads": ["d1"], "gold": True}
                 for aid in ("a", "b")]
         rows[1][field] = value
         path.write_text("".join(json.dumps(row) + "\n" for row in rows))
@@ -579,7 +592,13 @@ class TestRoundTrips:
         ("months", ["2015-01", 24001], "not a YYYY-MM month: 24001"),
         ("dyad_id", 7, "dyad_id is not a str: 7"),
         ("country_id", ["c"], "country_id is not a str: ['c']"),
-    ], ids=["months", "dyad_id", "country_id"])
+        ("raw_fatalities", [0, 3.7], "raw_fatalities is not an int: 3.7"),
+        ("raw_fatalities", [0, True], "raw_fatalities is not an int: True"),
+        ("raw_fatalities", [0, "3"], "raw_fatalities is not an int: '3'"),
+        ("raw_fatalities", 3, "raw_fatalities is not a list"),
+        ("raw_fatalities", [0, -1], "series d1: negative fatalities"),
+    ], ids=["months", "dyad_id", "country_id", "raw-float", "raw-bool", "raw-string",
+            "raw-not-a-list", "raw-negative"])
     def test_series_field_of_the_wrong_json_type_names_the_file(
         self, tmp_path, field, value, message
     ):

@@ -1,8 +1,10 @@
+import logging
 import math
 import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +162,22 @@ class TestLabelWindows:
         train, val = label_windows({"d1": series}, {}, {}, config)
         assert train == {} and val == {}
 
+    @pytest.mark.parametrize("case", ["val-fit-ends-early", "train-fit-starts-late"])
+    def test_fit_not_covering_its_window_skips_and_logs_the_dyad(self, caplog, case):
+        raw = [0, 1, 4, 9, 25, 60, 80, 40, 12, 3, 1, 0, 2, 9, 30, 55, 70, 20]
+        series, fit_t, fit_v, config = self._setup(raw)
+        other = make_series(raw, dyad_id="d2")
+        other_t, other_v = _fit_pair(other, config.train_end)
+        if case == "val-fit-ends-early":
+            fit_v = fit_t
+        else:
+            fit_t = replace(fit_t, start=fit_t.start + 1)
+        with caplog.at_level(logging.WARNING, logger="nexus.state_labels"):
+            train, val = label_windows({"d1": series, "d2": other}, {"d1": fit_t, "d2": other_t},
+                                       {"d1": fit_v, "d2": other_v}, config)
+        assert sorted(train) == sorted(val) == ["d2"]
+        assert "dyad d1 fit does not cover its window, skipped" in caplog.text
+
     def test_three_dyad_counts_match_reapplication(self):
         rng = np.random.default_rng(4)
         series_by_dyad = {}
@@ -176,10 +194,8 @@ class TestLabelWindows:
         train, val = label_windows(series_by_dyad, fits_t, fits_v, config)
         for name, series in series_by_dyad.items():
             for part, fit in ((train[name], fits_t[name]), (val[name], fits_v[name])):
-                grid_pos = {int(m): i for i, m in enumerate(fit.grid)}
                 for m, state in zip(part.months, part.states):
-                    i = grid_pos[int(m)]
-                    d = fit.derivative[i]
+                    d = fit.derivative[int(m) - fit.start]
                     raw_m = series.raw_fatalities[list(series.months).index(m)]
                     if raw_m == 0:
                         expected = 0

@@ -480,6 +480,10 @@ class TestModelRoundTrip:
         ("kind", 3, "kind is not a str: 3"),
         ("config", {"epochs": True}, "epochs is not an int: True"),
         ("n_iter", 2.5, "n_iter is not an int: 2.5"),
+        ("weights", [[0.0, 0.0, "0.1"]] * 4, "weights is not a float: '0.1'"),
+        ("weights", [[0.0, 0.0, True]] * 4, "weights is not a float: True"),
+        ("weights", [0.0] * 4, "weights is not a list of lists"),
+        ("class_weights", [1.0, 1.0, 1.0, True], "class_weights is not a float: True"),
     ])
     def test_malformed_model_file_names_it(self, tmp_path, field, value, error):
         path = tmp_path / "model.json"
