@@ -153,11 +153,16 @@ def cluster_topics(
 ) -> TopicModel:
     """Spherical k-means with a minimum-cluster-size merge rule.
 
-    Clusters still undersized after convergence are merged into their
-    nearest centroid, so the final topic count may drop below the initial
-    k. Fewer than 2 * min_topic_size articles cannot fill two topics, so
-    they end in one catch-all topic. ``min_topic_size`` must be at least 1
-    and ``max_topics`` at least 3, the floor of k.
+    After convergence, empty clusters are dropped. While more than one
+    cluster is left and the smallest is below ``min_topic_size``, the
+    smallest merges into the cluster whose centroid is nearest its own, so
+    the final topic count may drop below the initial k. Clusters are scanned
+    in k-means label order, a merged cluster after every older one, and the
+    first one scanned wins a tie of sizes or of similarities. Topics are
+    numbered in the order of their first article in ``ids``. Fewer than
+    2 * min_topic_size articles cannot fill two topics, so they end in one
+    catch-all topic. ``ids`` must not repeat, ``min_topic_size`` must be at
+    least 1 and ``max_topics`` at least 3, the floor of k.
     """
     n = len(ids)
     if n == 0:
@@ -166,6 +171,11 @@ def cluster_topics(
         raise ValueError(f"dyad {dyad_id}: min_topic_size must be at least 1: {min_topic_size}")
     if max_topics < 3:
         raise ValueError(f"dyad {dyad_id}: max_topics must be at least 3: {max_topics}")
+    position: dict[str, int] = {}
+    for i, aid in enumerate(ids):
+        if position.setdefault(aid, i) != i:
+            first = position[aid]
+            raise ValueError(f"dyad {dyad_id}: article id {aid!r} at positions {first} and {i}")
     vectors = np.asarray(vectors, dtype=np.float32)
     if len(vectors) != n:
         raise ValueError(f"dyad {dyad_id}: {len(vectors)} vectors for {n} article ids")
@@ -176,47 +186,36 @@ def cluster_topics(
     centroids = _kmeanspp_init(unit, k, rng)
     labels = np.argmax(unit @ centroids.T, axis=1)
     for _ in range(KMEANS_MAX_ITER):
-        fresh = []
-        for t in range(centroids.shape[0]):
-            member_vecs = unit[labels == t]
-            if len(member_vecs) == 0:
-                fresh.append(centroids[t])  # keep; may attract points later
-            else:
-                fresh.append(_normalized_mean(member_vecs))
-        centroids = np.stack(fresh)
+        for t in range(k):
+            members = unit[labels == t]
+            if len(members):  # an empty cluster keeps its centroid; it may attract points later
+                centroids[t] = _normalized_mean(members)
         new_labels = np.argmax(unit @ centroids.T, axis=1)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
 
-    # drop empty clusters, then merge undersized ones into nearest centroid
-    groups: list[np.ndarray] = []
-    for t in range(centroids.shape[0]):
-        idx = np.flatnonzero(labels == t)
-        if len(idx):
-            groups.append(idx)
-    while len(groups) > 1:
-        sizes = [len(g) for g in groups]
+    while True:
+        topics, sizes = np.unique(labels, return_counts=True)
         smallest = int(np.argmin(sizes))
-        if sizes[smallest] >= min_topic_size:
+        if len(topics) == 1 or sizes[smallest] >= min_topic_size:
             break
-        cents = np.stack([_normalized_mean(unit[g]) for g in groups])
+        cents = np.stack([_normalized_mean(unit[labels == t]) for t in topics])
         sims = cents @ cents[smallest]
         sims[smallest] = -np.inf
         target = int(np.argmax(sims))
-        merged = np.concatenate([groups[target], groups[smallest]])
-        groups = [g for i, g in enumerate(groups) if i not in (smallest, target)]
-        groups.append(np.sort(merged))
+        labels[(labels == topics[smallest]) | (labels == topics[target])] = topics[-1] + 1
 
-    groups.sort(key=lambda g: int(g[0]))
-    final_centroids = np.stack([_normalized_mean(unit[g]) for g in groups])
-    topic_of = np.empty(n, dtype=int)
-    for topic, g in enumerate(groups):
-        topic_of[g] = topic
-    assignment = dict(zip(ids, topic_of.tolist()))
+    order = list(dict.fromkeys(labels.tolist()))  # topics numbered by their first article
+    count = len(order)
+    number = np.empty(labels.max() + 1, dtype=int)
+    number[order] = np.arange(count)
+    labels = number[labels]
+    final_centroids = np.stack([_normalized_mean(unit[labels == t]) for t in range(count)])
+    assignment = dict(zip(ids, labels.tolist()))
 
     is_gold = np.array([aid in gold_ids for aid in ids], dtype=bool)
-    gold_share = np.bincount(topic_of[is_gold], minlength=len(groups)) / [len(g) for g in groups]
+    gold_share = np.bincount(labels[is_gold], minlength=count) / np.bincount(labels)
     violent = int(np.argmax(gold_share)) if is_gold.any() else None
     return TopicModel(dyad_id, final_centroids, assignment, violent)
 

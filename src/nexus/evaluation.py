@@ -110,7 +110,8 @@ def conflictology(
     The window covers the `window` months ending at horizon - step - 1,
     so nothing the forecast could not have seen leaks in; a negative step
     would reach the horizon itself and is an error. Shorter histories
-    degrade to whatever months exist; an empty window is an error.
+    degrade to whatever months exist. A window below one month, or one
+    with no state history, is an error.
 
     The result is the exact limit of bootstrapping the window: the pooled
     class shares of the resamples converge to, and under a balanced
@@ -120,6 +121,8 @@ def conflictology(
     """
     if step < 0:
         raise ValueError(f"step must be non-negative: {step}")
+    if window < 1:
+        raise ValueError(f"window must be at least 1: {window}")
     end = horizon - step - 1
     wanted = [m for m in range(end - window + 1, end + 1)]
     states = np.array([history[m] for m in wanted if m in history], dtype=int)

@@ -276,12 +276,19 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     A sidecar that holds the matrix file's ``sha256`` (as ``save_embeddings``
     writes it) must match that file, so a pair cut apart by a crash between
     its two writes raises instead of loading one save's ids beside another's
-    vectors.
+    vectors. The sidecar's ``dim`` must be a JSON integer of at least 1, its
+    ``ids`` a list of strings and its ``sha256`` a string.
     """
     path = Path(path)
-    dim, ids, sha256 = _files.read_json(_meta_path(path), lambda meta: (
-        int(meta["dim"]), [str(x) for x in meta["ids"]], meta.get("sha256")
-    ))
+
+    def build(meta: dict) -> tuple[int, list[str], str | None]:
+        dim = _files.field(meta, "dim", int)
+        if dim < 1:
+            raise ValueError(f"dim must be at least 1: {dim}")
+        sha256 = _files.field(meta, "sha256", str) if "sha256" in meta else None
+        return dim, list(_files.strings(meta, "ids")), sha256
+
+    dim, ids, sha256 = _files.read_json(_meta_path(path), build)
     data = np.fromfile(path, dtype=np.uint8)  # the file's bytes, read once
     if data.size != 4 * dim * len(ids):
         raise ValueError(f"{path}: expected {4 * dim * len(ids)} bytes, found {data.size}")
@@ -311,7 +318,7 @@ def save_embeddings(path: str | Path, ids: list[str], vectors: np.ndarray) -> No
 def load_dyad_probs(
     path: str | Path,
 ) -> tuple[list[DyadProbabilityRow], list[RowError]]:
-    """Load per-article dyad probability rows from JSONL."""
+    """Load per-article dyad probability rows from JSONL; a blank dyad key is a bad row."""
 
     def build(row: dict) -> DyadProbabilityRow:
         if "article_id" not in row or "probs" not in row:
@@ -320,6 +327,8 @@ def load_dyad_probs(
             raise ValueError("probs is not an object")
         probs = {}
         for dyad, p in row["probs"].items():
+            if not dyad.strip():
+                raise ValueError("empty dyad_id")
             if isinstance(p, bool):  # float(true) would be 1.0
                 raise ValueError(f"boolean probability: {dyad}={p}")
             try:
@@ -328,7 +337,7 @@ def load_dyad_probs(
                 raise ValueError(f"unparseable probability: {dyad}: {exc}") from None
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability out of [0,1]: {dyad}={p}")
-            probs[str(dyad)] = p
+            probs[dyad] = p
         return DyadProbabilityRow(article_id=str(row["article_id"]), probabilities=probs)
 
     return _load_rows(path, build, lambda r: f"article_id {r.article_id!r}")
@@ -350,11 +359,21 @@ def match_headlines(
     """Back-label articles whose normalized headline matches a labeled event.
 
     A headline shared by events of several dyads labels the article with
-    all of them, and is logged.
+    all of them, and is logged. A headline that normalizes to ``""`` (blank,
+    or punctuation only) matches nothing; events with one are logged once
+    per call, and keep their fatalities.
     """
     by_headline: dict[str, set[str]] = {}
+    blank = []
     for event in events:
-        by_headline.setdefault(normalize_headline(event.headline), set()).add(event.dyad_id)
+        key = normalize_headline(event.headline)
+        if key:
+            by_headline.setdefault(key, set()).add(event.dyad_id)
+        else:
+            blank.append(event.event_id)
+    if blank:
+        logger.warning("%d events with a blank headline label no article: %s",
+                       len(blank), ", ".join(blank))
     labels: dict[str, ArticleLabel] = {}
     for article in articles:
         dyads = by_headline.get(normalize_headline(article.headline))
@@ -433,13 +452,15 @@ def select_top_dyads(
 def aggregate_monthly(
     events: list[ConflictEvent], dyad_id: str, window: tuple[int, int]
 ) -> DyadMonthSeries:
-    """Monthly fatality sums for one dyad over a contiguous window.
+    """Monthly fatality sums for one dyad over a contiguous, non-empty window.
 
     Months without events carry raw 0; y_t = ln(1 + raw_t). The dyad's
     events must name one country (an empty ``country_id`` names none), the
     one the series keeps.
     """
     lo, hi = window
+    if lo > hi:
+        raise ValueError(f"window {months.format_month(lo)}..{months.format_month(hi)} is empty")
     grid = np.arange(lo, hi + 1)
     raw = np.zeros(len(grid), dtype=int)
     country = ""

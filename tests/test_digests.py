@@ -6,17 +6,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nexus.digests import (
     HIGH_CONTEXT,
+    KMEANS_MAX_ITER,
     LOW_CONTEXT,
     PER_TOPIC,
     SNIPPET_TOKENS,
     Digest,
     Snippet,
     TopicModel,
+    _kmeanspp_init,
+    _normalized_mean,
     cluster_topics,
     initial_topic_count,
     load_digests,
@@ -222,6 +225,111 @@ class TestClusterTopics:
         m2 = cluster_topics("dy", ids, vectors, set(), min_topic_size=50, seed=9)
         assert m1.assignment == m2.assignment
         assert np.array_equal(m1.centroids, m2.centroids)
+
+    def test_repeated_id_rejected_naming_both_positions(self):
+        ids = ["x", "x", "y", "z", "w", "v"]
+        vectors = np.random.default_rng(2).normal(size=(6, 8))
+        message = "dyad d: article id 'x' at positions 0 and 1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cluster_topics("d", ids, vectors, set(), min_topic_size=1, max_topics=3)
+
+
+def cluster_topics_reference(ids, vectors, gold_ids, min_topic_size, max_topics, seed):
+    """The list-of-index-arrays partition that ``cluster_topics`` once kept, as its oracle.
+
+    Returns the assignment, the violent topic and the centroids.
+    """
+    unit = np.stack([normalize(v) for v in np.asarray(vectors, dtype=np.float32)])
+    k = initial_topic_count(len(ids), min_topic_size, max_topics)
+    centroids = _kmeanspp_init(unit, k, np.random.Generator(np.random.PCG64(seed)))
+    labels = np.argmax(unit @ centroids.T, axis=1)
+    for _ in range(KMEANS_MAX_ITER):
+        fresh = []
+        for t in range(k):
+            member_vecs = unit[labels == t]
+            fresh.append(_normalized_mean(member_vecs) if len(member_vecs) else centroids[t])
+        centroids = np.stack(fresh)
+        new_labels = np.argmax(unit @ centroids.T, axis=1)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+
+    groups = [np.flatnonzero(labels == t) for t in range(k) if np.any(labels == t)]
+    while len(groups) > 1:
+        sizes = [len(g) for g in groups]
+        smallest = int(np.argmin(sizes))
+        if sizes[smallest] >= min_topic_size:
+            break
+        cents = np.stack([_normalized_mean(unit[g]) for g in groups])
+        sims = cents @ cents[smallest]
+        sims[smallest] = -np.inf
+        target = int(np.argmax(sims))
+        merged = np.concatenate([groups[target], groups[smallest]])
+        groups = [g for i, g in enumerate(groups) if i not in (smallest, target)]
+        groups.append(np.sort(merged))
+
+    groups.sort(key=lambda g: int(g[0]))
+    topic_of = np.empty(len(ids), dtype=int)
+    for topic, g in enumerate(groups):
+        topic_of[g] = topic
+    is_gold = np.array([aid in gold_ids for aid in ids], dtype=bool)
+    gold_share = np.bincount(topic_of[is_gold], minlength=len(groups)) / [len(g) for g in groups]
+    violent = int(np.argmax(gold_share)) if is_gold.any() else None
+    centroids = np.stack([_normalized_mean(unit[g]) for g in groups])
+    return dict(zip(ids, topic_of.tolist())), violent, centroids
+
+
+def oracle_inputs(kind, n, dim, draw_seed, gold_share):
+    """Article ids, vectors of one ``kind`` and gold ids for the reference comparison."""
+    rng = np.random.default_rng(draw_seed)
+    if kind == "blobs":
+        centers = rng.normal(size=(int(rng.integers(1, 6)), dim)) * 3
+        vectors = centers[rng.integers(len(centers), size=n)] + rng.normal(size=(n, dim)) * 0.3
+    elif kind == "isotropic":
+        vectors = rng.normal(size=(n, dim))
+    elif kind == "rounded":  # repeated rows, so sizes and similarities tie
+        vectors = np.round(rng.normal(size=(n, dim)))
+        vectors[~vectors.any(axis=1), 0] = 1.0
+    elif kind == "axes":  # equal groups on orthogonal axes: ties at every merge
+        axes = np.concatenate([np.eye(dim), -np.eye(dim)])[rng.permutation(2 * dim)]
+        vectors = axes[np.arange(n) % int(rng.integers(2, 2 * dim + 1))]
+    elif rng.random() < 0.5:  # "cancelling": each row beside its negation
+        base = rng.normal(size=((n + 1) // 2, dim))
+        vectors = np.concatenate([base, -base])[:n]
+    else:  # "cancelling": triples of unit vectors 120 degrees apart
+        s = np.sqrt(3) / 2
+        vectors = np.tile([[1.0, 0.0], [-0.5, s], [-0.5, -s]], (n, 1))[:n] @ np.eye(2, dim)
+    ids = [f"a{i:03d}" for i in rng.permutation(n)]
+    gold = {aid for aid in ids if rng.random() < gold_share}
+    return ids, vectors.astype(np.float32), gold
+
+
+class TestClusterTopicsMatchesReference:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(["blobs", "isotropic", "rounded", "axes", "cancelling"]),
+        n=st.integers(1, 80),
+        dim=st.integers(2, 6),
+        min_topic_size=st.integers(1, 8) | st.integers(1, 85),
+        max_topics=st.integers(3, 25),
+        seed=st.integers(0, 4),
+        draw_seed=st.integers(0, 2**32 - 1),
+        gold_share=st.sampled_from([0.0, 0.1, 0.5]),
+    )
+    @example("axes", 38, 5, 6, 9, 3, 878928606, 0.1)  # similarity ties, one with a merged cluster
+    @example("rounded", 38, 2, 7, 11, 2, 507725864, 0.1)  # a tie of smallest sizes
+    def test_partition_equals_the_list_based_merge(
+        self, kind, n, dim, min_topic_size, max_topics, seed, draw_seed, gold_share
+    ):
+        ids, vectors, gold = oracle_inputs(kind, n, dim, draw_seed, gold_share)
+        model = cluster_topics("dy", ids, vectors, gold, min_topic_size, max_topics, seed)
+        assignment, violent, centroids = cluster_topics_reference(
+            ids, vectors, gold, min_topic_size, max_topics, seed
+        )
+        assert model.assignment == assignment
+        assert model.violent_topic == violent
+        assert model.centroids.dtype == centroids.dtype
+        assert np.array_equal(model.centroids, centroids)
 
 
 def make_fixture(per_topic_in_month=6, n_events=2, month="2021-03"):

@@ -314,6 +314,12 @@ class TestConflictology:
             with pytest.raises(ValueError, match=f"step must be non-negative: {step}$"):
                 conflictology(history, step=step, horizon=parse_month("2022-01"), window=1)
 
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_window_below_one_month_rejected(self, window):
+        history = self._history([2, 1])
+        with pytest.raises(ValueError, match=f"^window must be at least 1: {window}$"):
+            conflictology(history, step=0, horizon=parse_month("2022-01"), window=window)
+
     def test_short_history_degrades(self, caplog):
         history = self._history([2, 2])
         with caplog.at_level("WARNING"):

@@ -361,6 +361,17 @@ class TestLoaderEdgeCases:
         assert [e.line for e in errors] == [1]
         assert "unparseable probability: d1" in errors[0].message
 
+    @pytest.mark.parametrize("dyad", ["", " ", "\t"])
+    def test_dyad_probs_blank_dyad_is_a_row_error(self, tmp_path, dyad):
+        path = write_jsonl(
+            tmp_path / "probs.jsonl",
+            [json.dumps({"article_id": "a", "probs": {"d1": 0.1, dyad: 0.95}}),
+             '{"article_id":"b","probs":{"d1":0.9}}'],
+        )
+        rows, errors = load_dyad_probs(path)
+        assert [r.article_id for r in rows] == ["b"]
+        assert errors == [RowError(1, "empty dyad_id")]
+
     def test_dyad_probs_duplicate_id(self, tmp_path):
         path = write_jsonl(
             tmp_path / "probs.jsonl",
@@ -389,6 +400,16 @@ class TestMatchHeadlines:
         articles = [article("a1", "  Clash\tnear   the RIVER!?. "), article("a2", "clash")]
         labels = match_headlines(articles, [event("e1", "d1", "clash near the river")])
         assert labels == {"a1": ArticleLabel("a1", ("d1",), gold=True)}
+
+    def test_blank_headline_labels_no_article(self, caplog):
+        events = [event("e1", "d1", "..."), event("e2", "d2", " "), event("e3", "d1", "raid")]
+        articles = [article("a1", "?"), article("a2", ""), article("a3", "Raid!")]
+        with caplog.at_level(logging.WARNING, logger="nexus.ingest"):
+            labels = match_headlines(articles, events)
+        assert labels == {"a3": ArticleLabel("a3", ("d1",), gold=True)}
+        assert "2 events with a blank headline label no article: e1, e2" in caplog.text
+        window = (months.month_index(2015, 1), months.month_index(2015, 12))
+        assert aggregate_monthly(events, "d1", window).raw_fatalities.sum() == 2
 
     def test_headline_of_several_dyads_is_ambiguous(self, caplog):
         events = [event("e1", "d2", "Shelling."), event("e2", "d1", "shelling"),
@@ -465,6 +486,10 @@ class TestAggregateMonthly:
         with pytest.raises(ValueError, match="dyad d1 has events in two countries: 'c1' and 'c2'"):
             aggregate_monthly(events, "d1", self.WINDOW)
         assert aggregate_monthly(events, "d2", self.WINDOW).country_id == "c3"
+
+    def test_empty_window_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("window 2000-11..2000-01 is empty")):
+            aggregate_monthly([event("e1", "d2")], "d1", (24010, 24000))
 
     def test_empty_country_names_none(self):
         events = [event("e1", "d1", country_id=""), event("e2", "d1")]
@@ -671,6 +696,28 @@ class TestRoundTrips:
             fh.write(b"\0" * extra)
         with pytest.raises(ValueError, match=re.escape(f"{path}: expected 24 bytes, found {24 + extra}")):
             load_embeddings(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("dim", 3.7, "dim is not an int: 3.7"),
+        ("dim", True, "dim is not an int: True"),
+        ("dim", "3", "dim is not an int: '3'"),
+        ("dim", 0, "dim must be at least 1: 0"),
+        ("dim", -3, "dim must be at least 1: -3"),
+        ("ids", ["a", 2], "ids is not a list of strings: ['a', 2]"),
+        ("ids", "ab", "ids is not a list of strings: 'ab'"),
+        ("sha256", 7, "sha256 is not a str: 7"),
+        ("sha256", None, "sha256 is not a str: None"),
+    ], ids=["dim-float", "dim-bool", "dim-string", "dim-zero", "dim-negative", "ids-number",
+            "ids-string", "sha256-number", "sha256-null"])
+    def test_embeddings_sidecar_field_of_the_wrong_type_names_it(
+        self, tmp_path, key, value, message
+    ):
+        meta = self._without_sha256(tmp_path / "emb.f32", ["a", "b"], np.ones((2, 3)))
+        payload = json.loads(meta.read_text())
+        payload[key] = value
+        meta.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"{meta}: {message}")):
+            load_embeddings(tmp_path / "emb.f32")
 
     def test_embeddings_sidecar_repeating_an_id_names_it(self, tmp_path):
         meta = self._without_sha256(tmp_path / "emb.f32", ["a", "a"], np.ones((2, 3)))
