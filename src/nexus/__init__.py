@@ -4,11 +4,12 @@ Stages: ingest -> fit-trends -> label -> digest -> forecast -> evaluate.
 Each stage is a module of plain functions over in-memory collections and
 the files they save; seeds are explicit arguments.
 
-The files the stages save and load, named as the benchmark names them;
-only the benchmark writes ``index_<dyad>.bin``, and no stage reads it. Every
+The files the stages save and load, named as the benchmark names them; only
+the benchmark writes ``index_<dyad>.bin``, and no stage reads it. Every
 writer goes through ``_files.write_atomic``; a reader that cannot read its
 file raises ``ValueError`` naming it, and the record's first line for JSONL
-and CSV (a file is read as CSV when its name ends in ``.csv``).
+and CSV (a file is read as CSV when its name ends in ``.csv``). A JSON field
+must be the type its reader names; CSV fields are strings.
 
 ============================  ============  ===============================================
 file                          format        writer / reader

@@ -17,7 +17,9 @@ line. The loop catches ``KeyError``, ``OverflowError``, ``TypeError`` and
 ``ValueError`` from ``build`` and ``key``. Savers run :func:`check_keys`
 first, so none writes a repeated key. JSONL and CSV files have no trailer,
 so a file cut exactly at a row boundary reads as a shorter file; atomic
-writes are what prevent such a cut.
+writes are what prevent such a cut. Every reader reads its fields with
+:func:`field`, :func:`numbers` and :func:`strings`: a JSON field must be the
+JSON type its reader names, and every CSV field is a string.
 """
 
 from __future__ import annotations
@@ -193,20 +195,26 @@ def check_keys(path: str | Path, values, key) -> None:
 
 
 def field(row: dict, name: str, kind: type, null: bool = False):
-    """``row[name]``, a JSON ``kind`` (``bool``, ``int``, ``float``, ``str``) or, if ``null``,
-    ``null``. An integer is a ``float`` too, but ``true`` and ``false`` are only ``bool``-s."""
+    """``row[name]``, of the JSON type ``kind`` names (``bool``, ``int``, ``float``, ``str``,
+    ``dict``) or, if ``null``, ``null``. An integer is a ``float`` too and returns as one, or
+    raises "<name> is out of the float range"; ``true`` and ``false`` are only ``bool``-s."""
     value = row[name]
     if value is None and null:
         return None
     kinds = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, kinds):
         raise ValueError(f"{name} is not {'an' if kind is int else 'a'} {kind.__name__}: {value!r}")
+    if kind is float:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{name} is out of the float range") from None
     return value
 
 
 def numbers(row: dict, name: str, kind: type = float, ndim: int = 1) -> np.ndarray:
-    """``row[name]``, a JSON list of ``kind``-s (``int`` or ``float``, as :func:`field` takes
-    them) or, for ``ndim`` 2, a list of such lists, as an array of ``kind``."""
+    """``row[name]``, a JSON list of ``kind``-s (``int`` or ``float``, each read by :func:`field`)
+    or, for ``ndim`` 2, a list of such lists, as an array of ``kind``."""
     items = [row[name]]
     for _ in range(ndim):
         if not all(isinstance(v, list) for v in items):

@@ -153,7 +153,9 @@ def cluster_topics(
 ) -> TopicModel:
     """Spherical k-means with a minimum-cluster-size merge rule.
 
-    After convergence, empty clusters are dropped. While more than one
+    K-means stops at convergence or after ``KMEANS_MAX_ITER`` reassignments;
+    every centroid, then and after each merge, is the normalized mean of its
+    cluster's members. Empty clusters are dropped. While more than one
     cluster is left and the smallest is below ``min_topic_size``, the
     smallest merges into the cluster whose centroid is nearest its own, so
     the final topic count may drop below the initial k. Clusters are scanned
@@ -184,40 +186,41 @@ def cluster_topics(
     k = initial_topic_count(n, min_topic_size, max_topics)
     rng = np.random.Generator(np.random.PCG64(seed))
     centroids = _kmeanspp_init(unit, k, rng)
-    labels = np.argmax(unit @ centroids.T, axis=1)
-    for _ in range(KMEANS_MAX_ITER):
-        for t in range(k):
-            members = unit[labels == t]
-            if len(members):  # an empty cluster keeps its centroid; it may attract points later
-                centroids[t] = _normalized_mean(members)
+    labels = np.full(n, -1)  # each assignment below is followed by an update of the centroids
+    for _ in range(KMEANS_MAX_ITER + 1):
         new_labels = np.argmax(unit @ centroids.T, axis=1)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
+        for t in range(k):
+            members = unit[labels == t]
+            if len(members):  # an empty cluster keeps its centroid; it may attract points later
+                centroids[t] = _normalized_mean(members)
 
     while True:
         topics, sizes = np.unique(labels, return_counts=True)
         smallest = int(np.argmin(sizes))
         if len(topics) == 1 or sizes[smallest] >= min_topic_size:
             break
-        cents = np.stack([_normalized_mean(unit[labels == t]) for t in topics])
+        cents = centroids[topics]
         sims = cents @ cents[smallest]
         sims[smallest] = -np.inf
         target = int(np.argmax(sims))
-        labels[(labels == topics[smallest]) | (labels == topics[target])] = topics[-1] + 1
+        merged = len(centroids)  # a label above every other, so it is scanned last
+        labels[(labels == topics[smallest]) | (labels == topics[target])] = merged
+        centroids = np.vstack([centroids, _normalized_mean(unit[labels == merged])])
 
     order = list(dict.fromkeys(labels.tolist()))  # topics numbered by their first article
     count = len(order)
-    number = np.empty(labels.max() + 1, dtype=int)
+    number = np.empty(len(centroids), dtype=int)
     number[order] = np.arange(count)
     labels = number[labels]
-    final_centroids = np.stack([_normalized_mean(unit[labels == t]) for t in range(count)])
     assignment = dict(zip(ids, labels.tolist()))
 
     is_gold = np.array([aid in gold_ids for aid in ids], dtype=bool)
     gold_share = np.bincount(labels[is_gold], minlength=count) / np.bincount(labels)
     violent = int(np.argmax(gold_share)) if is_gold.any() else None
-    return TopicModel(dyad_id, final_centroids, assignment, violent)
+    return TopicModel(dyad_id, centroids[order], assignment, violent)
 
 
 # ---------------------------------------------------------------------------

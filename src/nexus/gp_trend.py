@@ -113,6 +113,8 @@ class TrendFit:
     def __post_init__(self) -> None:
         if not np.isfinite(self.mean).all():
             raise ValueError("mean must be finite")
+        if not 0 <= self.jitter_level <= _JITTER_LEVELS:
+            raise ValueError(f"jitter_level must be in 0..{_JITTER_LEVELS}: {self.jitter_level}")
         self.derivative = derivative(self.mean)
 
 
@@ -461,6 +463,6 @@ def load_trend_fit(path: str | Path) -> TrendFit:
         )),
         start=months.parse_month(payload["start"]),
         mean=_files.numbers(payload, "mean"),
-        log_posterior_at_map=float(_files.field(payload, "log_posterior", float)),
+        log_posterior_at_map=_files.field(payload, "log_posterior", float),
         jitter_level=_files.field(payload, "jitter_level", int),
     ))

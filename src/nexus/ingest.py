@@ -2,14 +2,18 @@
 
 Input files are JSONL (or CSV for events) plus a flat little-endian
 float32 embedding matrix with a JSON sidecar. Dates are ``YYYY-MM-DD``
-exactly. The three row loaders (events, articles, dyad probabilities)
+exactly. Every field is read through ``nexus._files`` (``field``,
+``numbers``, ``strings``): a JSON field must be the JSON type its reader
+names, so ids, dates and headlines are strings and probabilities
+numbers; a CSV field is a string, and a count may be a JSON number or a
+CSV string. The three row loaders (events, articles, dyad probabilities)
 read records through :func:`nexus._files.records`, the one loop that
 builds and key-checks every row-file record, and share one contract: a
 bad row never aborts the load but becomes a :class:`RowError` naming its
-first line; a row that repeats the id of an earlier loaded row is one such
-error, "second row for event_id 'e1' (first at line 1)" (``article_id``
-for articles and probability rows); errors come back, and are logged, in
-line order.
+first line; a row that repeats the id of an earlier loaded row is one
+such error, "second row for event_id 'e1' (first at line 1)"
+(``article_id`` for articles and probability rows); errors come back,
+and are logged, in line order.
 Classifier labels need a best-dyad probability of at least
 ``DYAD_THRESHOLD``. All downstream operations are pure functions over the
 loaded collections.
@@ -180,31 +184,33 @@ class EmbeddingMatrix:
 # Loaders
 # ---------------------------------------------------------------------------
 
-_EVENT_FIELDS = ("event_id", "dyad_id", "country_id", "date", "fatalities", "headline")
-_ARTICLE_FIELDS = ("article_id", "date", "headline", "body")
-
-
 def _parse_count(value) -> int:
-    """An integral count up to MAX_COUNT from a JSON number or a CSV string.
+    """An integral count from 0 to MAX_COUNT, from a JSON number or a CSV string.
 
     3, 3.0 and "3.0" give 3; JSON ``true`` and ``false`` are not counts.
     """
     if isinstance(value, bool):
         raise ValueError(f"boolean count: {value}")
     number = float(value) if isinstance(value, str) else value
-    count = int(number)  # OverflowError for inf, ValueError for nan
+    count = int(number)  # OverflowError for inf, ValueError for nan, TypeError for null
     if count != number:
         raise ValueError(f"non-integral count: {value}")
-    if count > MAX_COUNT:
-        raise ValueError(f"count {count} above {MAX_COUNT}")
+    if not 0 <= count <= MAX_COUNT:
+        raise ValueError(f"count {count} outside 0..{MAX_COUNT}")
     return count
 
 
-def _parse_date(value) -> dt.date:
-    text = str(value).strip()
+def _parse_date(text: str) -> dt.date:
+    text = text.strip()
     if not _DATE.fullmatch(text):  # fromisoformat takes more forms from Python 3.11 on
         raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
     return dt.date.fromisoformat(text)
+
+
+def _dyad(text: str) -> str:
+    if not text.strip():
+        raise ValueError("empty dyad_id")
+    return text
 
 
 def _load_rows(path: str | Path, build, key) -> tuple[list, list[RowError]]:
@@ -219,30 +225,17 @@ def _load_rows(path: str | Path, build, key) -> tuple[list, list[RowError]]:
     return items, errors
 
 
-def _require(row: dict, fields: tuple[str, ...]) -> None:
-    missing = [f for f in fields if f not in row]
-    if missing:
-        raise ValueError(f"missing fields: {', '.join(missing)}")
-
-
 def load_events(path: str | Path) -> tuple[list[ConflictEvent], list[RowError]]:
     """Load events from JSONL or CSV; rejected rows come back as errors."""
 
     def build(row: dict) -> ConflictEvent:
-        _require(row, _EVENT_FIELDS)
-        fatalities = _parse_count(row["fatalities"])
-        date = _parse_date(row["date"])
-        if fatalities < 0:
-            raise ValueError(f"negative fatalities: {fatalities}")
-        if not str(row["dyad_id"]).strip():
-            raise ValueError("empty dyad_id")
         return ConflictEvent(
-            event_id=str(row["event_id"]),
-            dyad_id=str(row["dyad_id"]),
-            country_id=str(row["country_id"]),
-            date=date,
-            fatalities=fatalities,
-            headline=str(row["headline"]),
+            event_id=_files.field(row, "event_id", str),
+            dyad_id=_dyad(_files.field(row, "dyad_id", str)),
+            country_id=_files.field(row, "country_id", str),
+            date=_parse_date(_files.field(row, "date", str)),
+            fatalities=_parse_count(row["fatalities"]),
+            headline=_files.field(row, "headline", str),
         )
 
     events, errors = _load_rows(path, build, lambda e: f"event_id {e.event_id!r}")
@@ -255,12 +248,11 @@ def load_articles(path: str | Path) -> tuple[list[Article], list[RowError]]:
     """Load articles from JSONL; embeddings are loaded separately."""
 
     def build(row: dict) -> Article:
-        _require(row, _ARTICLE_FIELDS)
         return Article(
-            article_id=str(row["article_id"]),
-            date=_parse_date(row["date"]),
-            headline=str(row["headline"]),
-            body=str(row["body"]),
+            article_id=_files.field(row, "article_id", str),
+            date=_parse_date(_files.field(row, "date", str)),
+            headline=_files.field(row, "headline", str),
+            body=_files.field(row, "body", str),
         )
 
     return _load_rows(path, build, lambda a: f"article_id {a.article_id!r}")
@@ -321,24 +313,13 @@ def load_dyad_probs(
     """Load per-article dyad probability rows from JSONL; a blank dyad key is a bad row."""
 
     def build(row: dict) -> DyadProbabilityRow:
-        if "article_id" not in row or "probs" not in row:
-            raise ValueError("missing article_id or probs")
-        if not isinstance(row["probs"], dict):
-            raise ValueError("probs is not an object")
-        probs = {}
-        for dyad, p in row["probs"].items():
-            if not dyad.strip():
-                raise ValueError("empty dyad_id")
-            if isinstance(p, bool):  # float(true) would be 1.0
-                raise ValueError(f"boolean probability: {dyad}={p}")
-            try:
-                p = float(p)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"unparseable probability: {dyad}: {exc}") from None
+        article_id = _files.field(row, "article_id", str)
+        probs = _files.field(row, "probs", dict)
+        probabilities = {_dyad(dyad): _files.field(probs, dyad, float) for dyad in probs}
+        for dyad, p in probabilities.items():
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability out of [0,1]: {dyad}={p}")
-            probs[dyad] = p
-        return DyadProbabilityRow(article_id=str(row["article_id"]), probabilities=probs)
+        return DyadProbabilityRow(article_id=article_id, probabilities=probabilities)
 
     return _load_rows(path, build, lambda r: f"article_id {r.article_id!r}")
 
@@ -509,7 +490,7 @@ def load_series(path: str | Path) -> DyadMonthSeries:
         return DyadMonthSeries(
             dyad_id=_files.field(payload, "dyad_id", str),
             country_id=_files.field(payload, "country_id", str),
-            months=np.array([months.parse_month(m) for m in payload["months"]]),
+            months=np.array([months.parse_month(m) for m in _files.strings(payload, "months")]),
             log_fatalities=np.log1p(np.maximum(raw, 0)),  # DyadMonthSeries rejects raw < 0
             raw_fatalities=raw,
         )

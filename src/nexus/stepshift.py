@@ -80,6 +80,10 @@ class SoftmaxModel:
             raise ValueError("weights must be finite")
         if self.class_weights.shape != (N_CLASSES,):
             raise ValueError(f"class_weights must have 4 entries: {self.class_weights.shape}")
+        if self.n_iter < 0:
+            raise ValueError(f"n_iter must be non-negative: {self.n_iter}")
+        if self.step is not None and self.step < 0:
+            raise ValueError(f"step must be non-negative: {self.step}")
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +330,8 @@ def load_model(path: str | Path) -> SoftmaxModel:
     return _files.read_json(path, lambda payload: SoftmaxModel(
         weights=_files.numbers(payload, "weights", ndim=2),
         class_weights=_files.numbers(payload, "class_weights"),
-        config=TrainConfig(epochs=_files.field(payload["config"], "epochs", int)),
-        final_loss=float(_files.field(payload, "final_loss", float)),
+        config=TrainConfig(_files.field(_files.field(payload, "config", dict), "epochs", int)),
+        final_loss=_files.field(payload, "final_loss", float),
         n_iter=_files.field(payload, "n_iter", int),
         converged=_files.field(payload, "converged", bool),
         step=_files.field(payload, "step", int, null=True),

@@ -234,7 +234,8 @@ class TestClusterTopics:
             cluster_topics("d", ids, vectors, set(), min_topic_size=1, max_topics=3)
 
 
-def cluster_topics_reference(ids, vectors, gold_ids, min_topic_size, max_topics, seed):
+def cluster_topics_reference(ids, vectors, gold_ids, min_topic_size, max_topics, seed,
+                             max_iter=KMEANS_MAX_ITER):
     """The list-of-index-arrays partition that ``cluster_topics`` once kept, as its oracle.
 
     Returns the assignment, the violent topic and the centroids.
@@ -243,7 +244,7 @@ def cluster_topics_reference(ids, vectors, gold_ids, min_topic_size, max_topics,
     k = initial_topic_count(len(ids), min_topic_size, max_topics)
     centroids = _kmeanspp_init(unit, k, np.random.Generator(np.random.PCG64(seed)))
     labels = np.argmax(unit @ centroids.T, axis=1)
-    for _ in range(KMEANS_MAX_ITER):
+    for _ in range(max_iter):
         fresh = []
         for t in range(k):
             member_vecs = unit[labels == t]
@@ -329,6 +330,22 @@ class TestClusterTopicsMatchesReference:
         assert model.assignment == assignment
         assert model.violent_topic == violent
         assert model.centroids.dtype == centroids.dtype
+        assert np.array_equal(model.centroids, centroids)
+
+    # one k-means iteration leaves these unconverged, so their last labels are not those the
+    # centroids were updated from; the merges must use the means of the last labels
+    @pytest.mark.parametrize("kind, draw_seed", [("isotropic", 0), ("blobs", 6)])
+    def test_unconverged_k_means_merges_on_the_means_of_its_last_labels(
+        self, monkeypatch, kind, draw_seed
+    ):
+        monkeypatch.setattr("nexus.digests.KMEANS_MAX_ITER", 1)
+        ids, vectors, gold = oracle_inputs(kind, 60, 4, draw_seed, 0.1)
+        model = cluster_topics("dy", ids, vectors, gold, 8, 10, 0)
+        assignment, violent, centroids = cluster_topics_reference(
+            ids, vectors, gold, 8, 10, 0, max_iter=1
+        )
+        assert model.assignment == assignment
+        assert model.violent_topic == violent
         assert np.array_equal(model.centroids, centroids)
 
 

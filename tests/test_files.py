@@ -201,3 +201,14 @@ def test_failed_write_keeps_the_old_file(tmp_path):
         _files.write_atomic(path, write)
     assert path.read_bytes() == b'{"old": 1}'
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_field_returns_the_type_it_names():
+    assert type(_files.field({"x": 3}, "x", float)) is float
+    assert _files.field({"x": 3}, "x", int) == 3 and _files.field({"x": "3"}, "x", str) == "3"
+    with pytest.raises(ValueError, match=r"^x is out of the float range$"):
+        _files.field({"x": 10**400}, "x", float)
+    with pytest.raises(ValueError, match=r"^x is out of the float range$"):
+        _files.numbers({"x": [1.5, 10**400]}, "x")
+    with pytest.raises(ValueError, match=r"^x is not a dict: \[1\]$"):
+        _files.field({"x": [1]}, "x", dict)

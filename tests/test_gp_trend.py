@@ -747,8 +747,15 @@ class TestTrendFitRoundTrip:
         ("mean", [0.1, "0.2", 0.3], "mean is not a float: '0.2'"),
         ("mean", [0.1, True, 0.3], "mean is not a float: True"),
         ("mean", "0.1", "mean is not a list"),
+        ("jitter_level", -1, "jitter_level must be in 0..4: -1"),
+        ("jitter_level", 9, "jitter_level must be in 0..4: 9"),
+        ("length_scale", 10**400, "length_scale is out of the float range"),
+        ("log_posterior", 10**400, "log_posterior is out of the float range"),
+        ("mean", [0.1, 10**400], "mean is out of the float range"),
     ], ids=["start", "dyad_id", "length_scale", "jitter_level", "mean-string", "mean-bool",
-            "mean-not-a-list"])
+            "mean-not-a-list", "jitter_level-negative", "jitter_level-above-the-levels",
+            "length_scale-past-the-float-range", "log_posterior-past-the-float-range",
+            "mean-past-the-float-range"])
     def test_field_of_the_wrong_json_type_names_the_file(self, tmp_path, field, value, message):
         path = tmp_path / "fit.json"
         payload = self._saved(path)

@@ -66,8 +66,10 @@ class TestLoaderContract:
             '{"article_id":"b","probs":[1,2]}',
             '{"article_id":"c","probs":{"d1":true}}',  # float(true) is 1.0
             '{"article_id":"d","probs":{"d1":0.2,"d2":false}}',
+            '{"article_id":"e","probs":{"d1":"0.9"}}',
         ],
-        ids=["non-numeric-probability", "probs-not-an-object", "boolean-true", "boolean-false"],
+        ids=["non-numeric-probability", "probs-not-an-object", "boolean-true", "boolean-false",
+             "string-probability"],
     )
     def test_dyad_probs_bad_row(self, tmp_path, bad):
         path = write_jsonl(
@@ -82,6 +84,26 @@ class TestLoaderContract:
         assert [r.article_id for r in rows] == ["g1", "g2"]
         assert rows[1].probabilities == {"d1": 0.1, "d2": 0.4}
         assert [e.line for e in errors] == [2]
+
+    def test_row_missing_several_fields_names_the_first(self, tmp_path):
+        row = json.loads(event_row("e1", 3))
+        del row["dyad_id"], row["date"]
+        path = write_jsonl(tmp_path / "events.jsonl", [json.dumps(row)])
+        assert load_events(path) == ([], [RowError(1, "missing field 'dyad_id'")])
+
+    def test_null_headlines_are_row_errors_and_label_nothing(self, tmp_path):
+        # null is no headline: read as the text 'None', the two would match
+        events_path = write_jsonl(tmp_path / "events.jsonl",
+                                  [event_row("e1", 3).replace('"clash e1"', "null")])
+        articles_path = write_jsonl(
+            tmp_path / "articles.jsonl",
+            ['{"article_id":"a1","date":"2015-03-14","headline":null,"body":"b"}'],
+        )
+        events, event_errors = load_events(events_path)
+        articles, article_errors = load_articles(articles_path)
+        assert events == [] and articles == []
+        assert event_errors == article_errors == [RowError(1, "headline is not a str: None")]
+        assert match_headlines(articles, events) == {}
 
     def test_events_infinite_fatalities(self, tmp_path):
         # json parses 1e999 as inf, which int() cannot convert
@@ -284,8 +306,10 @@ def _not_an_object(raw):
 
 
 # One physical line each: arbitrary bytes or UTF-8 text that is not a JSON
-# object, a valid row, or a valid row without one required field. Ids come
-# from a small pool, so valid rows repeat ids.
+# object, a valid row, a valid row without one required field, or a valid row
+# with one field retyped to a JSON value its reader rejects (a number that is
+# not a count for ``fatalities``). Ids come from a small pool, so valid rows
+# repeat ids.
 LINES = st.lists(
     st.one_of(
         st.tuples(st.just("text"), st.one_of(
@@ -295,6 +319,8 @@ LINES = st.lists(
         ).filter(_not_an_object)),
         st.tuples(st.just("row"), st.sampled_from("abc")),
         st.tuples(st.just("broken"), st.sampled_from("abc"), st.integers(0, 5)),
+        st.tuples(st.just("retyped"), st.sampled_from("abc"), st.integers(0, 5),
+                  st.sampled_from([None, -7, 0.5, ["x"], True, False])),
     ),
     max_size=12,
 )
@@ -306,10 +332,12 @@ class TestLoaderProperties:
     @given(lines=LINES)
     # line 2 repeats line 1's id and line 3 is not JSON: errors on lines 2, 3 in that order
     @example(lines=[("row", "a"), ("row", "a"), ("text", b"{not json")])
+    # an id that is a JSON number is a bad row, and does not take the id from line 2
+    @example(lines=[("retyped", "a", 0, -7), ("row", "a")])
     def test_rows_load_or_become_errors_in_line_order(self, tmp_path_factory, loader, lines):
         load, make_row, fields, key = LOADERS[loader]
         raw_lines, loaded, error_lines = [], [], []
-        for lineno, (kind, value, *drop) in enumerate(lines, start=1):
+        for lineno, (kind, value, *change) in enumerate(lines, start=1):
             if kind == "text":
                 raw_lines.append(value)
                 decoded = _decoded(value)
@@ -318,7 +346,10 @@ class TestLoaderProperties:
                 continue
             row = make_row(value)
             if kind == "broken":
-                del row[fields[drop[0] % len(fields)]]
+                del row[fields[change[0] % len(fields)]]
+                error_lines.append(lineno)
+            elif kind == "retyped":
+                row[fields[change[0] % len(fields)]] = change[1]
                 error_lines.append(lineno)
             elif value in loaded:
                 error_lines.append(lineno)
@@ -359,7 +390,7 @@ class TestLoaderEdgeCases:
         rows, errors = load_dyad_probs(path)
         assert [r.article_id for r in rows] == ["b"]
         assert [e.line for e in errors] == [1]
-        assert "unparseable probability: d1" in errors[0].message
+        assert errors[0].message == "d1 is out of the float range"
 
     @pytest.mark.parametrize("dyad", ["", " ", "\t"])
     def test_dyad_probs_blank_dyad_is_a_row_error(self, tmp_path, dyad):
@@ -614,7 +645,8 @@ class TestRoundTrips:
             load_labels_file(path)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("months", ["2015-01", 24001], "not a YYYY-MM month: 24001"),
+        ("months", ["2015-01", 24001], "months is not a list of strings: ['2015-01', 24001]"),
+        ("months", "2015-01", "months is not a list of strings: '2015-01'"),
         ("dyad_id", 7, "dyad_id is not a str: 7"),
         ("country_id", ["c"], "country_id is not a str: ['c']"),
         ("raw_fatalities", [0, 3.7], "raw_fatalities is not an int: 3.7"),
@@ -622,8 +654,8 @@ class TestRoundTrips:
         ("raw_fatalities", [0, "3"], "raw_fatalities is not an int: '3'"),
         ("raw_fatalities", 3, "raw_fatalities is not a list"),
         ("raw_fatalities", [0, -1], "series d1: negative fatalities"),
-    ], ids=["months", "dyad_id", "country_id", "raw-float", "raw-bool", "raw-string",
-            "raw-not-a-list", "raw-negative"])
+    ], ids=["months", "months-string", "dyad_id", "country_id", "raw-float", "raw-bool",
+            "raw-string", "raw-not-a-list", "raw-negative"])
     def test_series_field_of_the_wrong_json_type_names_the_file(
         self, tmp_path, field, value, message
     ):

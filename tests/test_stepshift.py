@@ -484,6 +484,9 @@ class TestModelRoundTrip:
         ("weights", [[0.0, 0.0, True]] * 4, "weights is not a float: True"),
         ("weights", [0.0] * 4, "weights is not a list of lists"),
         ("class_weights", [1.0, 1.0, 1.0, True], "class_weights is not a float: True"),
+        ("config", [5], "config is not a dict: [5]"),
+        ("n_iter", -5, "n_iter must be non-negative: -5"),
+        ("step", -1, "step must be non-negative: -1"),
     ])
     def test_malformed_model_file_names_it(self, tmp_path, field, value, error):
         path = tmp_path / "model.json"
