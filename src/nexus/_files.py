@@ -222,7 +222,10 @@ def numbers(row: dict, name: str, kind: type = float, ndim: int = 1) -> np.ndarr
         items = [v for item in items for v in item]
     for value in items:
         field({name: value}, name, kind)
-    return np.array(row[name], dtype=kind)
+    try:
+        return np.array(row[name], dtype=kind)
+    except OverflowError:  # an int past int64
+        raise ValueError(f"{name} is out of the {kind.__name__} range") from None
 
 
 def strings(row: dict, name: str) -> tuple[str, ...]:

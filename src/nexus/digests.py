@@ -303,8 +303,8 @@ def rag_digest(
     skipped = topic_model.topic_count - len(topics) - (topic_model.violent_topic is not None)
     if skipped:
         logger.debug(
-            "dyad %s month %d: %d topics with no in-month article skipped for %d events",
-            dyad_id, month, skipped, len(event_ids),
+            "dyad %s month %s: %d topics with no in-month article skipped for %d events",
+            dyad_id, months.format_month(month), skipped, len(event_ids),
         )
     ids = []
     for eid in event_ids:

@@ -3,7 +3,9 @@
 A pair joins the digest at month m with the escalation state at m + s;
 one model is trained per (step, digest kind). Features are mean-pooled
 member-article embeddings (the interface point where an external encoder
-could supply digest-level vectors instead). The head's objective,
+could supply digest-level vectors instead). They do not depend on s, so
+``run_steps`` pools a digest once, when the first step pairs it, and each
+step only pairs those pooled rows with its labels. The head's objective,
 class-weighted cross-entropy plus an L2 penalty, is strictly convex;
 scipy's L-BFGS-B finds its one minimiser from zero weights, so a forecast
 depends on the data and the objective, not on a step size. Every digest
@@ -14,13 +16,14 @@ kind covers the same dyad-months, so every kind is scored on the same
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize
 
-from . import _files
+from . import _files, months
 from .digests import Digest
 from .evaluation import N_CLASSES, ForecastRecord
 
@@ -53,12 +56,13 @@ class TrainConfig:
 
 @dataclass
 class TrainingPair:
+    """The pooled digest of (dyad_id, digest_month) and the state at target_month."""
+
     dyad_id: str
     digest_month: int
     target_month: int
     features: np.ndarray
     target: int
-    kind: str
 
 
 @dataclass
@@ -102,15 +106,44 @@ def pool_embedding(digest: Digest, embeddings) -> np.ndarray:
         for aid in digest.snippet_ids
         if aid in embeddings
     ]
+    month = months.format_month(digest.month)
     if not vectors:
-        raise ValueError(f"digest {digest.dyad_id}/{digest.month} has no member embeddings")
+        raise ValueError(f"digest {digest.dyad_id}/{month} has no member embeddings")
     mean = np.mean(vectors, axis=0)
     norm = float(np.linalg.norm(mean))
     if norm == 0.0:
-        raise ValueError(
-            f"digest {digest.dyad_id}/{digest.month} pools to a zero vector"
-        )
+        raise ValueError(f"digest {digest.dyad_id}/{month} pools to a zero vector")
     return mean / norm
+
+
+class PooledDigests(Mapping):
+    """One kind's digests as ``pool_embedding`` vectors keyed by (dyad_id, month).
+
+    A digest is pooled on the first lookup of its key and kept, so it is
+    pooled at most once, and a digest that no pair reads is never pooled.
+    A (dyad, month) that repeats is a ``ValueError``.
+    """
+
+    def __init__(self, digests: list[Digest], embeddings) -> None:
+        self._digests: dict[tuple[str, int], Digest] = {}
+        for d in digests:
+            if (d.dyad_id, d.month) in self._digests:
+                raise ValueError(f"two {d.kind} digests for {d.dyad_id}/"
+                                 f"{months.format_month(d.month)}")
+            self._digests[d.dyad_id, d.month] = d
+        self._embeddings = embeddings
+        self._vectors: dict[tuple[str, int], np.ndarray] = {}
+
+    def __getitem__(self, key: tuple[str, int]) -> np.ndarray:
+        if key not in self._vectors:
+            self._vectors[key] = pool_embedding(self._digests[key], self._embeddings)
+        return self._vectors[key]
+
+    def __iter__(self) -> Iterator[tuple[str, int]]:
+        return iter(self._digests)
+
+    def __len__(self) -> int:
+        return len(self._digests)
 
 
 # ---------------------------------------------------------------------------
@@ -118,29 +151,30 @@ def pool_embedding(digest: Digest, embeddings) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def build_dataset(
-    digests: list[Digest],
+    pooled: Mapping[tuple[str, int], np.ndarray],
     labels_train: dict[str, dict[int, int]],
     labels_val: dict[str, dict[int, int]],
     step: int,
     train_end: int,
     test_start: int,
     val_end: int,
-    embeddings,
 ) -> tuple[list[TrainingPair], list[TrainingPair], int]:
     """(train pairs, test pairs, dropped count) for one forecast step.
 
-    Train pairs require digest month + step <= train_end with the target
-    drawn from the train-window labels; test pairs start at test_start
-    and read validation labels, dropping anything past val_end. A negative
-    step would pair a digest with an earlier month's state and is an error.
+    ``pooled`` maps one kind's (dyad, month) keys to their feature vectors
+    (a ``PooledDigests``); the keys are paired in sorted order, and only a
+    paired key's vector is read. Train pairs require month + step <=
+    train_end with the target drawn from the train-window labels; test
+    pairs start at test_start and read validation labels, dropping
+    anything past val_end. A negative step would pair a digest with an
+    earlier month's state and is an error.
     """
     if step < 0:
         raise ValueError(f"step must be non-negative: {step}")
     train: list[TrainingPair] = []
     test: list[TrainingPair] = []
     dropped = 0
-    for digest in sorted(digests, key=lambda d: (d.dyad_id, d.month, d.kind)):
-        m = digest.month
+    for dyad_id, m in sorted(pooled):
         target_month = m + step
         if target_month <= train_end:
             labels, pairs = labels_train, train
@@ -148,18 +182,17 @@ def build_dataset(
             labels, pairs = labels_val, test
         else:
             continue
-        state = labels.get(digest.dyad_id, {}).get(target_month)
+        state = labels.get(dyad_id, {}).get(target_month)
         if state is None:
             dropped += 1
             continue
         pairs.append(
             TrainingPair(
-                dyad_id=digest.dyad_id,
+                dyad_id=dyad_id,
                 digest_month=m,
                 target_month=target_month,
-                features=pool_embedding(digest, embeddings),
+                features=pooled[dyad_id, m],
                 target=int(state),
-                kind=digest.kind,
             )
         )
     if dropped:
@@ -276,14 +309,18 @@ def run_steps(
 ) -> dict[tuple[int, str], tuple[SoftmaxModel, list[ForecastRecord]]]:
     """One trained model plus its test-set forecast records per (step, kind).
 
-    Raises ``ValueError`` if the kinds' test (dyad, digest month) keys differ.
+    Pools each digest at most once, when a step first pairs it. Raises
+    ``ValueError`` if a kind repeats a (dyad, month) or the kinds' test
+    (dyad, digest month) keys differ.
     """
+    pooled = {kind: PooledDigests(digests_by_kind[kind], embeddings)
+              for kind in sorted(digests_by_kind)}
     out: dict[tuple[int, str], tuple[SoftmaxModel, list[ForecastRecord]]] = {}
     for step in steps:
         datasets = {
-            kind: build_dataset(digests_by_kind[kind], labels_train, labels_val, step,
-                                train_end, test_start, val_end, embeddings)
-            for kind in sorted(digests_by_kind)
+            kind: build_dataset(rows, labels_train, labels_val, step,
+                                train_end, test_start, val_end)
+            for kind, rows in pooled.items()
         }
         keys = {tuple((p.dyad_id, p.digest_month) for p in test)
                 for _, test, _ in datasets.values()}

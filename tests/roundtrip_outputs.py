@@ -2,13 +2,13 @@
 
     PYTHONPATH=src python tests/roundtrip_outputs.py DIR
 
-Every ``trend_*``, ``series_*``, ``model_step*`` and ``forecasts_step*`` file
-and ``article_labels.jsonl`` and ``digests.jsonl`` in DIR is read with the
-package's loader and what it returns is written with the matching saver into
-a temporary directory. The script exits 1, naming the file, at the first file
-whose bytes differ or the first of those kinds DIR has no file of; a file
-its loader rejects raises, naming it. Otherwise it prints how many files of
-each kind it checked.
+Every ``trend_*``, ``series_*``, ``labels_*``, ``model_step*`` and
+``forecasts_step*`` file and ``article_labels.jsonl`` and ``digests.jsonl`` in
+DIR is read with the package's loader and what it returns is written with the
+matching saver into a temporary directory. The script exits 1, naming the
+file, at the first file whose bytes differ or the first of those kinds DIR has
+no file of; a file its loader rejects raises, naming it. Otherwise it prints
+how many files of each kind it checked.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from nexus import digests, evaluation, gp_trend, ingest, stepshift
+import numpy as np
+
+from nexus import digests, evaluation, gp_trend, ingest, state_labels, stepshift
 
 
 def _load_forecasts(path: Path) -> list:
@@ -27,10 +29,20 @@ def _load_forecasts(path: Path) -> list:
     return evaluation.load_forecasts_csv(path, int(step), kind)
 
 
+def resave_labels(loaded: dict, path: Path) -> None:
+    """Save the month -> state maps of ``load_labels_csv`` as the ``LabeledSeries`` they hold."""
+    state_labels.save_labels_csv({
+        dyad: state_labels.LabeledSeries(dyad, np.array(list(by_month), dtype=int),
+                                         np.array(list(by_month.values()), dtype=int))
+        for dyad, by_month in loaded.items()
+    }, path)
+
+
 # file-name pattern: (load(path), save(loaded, path))
 KINDS = {
     "trend_*.json": (gp_trend.load_trend_fit, gp_trend.save_trend_fit),
     "series_*.json": (ingest.load_series, ingest.save_series),
+    "labels_*.csv": (state_labels.load_labels_csv, resave_labels),
     "article_labels.jsonl": (ingest.load_labels_file, ingest.save_labels_file),
     "digests.jsonl": (digests.load_digests, digests.save_digests),
     "model_step*.json": (stepshift.load_model, stepshift.save_model),

@@ -32,7 +32,7 @@ from nexus.digests import (
 from nexus.hnsw import HnswConfig, HnswIndex
 from nexus.ingest import Article, EmbeddingMatrix
 from nexus.months import format_month, parse_month
-from nexus.stepshift import build_dataset
+from nexus.stepshift import PooledDigests, build_dataset
 
 
 def art(article_id, n_tokens=20, month="2021-03"):
@@ -607,18 +607,22 @@ class TestCausalDigests:
         return articles, gold, EmbeddingMatrix(ids=ids, vectors=np.asarray(vectors)), train_end
 
     def _train_pairs(self, later_seed):
-        """Step-1 training pairs; the topics are fixed, so only the articles vary."""
+        """Step-1 training pairs of each kind; the topics are fixed, so only the articles vary."""
         articles, gold, matrix, train_end = self._corpus(later_seed)
         topic = {aid: (0 if aid in gold else int(aid[-2:]) % 3) for aid in matrix.ids}
         model = TopicModel("dy", np.eye(3, 8, dtype=np.float32), topic, violent_topic=None)
         months = range(parse_month("2021-01"), parse_month("2021-06") + 1)
-        digests = all_digests(months, model, articles, gold, matrix)
+        by_kind = {}
+        for digest in all_digests(months, model, articles, gold, matrix):
+            by_kind.setdefault(digest.kind, []).append(digest)
         labels_train = {"dy": {m: m % 4 for m in months if m <= train_end}}
         labels_val = {"dy": {m: m % 4 for m in months}}
-        train, _, _ = build_dataset(
-            digests, labels_train, labels_val, 1, train_end, train_end + 1, months[-1], matrix
-        )
-        return [(p.digest_month, p.kind, p.target, p.features.tobytes()) for p in train]
+        pairs = []
+        for kind in sorted(by_kind):
+            train, _, _ = build_dataset(PooledDigests(by_kind[kind], matrix), labels_train,
+                                        labels_val, 1, train_end, train_end + 1, months[-1])
+            pairs += [(p.digest_month, kind, p.target, p.features.tobytes()) for p in train]
+        return pairs
 
     def test_training_pairs_immune_to_future_articles(self):
         pairs = self._train_pairs(later_seed=100)

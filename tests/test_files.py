@@ -73,7 +73,8 @@ CASES = {
                       lambda p: load_embeddings(p.with_name("emb.f32")), None,
                       _resave_embeddings),
     "trend.json": (lambda p: save_trend_fit(TREND, p), load_trend_fit, None, save_trend_fit),
-    "states.csv": (lambda p: save_labels_csv(STATES, p), load_labels_csv, _label_rows, None),
+    "states.csv": (lambda p: save_labels_csv(STATES, p), load_labels_csv, _label_rows,
+                   roundtrip_outputs.resave_labels),
     "index.bin": (lambda p: build_index(list("abcd"), VECTORS, HnswConfig(seed=3)).save(p),
                   HnswIndex.load, None, None),
     "digests.jsonl": (lambda p: save_digests(DIGESTS, p), load_digests, list, save_digests),
@@ -124,6 +125,7 @@ def test_saving_what_was_loaded_writes_the_same_bytes(tmp_path, name):
 def test_roundtrip_script_names_the_first_file_that_does_not_round_trip(tmp_path):
     # one file of each kind, named as a pipeline run names it
     for case, name in (("series.json", "series_d7.json"), ("labels.jsonl", "article_labels.jsonl"),
+                       ("states.csv", "labels_train.csv"),
                        ("trend.json", "trend_train_d1.json"), ("digests.jsonl", "digests.jsonl"),
                        ("model.json", "model_step1_low_context.json"),
                        ("forecasts.csv", "forecasts_step1_low_context.csv")):

@@ -654,8 +654,9 @@ class TestRoundTrips:
         ("raw_fatalities", [0, "3"], "raw_fatalities is not an int: '3'"),
         ("raw_fatalities", 3, "raw_fatalities is not a list"),
         ("raw_fatalities", [0, -1], "series d1: negative fatalities"),
+        ("raw_fatalities", [0, 10**30], "raw_fatalities is out of the int range"),
     ], ids=["months", "months-string", "dyad_id", "country_id", "raw-float", "raw-bool",
-            "raw-string", "raw-not-a-list", "raw-negative"])
+            "raw-string", "raw-not-a-list", "raw-negative", "raw-past-int64"])
     def test_series_field_of_the_wrong_json_type_names_the_file(
         self, tmp_path, field, value, message
     ):

@@ -15,6 +15,7 @@ from nexus.ingest import EmbeddingMatrix
 from nexus.months import parse_month
 from nexus.stepshift import (
     L2,
+    PooledDigests,
     SoftmaxModel,
     TrainConfig,
     TrainingCollapseError,
@@ -46,7 +47,7 @@ class TestPoolEmbedding:
         matrix = EmbeddingMatrix(
             ids=["a", "b"], vectors=np.array([[1.0, 0.0], [-1.0, 0.0]], dtype=np.float32)
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^digest d/2021-01 pools to a zero vector$"):
             pool_embedding(digest_of("d", "2021-01", ["a", "b"]), matrix)
 
     def test_hand_mean(self):
@@ -63,7 +64,7 @@ class TestPoolEmbedding:
 
     def test_no_members_error(self):
         matrix = EmbeddingMatrix(ids=["z"], vectors=np.ones((1, 2), dtype=np.float32))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^digest d/2021-01 has no member embeddings$"):
             pool_embedding(digest_of("d", "2021-01", ["missing"]), matrix)
 
 
@@ -90,20 +91,20 @@ class TestBuildDataset:
             }
         }
         self.digests = monthly_digests("d", self.months_text, ["a"])
+        self.pooled = PooledDigests(self.digests, MATRIX)
         self.train_end = parse_month("2021-12")
         self.test_start = parse_month("2022-01")
         self.val_end = parse_month("2022-06")
 
     def _build(self, step):
         return build_dataset(
-            self.digests,
+            self.pooled,
             self.labels,
             self.labels,
             step,
             self.train_end,
             self.test_start,
             self.val_end,
-            MATRIX,
         )
 
     def test_step_zero_targets_own_month(self):
@@ -139,14 +140,13 @@ class TestBuildDataset:
     def test_missing_labels_dropped_with_count(self):
         labels = {"d": {parse_month("2021-02"): 1}}
         train, test, dropped = build_dataset(
-            self.digests,
+            self.pooled,
             labels,
             labels,
             0,
             self.train_end,
             self.test_start,
             self.val_end,
-            MATRIX,
         )
         assert len(train) == 1
         assert dropped == len(self.digests) - 1 - len(test)
@@ -182,7 +182,6 @@ def separable_pairs(n=40, seed=0):
                 target_month=0,
                 features=center + rng.normal(size=2) * 0.1,
                 target=cls,
-                kind="low_context",
             )
         )
     return pairs
@@ -196,7 +195,7 @@ def random_fixture(seed, n, dim):
 
 def pairs_of(features, targets):
     return [
-        TrainingPair("d", 0, 0, x, int(t), "low_context")
+        TrainingPair("d", 0, 0, x, int(t))
         for x, t in zip(features, targets)
     ]
 
@@ -420,7 +419,8 @@ class TestRunSteps:
         out = run_steps(digests, labels, labels, matrix, *window, steps=(0, 1), config=config)
         assert set(out) == {(s, k) for s in (0, 1) for k in ("high_context", "low_context")}
         for (step, kind), (model, records) in out.items():
-            train, test, _ = build_dataset(digests[kind], labels, labels, step, *window, matrix)
+            pooled = PooledDigests(digests[kind], matrix)
+            train, test, _ = build_dataset(pooled, labels, labels, step, *window)
             expected = train_softmax(train, config)
             probs = predict(expected, np.stack([p.features for p in test]))
             assert (model.step, model.kind) == (step, kind)
@@ -432,6 +432,36 @@ class TestRunSteps:
                 for p, row in zip(test, probs)
             ]
             assert all(r.month == r.step + p.digest_month for r, p in zip(records, test))
+
+    # Step 3 pairs 2021-01..09 with train labels and 2022-01..03 with
+    # validation labels; 2021-10..12 and 2022-04..06 it pairs with nothing.
+    @pytest.mark.parametrize("steps, paired", [
+        ((0, 1, 3), [f"2021-{mm:02d}" for mm in range(1, 13)]
+         + [f"2022-{mm:02d}" for mm in range(1, 7)]),
+        ((3,), [f"2021-{mm:02d}" for mm in range(1, 10)] + ["2022-01", "2022-02", "2022-03"]),
+    ])
+    def test_pools_each_paired_digest_once(self, monkeypatch, steps, paired):
+        digests, labels, matrix = two_kind_fixture()
+        pooled, pool = [], stepshift.pool_embedding
+
+        def counted(digest, embeddings):
+            pooled.append(digest)
+            return pool(digest, embeddings)
+
+        monkeypatch.setattr(stepshift, "pool_embedding", counted)
+        window = (parse_month("2021-12"), parse_month("2022-01"), parse_month("2022-06"))
+        run_steps(digests, labels, labels, matrix, *window, steps=steps,
+                  config=TrainConfig(epochs=50))
+        assert sorted((d.kind, d.month) for d in pooled) == sorted(
+            (kind, parse_month(m)) for kind in digests for m in paired)
+
+    def test_repeated_dyad_month_raises(self):
+        digests, labels, matrix = two_kind_fixture()
+        digests["low_context"].append(digest_of("d", "2021-03", ["low_context_2021-04"]))
+        window = (parse_month("2021-12"), parse_month("2022-01"), parse_month("2022-06"))
+        with pytest.raises(ValueError, match="^two low_context digests for d/2021-03$"):
+            run_steps(digests, labels, labels, matrix, *window, steps=(0,),
+                      config=TrainConfig(epochs=50))
 
     def test_unequal_test_keys_across_kinds_raise(self):
         digests, labels, matrix = two_kind_fixture()
