@@ -18,8 +18,9 @@ line. The loop catches ``KeyError``, ``OverflowError``, ``TypeError`` and
 first, so none writes a repeated key. JSONL and CSV files have no trailer,
 so a file cut exactly at a row boundary reads as a shorter file; atomic
 writes are what prevent such a cut. Every reader reads its fields with
-:func:`field`, :func:`numbers` and :func:`strings`: a JSON field must be the
-JSON type its reader names, and every CSV field is a string.
+:func:`field`, :func:`numbers`, :func:`strings`, :func:`csv_number` and :func:`dyad`:
+a JSON field must be the JSON type its reader names, and every CSV field is a
+string, a number the text its saver writes.
 """
 
 from __future__ import annotations
@@ -216,9 +217,11 @@ def numbers(row: dict, name: str, kind: type = float, ndim: int = 1) -> np.ndarr
     """``row[name]``, a JSON list of ``kind``-s (``int`` or ``float``, each read by :func:`field`)
     or, for ``ndim`` 2, a list of such lists, as an array of ``kind``."""
     items = [row[name]]
-    for _ in range(ndim):
+    for depth in range(ndim):
         if not all(isinstance(v, list) for v in items):
             raise ValueError(f"{name} is not {'a list' if ndim == 1 else 'a list of lists'}")
+        if depth and len({len(v) for v in items}) > 1:
+            raise ValueError(f"{name} is not a rectangular list of lists")
         items = [v for item in items for v in item]
     for value in items:
         field({name: value}, name, kind)
@@ -234,3 +237,22 @@ def strings(row: dict, name: str) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ValueError(f"{name} is not a list of strings: {value!r}")
     return tuple(value)
+
+
+def csv_number(row: dict, name: str, kind: type):
+    """``kind(row[name])``, ``int`` or ``float``, if the field is ``str`` of it, as savers write it;
+    ``kind`` alone also reads padding, signs, "_" and non-ASCII digits."""
+    try:
+        if str(value := kind(row[name])) == row[name]:
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"{name} is not {'an' if kind is int else 'a'} {kind.__name__} as saved: "
+                     f"{row[name]!r}")
+
+
+def dyad(text: str) -> str:
+    """``text``, a dyad id, which must not be blank."""
+    if not text.strip():
+        raise ValueError("empty dyad_id")
+    return text

@@ -16,7 +16,8 @@ Neither kind has a token budget: the digest encoder,
 with no embedded event article takes the low-context snippets as its
 high-context digest, so the two kinds cover the same dyad-months. Snippet
 length and articles per topic are the module constants ``SNIPPET_TOKENS``
-and ``PER_TOPIC``.
+and ``PER_TOPIC``. A saved digest holds its snippets' article ids, and
+:func:`load_digests` rebuilds each snippet from its article.
 """
 
 from __future__ import annotations
@@ -75,10 +76,6 @@ class Digest:
     @property
     def snippet_ids(self) -> list[str]:
         return [s.article_id for s in self.snippets]
-
-    @property
-    def text(self) -> str:
-        return "\n".join(s.text for s in self.snippets)
 
     @property
     def total_tokens(self) -> int:
@@ -324,7 +321,8 @@ def _digest_key(d: Digest) -> str:
 
 
 def save_digests(digests: list[Digest], path: str | Path) -> None:
-    """Write one JSONL row per digest; two digests of one kind, dyad and month raise."""
+    """Write one JSONL row per digest, its snippets as article ids; two of one kind,
+    dyad and month raise."""
     ordered = sorted(digests, key=lambda d: (d.kind, d.dyad_id, d.month))
     _files.check_keys(path, ordered, _digest_key)
     _files.write_jsonl(path, (
@@ -333,33 +331,28 @@ def save_digests(digests: list[Digest], path: str | Path) -> None:
             "month": months.format_month(digest.month),
             "kind": digest.kind,
             "snippet_ids": digest.snippet_ids,
-            "text": digest.text,
         }
         for digest in ordered
     ))
 
 
-def load_digests(path: str | Path) -> list[Digest]:
-    """Digests from a JSONL file; keys other than the saved fields are ignored.
+def load_digests(path: str | Path, articles_by_id: dict[str, Article]) -> list[Digest]:
+    """Digests from a JSONL file, each snippet rebuilt by :func:`snippet` from its article.
 
-    Each snippet's token count is that of its text line. A row whose text is
-    not a string or snippet ids not a list of strings, whose snippet ids and
-    text lines differ in number, or whose kind, dyad and month an earlier row
-    has, is an error.
+    Keys other than the saved fields are ignored, the ``text`` of older
+    files among them. A row whose snippet ids are not a list of strings,
+    that names an id ``articles_by_id`` lacks, or whose kind, dyad and month
+    an earlier row has, is an error.
     """
 
-    def build(row: dict) -> Digest:
-        text = _files.field(row, "text", str)
-        snippets = [
-            Snippet(aid, line, len(line.split()))
-            for aid, line in zip(_files.strings(row, "snippet_ids"),
-                                 text.split("\n") if text else [], strict=True)
-        ]
-        return Digest(
-            dyad_id=_files.field(row, "dyad_id", str),
-            month=months.parse_month(row["month"]),
-            kind=_files.field(row, "kind", str),
-            snippets=snippets,
-        )
+    def article(aid: str) -> Article:
+        if aid not in articles_by_id:  # a KeyError would read as a missing field
+            raise ValueError(f"snippet id {aid!r} has no article")
+        return articles_by_id[aid]
 
-    return _files.read_rows(path, build, _digest_key)
+    return _files.read_rows(path, lambda row: Digest(
+        dyad_id=_files.field(row, "dyad_id", str),
+        month=months.parse_month(row["month"]),
+        kind=_files.field(row, "kind", str),
+        snippets=[snippet(article(aid)) for aid in _files.strings(row, "snippet_ids")],
+    ), _digest_key)

@@ -461,13 +461,14 @@ def save_forecasts_csv(records: list[ForecastRecord], path: str | Path) -> None:
 def load_forecasts_csv(
     path: str | Path, step: int, kind: str | None, source: str = "model"
 ) -> list[ForecastRecord]:
-    """The records of one forecasts CSV; a second row for a dyad-month is an error."""
+    """The records of one forecasts CSV; a blank dyad, a number other than the text
+    ``save_forecasts_csv`` writes, or a second row for a dyad-month is an error."""
     return _files.read_rows(path, lambda row: ForecastRecord(
-        dyad_id=row["dyad_id"],
+        dyad_id=_files.dyad(row["dyad_id"]),
         month=months.parse_month(row["month"]),
         step=step,
-        probabilities=tuple(float(row[c]) for c in _PROB_COLUMNS),
-        actual=int(row["actual_state"]),
+        probabilities=tuple(_files.csv_number(row, c, float) for c in _PROB_COLUMNS),
+        actual=_files.csv_number(row, "actual_state", int),
         source=source,
         kind=kind,
     ), _forecast_key)

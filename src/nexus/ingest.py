@@ -41,6 +41,7 @@ DYAD_THRESHOLD = 0.8  # apply_dyad_filter keeps a classifier row whose best dyad
 # Largest count a row may carry: sums over billions of rows stay inside int64.
 MAX_COUNT = 10**9
 _DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_NUMBER = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")  # a CSV count's text
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +185,17 @@ class EmbeddingMatrix:
 # Loaders
 # ---------------------------------------------------------------------------
 
-def _parse_count(value) -> int:
+def _parse_count(row: dict, name: str) -> int:
     """An integral count from 0 to MAX_COUNT, from a JSON number or a CSV string.
 
-    3, 3.0 and "3.0" give 3; JSON ``true`` and ``false`` are not counts.
+    3, 3.0 and "3.0" give 3; JSON ``true`` and ``false``, and strings that only
+    ``float`` reads as numbers, such as "1_0" or non-ASCII digits, are not counts.
     """
+    value = row[name]
     if isinstance(value, bool):
         raise ValueError(f"boolean count: {value}")
+    if isinstance(value, str) and not _NUMBER.fullmatch(value):
+        raise ValueError(f"{name} is not ASCII number text: {value!r}")
     number = float(value) if isinstance(value, str) else value
     count = int(number)  # OverflowError for inf, ValueError for nan, TypeError for null
     if count != number:
@@ -205,12 +210,6 @@ def _parse_date(text: str) -> dt.date:
     if not _DATE.fullmatch(text):  # fromisoformat takes more forms from Python 3.11 on
         raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
     return dt.date.fromisoformat(text)
-
-
-def _dyad(text: str) -> str:
-    if not text.strip():
-        raise ValueError("empty dyad_id")
-    return text
 
 
 def _load_rows(path: str | Path, build, key) -> tuple[list, list[RowError]]:
@@ -231,10 +230,10 @@ def load_events(path: str | Path) -> tuple[list[ConflictEvent], list[RowError]]:
     def build(row: dict) -> ConflictEvent:
         return ConflictEvent(
             event_id=_files.field(row, "event_id", str),
-            dyad_id=_dyad(_files.field(row, "dyad_id", str)),
+            dyad_id=_files.dyad(_files.field(row, "dyad_id", str)),
             country_id=_files.field(row, "country_id", str),
             date=_parse_date(_files.field(row, "date", str)),
-            fatalities=_parse_count(row["fatalities"]),
+            fatalities=_parse_count(row, "fatalities"),
             headline=_files.field(row, "headline", str),
         )
 
@@ -315,7 +314,7 @@ def load_dyad_probs(
     def build(row: dict) -> DyadProbabilityRow:
         article_id = _files.field(row, "article_id", str)
         probs = _files.field(row, "probs", dict)
-        probabilities = {_dyad(dyad): _files.field(probs, dyad, float) for dyad in probs}
+        probabilities = {_files.dyad(dyad): _files.field(probs, dyad, float) for dyad in probs}
         for dyad, p in probabilities.items():
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability out of [0,1]: {dyad}={p}")

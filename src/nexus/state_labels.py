@@ -146,19 +146,19 @@ def save_labels_csv(labels: dict[str, LabeledSeries], path: str | Path) -> None:
 def load_labels_csv(path: str | Path) -> dict[str, dict[int, int]]:
     """Per-dyad month -> state code mapping from a labels CSV.
 
-    A state code outside 0-3, a state name other than its code's, or a
-    second row for one dyad and month, is a ``ValueError`` naming the file
-    and line.
+    A blank dyad, a state code that is not the text of a code from 0 to 3,
+    a state name other than its code's, or a second row for one dyad and
+    month, is a ``ValueError`` naming the file and line.
     """
 
     def build(row) -> tuple[str, int, int]:
-        code = int(row["state_code"])
+        code = _files.csv_number(row, "state_code", int)
         if not 0 <= code < len(EscalationState):
             raise ValueError(f"state code {code} is not 0-3")
         name, given = STATE_NAMES[EscalationState(code)], row["state_name"]
         if given != name:
             raise ValueError(f"state name {given!r} does not match state code {code} ({name!r})")
-        return row["dyad_id"], months.parse_month(row["month"]), code
+        return _files.dyad(row["dyad_id"]), months.parse_month(row["month"]), code
 
     out: dict[str, dict[int, int]] = {}
     for dyad_id, month, code in _files.read_rows(

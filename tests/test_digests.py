@@ -690,6 +690,45 @@ class TestRagMatchesIndexSearch:
                 assert [d.snippet_ids for d in digests] == ([expected] if expected else [])
 
 
+# the articles whose snippets the saved digests below hold: "x y" for "a", "x y z" for the others
+SAVED_ARTICLES = {"a": Article("a", dt.date(2021, 3, 1), "x", "y")} | {
+    aid: Article(aid, dt.date(2021, 3, 1), "x  y", "\tz") for aid in ("a1", "a2", "a3")
+}
+WORD_CHARS = st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp"))
+
+
+@st.composite
+def spaced_text(draw, min_words, max_words):
+    """Words after an optional whitespace run, each followed by a whitespace run."""
+    n = draw(st.integers(min_words, max_words))
+    words = draw(st.lists(st.text(WORD_CHARS, min_size=1, max_size=4), min_size=1, max_size=4))
+    gaps = draw(st.lists(st.text(" \t\n\r\x0b\x0c\x85\xa0\u2003\u2028", min_size=1, max_size=3),
+                         min_size=1, max_size=3))
+    lead = draw(st.sampled_from(["", *gaps]))
+    return lead + "".join(words[i % len(words)] + gaps[i % len(gaps)] for i in range(n))
+
+
+@st.composite
+def articles_and_digests(draw):
+    """Articles, some past ``SNIPPET_TOKENS`` words, and digests whose ids may repeat."""
+    ids = draw(st.lists(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
+                                max_size=5), min_size=1, max_size=5, unique=True))
+    articles = {
+        aid: Article(aid, dt.date(2021, 3, 1), draw(spaced_text(1, 3)),
+                     draw(spaced_text(0, SNIPPET_TOKENS + 10)))
+        for aid in ids
+    }
+    keys = st.tuples(st.sampled_from([LOW_CONTEXT, HIGH_CONTEXT]), st.sampled_from(["d1", "d 2"]),
+                     st.integers(parse_month("1990-01"), parse_month("2030-12")))
+    snippet_ids = draw(st.dictionaries(keys, st.lists(st.sampled_from(ids), min_size=1, max_size=6),
+                                       max_size=5))
+    digests = [
+        Digest(dyad, month, kind, [snippet(articles[aid]) for aid in chosen])
+        for (kind, dyad, month), chosen in snippet_ids.items()
+    ]
+    return articles, digests
+
+
 class TestDigestRoundTrip:
     def test_save_load(self, tmp_path):
         articles, matrix, model, gold = make_fixture()
@@ -698,12 +737,20 @@ class TestDigestRoundTrip:
         )
         path = tmp_path / "digests.jsonl"
         save_digests([digest], path)
-        loaded = load_digests(path)
-        assert len(loaded) == 1
-        assert loaded[0].snippet_ids == digest.snippet_ids
-        assert loaded[0].total_tokens == digest.total_tokens
-        assert loaded[0].month == digest.month
-        assert loaded[0].text == digest.text
+        assert set(json.loads(path.read_text())) == {"dyad_id", "month", "kind", "snippet_ids"}
+        assert load_digests(path, articles) == [digest]
+
+    @settings(max_examples=60, deadline=None)
+    @given(articles_and_digests())
+    def test_load_rebuilds_the_saved_digests_from_their_articles(self, tmp_path_factory, drawn):
+        articles, digests = drawn
+        path = tmp_path_factory.mktemp("digests") / "digests.jsonl"
+        save_digests(digests, path)
+        loaded = load_digests(path, articles)
+        assert loaded == sorted(digests, key=lambda d: (d.kind, d.dyad_id, d.month))
+        saved = path.read_bytes()
+        save_digests(loaded, path)
+        assert path.read_bytes() == saved
 
     def test_both_kinds_round_trip_one_row_per_key(self, tmp_path):
         # an event in 2021-03, none in 2021-04 (the fallback), nothing in 2021-05
@@ -718,7 +765,7 @@ class TestDigestRoundTrip:
             by_kind[HIGH_CONTEXT] += rag_digest("dy", month, model, articles, gold, matrix, None)
         path = tmp_path / "digests.jsonl"
         save_digests(by_kind[LOW_CONTEXT] + by_kind[HIGH_CONTEXT], path)
-        loaded = load_digests(path)
+        loaded = load_digests(path, articles)
         assert {kind: [d for d in loaded if d.kind == kind] for kind in by_kind} == by_kind
         keys = Counter((d.kind, d.dyad_id, d.month) for d in loaded)
         assert sorted(keys.values()) == [1] * 4
@@ -727,28 +774,38 @@ class TestDigestRoundTrip:
         }
 
     def test_older_seed_field_ignored(self, tmp_path):
-        digest = Digest("dy", parse_month("2021-03"), HIGH_CONTEXT, [Snippet("a", "x y", 2)])
+        digest = Digest("dy", parse_month("2021-03"), HIGH_CONTEXT, [snippet(SAVED_ARTICLES["a"])])
         path = tmp_path / "digests.jsonl"
         save_digests([digest], path)
         row = path.read_text().rstrip("\n")
         path.write_text(row[:-1] + ', "seed": 0, "partition": 1}\n')
-        assert load_digests(path) == [digest]
+        assert load_digests(path, SAVED_ARTICLES) == [digest]
 
     def test_stale_token_total_ignored(self, tmp_path):
         # older files hold a token total; it is not saved, and not checked on load, whatever its value
-        digest = Digest("dy", parse_month("2021-03"), HIGH_CONTEXT, [Snippet("a", "x y", 2)])
+        digest = Digest("dy", parse_month("2021-03"), HIGH_CONTEXT, [snippet(SAVED_ARTICLES["a"])])
         path = tmp_path / "digests.jsonl"
         save_digests([digest], path)
         row = path.read_text().rstrip("\n")
         assert "total_tokens" not in row
         path.write_text(row[:-1] + ', "total_tokens": 9}\n')
-        assert load_digests(path) == [digest]
+        assert load_digests(path, SAVED_ARTICLES) == [digest]
+
+    def test_older_text_field_ignored(self, tmp_path):
+        # older files hold the snippets' text; the snippets now come from the articles
+        digest = Digest("dy", parse_month("2021-03"), HIGH_CONTEXT, [snippet(SAVED_ARTICLES["a"])])
+        path = tmp_path / "digests.jsonl"
+        save_digests([digest], path)
+        row = path.read_text().rstrip("\n")
+        assert '"text"' not in row
+        path.write_text(row[:-1] + ', "text": "not the article text"}\n')
+        assert load_digests(path, SAVED_ARTICLES) == [digest]
 
 
 class TestLoadDigestsErrors:
     def _three(self):
         return [
-            Digest("dy", parse_month(f"2021-0{m}"), LOW_CONTEXT, [Snippet(f"a{m}", "x y z", 3)])
+            Digest("dy", parse_month(f"2021-0{m}"), LOW_CONTEXT, [snippet(SAVED_ARTICLES[f"a{m}"])])
             for m in (1, 2, 3)
         ]
 
@@ -761,26 +818,36 @@ class TestLoadDigestsErrors:
         for cut in range(last_row, len(data)):
             path.write_bytes(data[:cut])
             if cut == last_row:
-                assert load_digests(path) == digests[:2]
+                assert load_digests(path, SAVED_ARTICLES) == digests[:2]
             elif cut == len(data) - 1:  # only the final newline is gone
-                assert load_digests(path) == digests
+                assert load_digests(path, SAVED_ARTICLES) == digests
             else:
                 with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: ")):
-                    load_digests(path)
+                    load_digests(path, SAVED_ARTICLES)
+
+    def test_snippet_id_with_no_article_names_path_line_and_id(self, tmp_path):
+        path = tmp_path / "digests.jsonl"
+        save_digests(self._three(), path)
+        articles = {aid: a for aid, a in SAVED_ARTICLES.items() if aid != "a2"}
+        with pytest.raises(ValueError, match=re.escape(
+            f"{path}, line 2: snippet id 'a2' has no article"
+        )):
+            load_digests(path, articles)
 
     def test_second_row_for_a_kind_dyad_month_names_path_and_lines(self, tmp_path):
         path = tmp_path / "digests.jsonl"
         digests = self._three()
         save_digests(digests + [replace(digests[1], kind=HIGH_CONTEXT)], path)
-        assert len(load_digests(path)) == 4  # the other kind's digest of a month is no repeat
+        # the other kind's digest of a month is no repeat
+        assert len(load_digests(path, SAVED_ARTICLES)) == 4
         save_digests(digests, path)
         lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines + [lines[1].replace('"a2"', '"a9"')]))
+        path.write_text("".join(lines + [lines[1].replace('"a2"', '"a1"')]))
         with pytest.raises(ValueError, match=re.escape(
             f"{path}, line 4: second row for low_context digest of dyad dy, month 2021-02 "
             "(first at line 2)"
         )):
-            load_digests(path)
+            load_digests(path, SAVED_ARTICLES)
 
     def test_saving_a_second_digest_for_a_kind_dyad_month_raises_and_keeps_the_file(
         self, tmp_path
@@ -803,15 +870,15 @@ class TestLoadDigestsErrors:
         lines[1] = lines[1].replace('"kind"', '"kinds"')
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match=re.escape(f"{path}, line 2: missing field 'kind'")):
-            load_digests(path)
+            load_digests(path, SAVED_ARTICLES)
 
     @pytest.mark.parametrize(
         "field, value",
-        [("snippet_ids", ["a2", "a9"]), ("text", "x y z\nu v"), ("month", 202102), ("text", 5), ("snippet_ids", "a"), ("snippet_ids", [2]),
+        [("snippet_ids", ["a2", "a9"]), ("month", 202102), ("snippet_ids", "a"), ("snippet_ids", [2]),
          ("dyad_id", 7), ("kind", ["x"])],
     )
     def test_row_at_odds_with_itself_names_path_and_line(self, tmp_path, field, value):
-        # ids and text lines differ in number, or a field is not of its JSON type (the string "a" is not the ids ["a"], 7 not a dyad id)
+        # an id with no article, or a field not of its JSON type (the string "a" is not the ids ["a"], 7 not a dyad id)
         path = tmp_path / "digests.jsonl"
         save_digests(self._three(), path)
         lines = path.read_text().splitlines(keepends=True)
@@ -820,4 +887,4 @@ class TestLoadDigestsErrors:
         lines[1] = json.dumps(row) + "\n"
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match=re.escape(f"{path}, line 2: ")):
-            load_digests(path)
+            load_digests(path, SAVED_ARTICLES)

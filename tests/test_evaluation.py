@@ -921,3 +921,25 @@ class TestForecastCsvRoundTrip:
             path.write_bytes(data[:cut])
             with pytest.raises(ValueError, match=re.escape(f"{path}, line 4: ")):
                 load_forecasts_csv(path, step=3, kind="high_context")
+
+    @pytest.mark.parametrize("column, text, message", [
+        ("actual_state", "\u0662", "actual_state is not an int as saved: '\u0662'"),  # Arabic-Indic 2
+        ("actual_state", " 2", "actual_state is not an int as saved: ' 2'"),
+        ("p_peace", "\u0660.25", "p_peace is not a float as saved: '\u0660.25'"),
+        ("p_peace", " 0.25", "p_peace is not a float as saved: ' 0.25'"),
+        ("p_peace", "0.25_0", "p_peace is not a float as saved: '0.25_0'"),
+        ("dyad_id", "", "empty dyad_id"),
+        ("dyad_id", " ", "empty dyad_id"),
+    ])
+    def test_field_other_than_the_savers_text_names_path_and_line(
+        self, tmp_path, column, text, message
+    ):
+        path = tmp_path / "forecasts.csv"
+        save_forecasts_csv([record(2, (0.25, 0.25, 0.25, 0.25))], path)
+        header, row = path.read_text().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert fields[column] in ("2", "0.25", "d")  # what the saver wrote
+        fields[column] = text
+        path.write_text(f"{header}\n{','.join(fields.values())}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 2: {message}")):
+            load_forecasts_csv(path, step=1, kind="low_context")

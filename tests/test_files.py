@@ -1,5 +1,6 @@
 """The intermediate files: every saver writes atomically, every loader names a cut file."""
 
+import datetime as dt
 import json
 import re
 from dataclasses import replace
@@ -12,11 +13,12 @@ from hypothesis import strategies as st
 import roundtrip_outputs
 from conftest import make_series
 from nexus import _files
-from nexus.digests import HIGH_CONTEXT, LOW_CONTEXT, Digest, Snippet, load_digests, save_digests
+from nexus.digests import HIGH_CONTEXT, LOW_CONTEXT, Digest, load_digests, save_digests, snippet
 from nexus.evaluation import ForecastRecord, emit_report, load_forecasts_csv, save_forecasts_csv
 from nexus.gp_trend import KernelParams, TrendFit, load_trend_fit, save_trend_fit
 from nexus.hnsw import HnswConfig, HnswIndex, build_index
 from nexus.ingest import (
+    Article,
     ArticleLabel,
     load_embeddings,
     load_labels_file,
@@ -39,8 +41,12 @@ STATES = {
     dyad: LabeledSeries(dyad, np.arange(24000, 24003), np.array([0, 1, 3]))
     for dyad in ("d1", "d2")
 }
+ARTICLES = {
+    aid: Article(aid, dt.date(2020, 1, 1), headline, body)
+    for aid, headline, body in (("a0", "x y", "z"), ("a1", "x", " y  z"), ("b", "w", ""))
+}
 DIGESTS = [
-    Digest("d1", 24000 + m, kind, [Snippet(f"a{m}", "x y z", 3), Snippet("b", "w", 1)])
+    Digest("d1", 24000 + m, kind, [snippet(ARTICLES[f"a{m}"]), snippet(ARTICLES["b"])])
     for kind in (LOW_CONTEXT, HIGH_CONTEXT) for m in range(2)
 ]
 MODEL = SoftmaxModel(np.arange(12.0).reshape(4, 3) / 7, np.ones(4), TrainConfig(epochs=5),
@@ -77,7 +83,8 @@ CASES = {
                    roundtrip_outputs.resave_labels),
     "index.bin": (lambda p: build_index(list("abcd"), VECTORS, HnswConfig(seed=3)).save(p),
                   HnswIndex.load, None, None),
-    "digests.jsonl": (lambda p: save_digests(DIGESTS, p), load_digests, list, save_digests),
+    "digests.jsonl": (lambda p: save_digests(DIGESTS, p), lambda p: load_digests(p, ARTICLES), list,
+                      save_digests),
     "model.json": (lambda p: save_model(MODEL, p), load_model, None, save_model),
     "forecasts.csv": (lambda p: save_forecasts_csv(FORECASTS, p),
                       lambda p: load_forecasts_csv(p, 1, LOW_CONTEXT), list, save_forecasts_csv),
@@ -130,15 +137,15 @@ def test_roundtrip_script_names_the_first_file_that_does_not_round_trip(tmp_path
                        ("model.json", "model_step1_low_context.json"),
                        ("forecasts.csv", "forecasts_step1_low_context.csv")):
         CASES[case][0](tmp_path / name)
-    counts, error = roundtrip_outputs.check(tmp_path)
+    counts, error = roundtrip_outputs.check(tmp_path, ARTICLES)
     assert error is None and set(counts.values()) == {1}
     trend = tmp_path / "trend_train_d1.json"
     trend.write_text(json.dumps(json.loads(trend.read_text()), indent=1))  # same values
-    assert roundtrip_outputs.check(tmp_path)[1] == (
+    assert roundtrip_outputs.check(tmp_path, ARTICLES)[1] == (
         f"{trend}: saving what was loaded writes other bytes"
     )
     trend.unlink()
-    assert roundtrip_outputs.check(tmp_path)[1] == f"{tmp_path}: no trend_*.json file"
+    assert roundtrip_outputs.check(tmp_path, ARTICLES)[1] == f"{tmp_path}: no trend_*.json file"
 
 
 LABELS_HEADER = b"dyad_id,month,state_code,state_name\r\n"
@@ -168,7 +175,7 @@ def test_deeply_nested_jsonl_line_raises_naming_file_and_line(tmp_path):
     with path.open("ab") as fh:
         fh.write(b"[" * 200_000 + b"\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}, line {len(DIGESTS) + 1}: ")):
-        load_digests(path)
+        load_digests(path, ARTICLES)
 
 
 def test_every_saver_writes_through_write_atomic(tmp_path, monkeypatch):
@@ -214,3 +221,15 @@ def test_field_returns_the_type_it_names():
         _files.numbers({"x": [1.5, 10**400]}, "x")
     with pytest.raises(ValueError, match=r"^x is not a dict: \[1\]$"):
         _files.field({"x": [1]}, "x", dict)
+
+
+def test_ragged_2d_number_list_names_its_field(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(MODEL, path)
+    payload = json.loads(path.read_text())
+    payload["weights"][1] = payload["weights"][1][:1]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=re.escape(
+        f"{path}: weights is not a rectangular list of lists"
+    )):
+        load_model(path)

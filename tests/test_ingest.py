@@ -190,6 +190,16 @@ class TestLoaderContract:
         assert type(events[0].fatalities) is int
         assert [e.line for e in errors] == [3, 4]
 
+    @pytest.mark.parametrize("text", ["\u0663", "1_0", " 3", "+3", "\uff13", "inf"])
+    def test_csv_events_fatalities_other_than_ascii_number_text_are_row_errors(self, tmp_path, text):
+        # float() reads each of these: an Arabic-Indic 3, "1_0" as 10, padding, a sign, ...
+        path = tmp_path / "events.csv"
+        path.write_bytes(CSV_HEADER + csv_event_row("e1", "2") + csv_event_row("e2", "x").replace(
+            b",x,", f",{text},".encode()) + csv_event_row("e3", "4"))
+        events, errors = load_events(path)
+        assert [(e.event_id, e.fatalities) for e in events] == [("e1", 2), ("e3", 4)]
+        assert errors == [RowError(3, f"fatalities is not ASCII number text: {text!r}")]
+
     def test_csv_error_names_first_physical_line(self, tmp_path):
         # e1's quoted headline spans lines 2-3, so e2 starts on line 4; line 5 is blank
         path = tmp_path / "events.csv"

@@ -273,6 +273,25 @@ class TestLabelWindows:
         with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: {message}")):
             load_labels_csv(path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("d1,2020-02,\u0663,De-escalation", "state_code is not an int as saved: '\u0663'"),  # Arabic-Indic 3
+            ("d1,2020-02, 3,De-escalation", "state_code is not an int as saved: ' 3'"),
+            ("d1,2020-02,+3,De-escalation", "state_code is not an int as saved: '+3'"),
+            ("d1,2020-02,03,De-escalation", "state_code is not an int as saved: '03'"),
+            ("d1,2020-02,3.0,De-escalation", "state_code is not an int as saved: '3.0'"),
+            (",2020-02,3,De-escalation", "empty dyad_id"),
+            ("  ,2020-02,3,De-escalation", "empty dyad_id"),
+        ],
+    )
+    def test_field_other_than_the_savers_text_names_path_and_line(self, tmp_path, row, message):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"dyad_id,month,state_code,state_name\nd1,2020-01,1,Escalation\n{row}\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: {message}")):
+            load_labels_csv(path)
+
     def test_second_row_for_a_dyad_month_names_path_and_line(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text(
