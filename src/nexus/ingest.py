@@ -206,7 +206,6 @@ def _parse_count(row: dict, name: str) -> int:
 
 
 def _parse_date(text: str) -> dt.date:
-    text = text.strip()
     if not _DATE.fullmatch(text):  # fromisoformat takes more forms from Python 3.11 on
         raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
     return dt.date.fromisoformat(text)

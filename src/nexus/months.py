@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-_MONTH_RE = re.compile(r"^([0-9]{4})-([0-9]{2})$")  # ASCII digits: \d takes any Unicode digit
+_MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")  # ASCII digits: \d takes any Unicode digit
 
 
 def month_index(year: int, month: int) -> int:
@@ -21,8 +21,8 @@ def month_index(year: int, month: int) -> int:
 
 
 def parse_month(text: str) -> int:
-    """Parse 'YYYY-MM', in ASCII digits, into a flat month index."""
-    m = _MONTH_RE.match(text.strip()) if isinstance(text, str) else None
+    """Parse exactly 'YYYY-MM', in ASCII digits, into a flat month index."""
+    m = _MONTH_RE.fullmatch(text) if isinstance(text, str) else None
     if m is None:
         raise ValueError(f"not a YYYY-MM month: {text!r}")
     return month_index(int(m.group(1)), int(m.group(2)))

@@ -4,7 +4,7 @@ A pair joins the digest at month m with the escalation state at m + s;
 one model is trained per (step, digest kind). Features are mean-pooled
 member-article embeddings (the interface point where an external encoder
 could supply digest-level vectors instead). They do not depend on s, so
-``run_steps`` pools a digest once, when the first step pairs it, and each
+``run_steps`` pools every digest once, before the first step, and each
 step only pairs those pooled rows with its labels. The head's objective,
 class-weighted cross-entropy plus an L2 penalty, is strictly convex;
 scipy's L-BFGS-B finds its one minimiser from zero weights, so a forecast
@@ -16,7 +16,6 @@ kind covers the same dyad-months, so every kind is scored on the same
 from __future__ import annotations
 
 import logging
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,44 +105,15 @@ def pool_embedding(digest: Digest, embeddings) -> np.ndarray:
         for aid in digest.snippet_ids
         if aid in embeddings
     ]
-    month = months.format_month(digest.month)
     if not vectors:
-        raise ValueError(f"digest {digest.dyad_id}/{month} has no member embeddings")
+        raise ValueError(f"digest {digest.dyad_id}/{months.format_month(digest.month)} "
+                         "has no member embeddings")
     mean = np.mean(vectors, axis=0)
     norm = float(np.linalg.norm(mean))
     if norm == 0.0:
-        raise ValueError(f"digest {digest.dyad_id}/{month} pools to a zero vector")
+        raise ValueError(f"digest {digest.dyad_id}/{months.format_month(digest.month)} "
+                         "pools to a zero vector")
     return mean / norm
-
-
-class PooledDigests(Mapping):
-    """One kind's digests as ``pool_embedding`` vectors keyed by (dyad_id, month).
-
-    A digest is pooled on the first lookup of its key and kept, so it is
-    pooled at most once, and a digest that no pair reads is never pooled.
-    A (dyad, month) that repeats is a ``ValueError``.
-    """
-
-    def __init__(self, digests: list[Digest], embeddings) -> None:
-        self._digests: dict[tuple[str, int], Digest] = {}
-        for d in digests:
-            if (d.dyad_id, d.month) in self._digests:
-                raise ValueError(f"two {d.kind} digests for {d.dyad_id}/"
-                                 f"{months.format_month(d.month)}")
-            self._digests[d.dyad_id, d.month] = d
-        self._embeddings = embeddings
-        self._vectors: dict[tuple[str, int], np.ndarray] = {}
-
-    def __getitem__(self, key: tuple[str, int]) -> np.ndarray:
-        if key not in self._vectors:
-            self._vectors[key] = pool_embedding(self._digests[key], self._embeddings)
-        return self._vectors[key]
-
-    def __iter__(self) -> Iterator[tuple[str, int]]:
-        return iter(self._digests)
-
-    def __len__(self) -> int:
-        return len(self._digests)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +121,7 @@ class PooledDigests(Mapping):
 # ---------------------------------------------------------------------------
 
 def build_dataset(
-    pooled: Mapping[tuple[str, int], np.ndarray],
+    pooled: dict[tuple[str, int], np.ndarray],
     labels_train: dict[str, dict[int, int]],
     labels_val: dict[str, dict[int, int]],
     step: int,
@@ -161,13 +131,12 @@ def build_dataset(
 ) -> tuple[list[TrainingPair], list[TrainingPair], int]:
     """(train pairs, test pairs, dropped count) for one forecast step.
 
-    ``pooled`` maps one kind's (dyad, month) keys to their feature vectors
-    (a ``PooledDigests``); the keys are paired in sorted order, and only a
-    paired key's vector is read. Train pairs require month + step <=
-    train_end with the target drawn from the train-window labels; test
-    pairs start at test_start and read validation labels, dropping
-    anything past val_end. A negative step would pair a digest with an
-    earlier month's state and is an error.
+    ``pooled`` maps one kind's (dyad, month) keys to their pooled feature
+    vectors; the keys are paired in sorted order. Train pairs require
+    month + step <= train_end with the target drawn from the train-window
+    labels; test pairs start at test_start and read validation labels,
+    dropping anything past val_end. A negative step would pair a digest
+    with an earlier month's state and is an error.
     """
     if step < 0:
         raise ValueError(f"step must be non-negative: {step}")
@@ -309,12 +278,19 @@ def run_steps(
 ) -> dict[tuple[int, str], tuple[SoftmaxModel, list[ForecastRecord]]]:
     """One trained model plus its test-set forecast records per (step, kind).
 
-    Pools each digest at most once, when a step first pairs it. Raises
-    ``ValueError`` if a kind repeats a (dyad, month) or the kinds' test
-    (dyad, digest month) keys differ.
+    Pools every digest once, before the first step, whether or not a step
+    pairs it. Raises ``ValueError`` if a kind repeats a (dyad, month), a
+    digest fails ``pool_embedding``, or the kinds' test (dyad, digest
+    month) keys differ.
     """
-    pooled = {kind: PooledDigests(digests_by_kind[kind], embeddings)
-              for kind in sorted(digests_by_kind)}
+    pooled: dict[str, dict[tuple[str, int], np.ndarray]] = {}
+    for kind in sorted(digests_by_kind):
+        vectors = pooled[kind] = {}
+        for d in digests_by_kind[kind]:
+            if (d.dyad_id, d.month) in vectors:
+                raise ValueError(f"two {d.kind} digests for {d.dyad_id}/"
+                                 f"{months.format_month(d.month)}")
+            vectors[d.dyad_id, d.month] = pool_embedding(d, embeddings)
     out: dict[tuple[int, str], tuple[SoftmaxModel, list[ForecastRecord]]] = {}
     for step in steps:
         datasets = {

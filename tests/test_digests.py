@@ -32,7 +32,7 @@ from nexus.digests import (
 from nexus.hnsw import HnswConfig, HnswIndex
 from nexus.ingest import Article, EmbeddingMatrix
 from nexus.months import format_month, parse_month
-from nexus.stepshift import PooledDigests, build_dataset
+from nexus.stepshift import build_dataset, pool_embedding
 
 
 def art(article_id, n_tokens=20, month="2021-03"):
@@ -619,8 +619,9 @@ class TestCausalDigests:
         labels_val = {"dy": {m: m % 4 for m in months}}
         pairs = []
         for kind in sorted(by_kind):
-            train, _, _ = build_dataset(PooledDigests(by_kind[kind], matrix), labels_train,
-                                        labels_val, 1, train_end, train_end + 1, months[-1])
+            pooled = {(d.dyad_id, d.month): pool_embedding(d, matrix) for d in by_kind[kind]}
+            train, _, _ = build_dataset(pooled, labels_train, labels_val, 1, train_end,
+                                        train_end + 1, months[-1])
             pairs += [(p.digest_month, kind, p.target, p.features.tobytes()) for p in train]
         return pairs
 

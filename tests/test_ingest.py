@@ -262,8 +262,8 @@ class TestLoaderContract:
         assert "'a1'" in errors[0].message and "line 1" in errors[0].message
 
     # the basic and week forms of 2015-03-14: date.fromisoformat takes both on Python 3.11,
-    # neither on 3.10, so the same file would load differently
-    @pytest.mark.parametrize("date", ["20150314", "2015-W11-6"])
+    # neither on 3.10, so the same file would load differently; and the date with a space
+    @pytest.mark.parametrize("date", ["20150314", "2015-W11-6", " 2015-03-14", "2015-03-14 "])
     def test_date_other_than_yyyy_mm_dd_is_a_bad_row(self, tmp_path, date):
         bad = event_row("e2", 1).replace("2015-03-14", date)
         path = write_jsonl(tmp_path / "events.jsonl", [bad, event_row("e3", 2)])

@@ -245,6 +245,12 @@ class TestLabelWindows:
         with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: not a YYYY-MM month")):
             load_labels_csv(path)
 
+    def test_month_with_surrounding_spaces_names_path_and_line(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("dyad_id,month,state_code,state_name\nd1, 2020-01 ,1,Escalation\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}, line 2: not a YYYY-MM month: ' 2020-01 '")):
+            load_labels_csv(path)
 
     @pytest.mark.parametrize(
         "rows,line,message",
@@ -357,6 +363,12 @@ def test_label_files_are_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
 )
 def test_parse_month_takes_ascii_digits_only(text):
     with pytest.raises(ValueError, match="not a YYYY-MM month"):
+        parse_month(text)
+
+
+@pytest.mark.parametrize("text", ["2020-01\n", " 2020-01", "2020-01 ", "\t2020-01"])
+def test_parse_month_takes_no_surrounding_whitespace(text):
+    with pytest.raises(ValueError, match=re.escape(f"not a YYYY-MM month: {text!r}")):
         parse_month(text)
 
 

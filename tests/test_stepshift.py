@@ -15,7 +15,6 @@ from nexus.ingest import EmbeddingMatrix
 from nexus.months import parse_month
 from nexus.stepshift import (
     L2,
-    PooledDigests,
     SoftmaxModel,
     TrainConfig,
     TrainingCollapseError,
@@ -91,7 +90,7 @@ class TestBuildDataset:
             }
         }
         self.digests = monthly_digests("d", self.months_text, ["a"])
-        self.pooled = PooledDigests(self.digests, MATRIX)
+        self.pooled = {(d.dyad_id, d.month): pool_embedding(d, MATRIX) for d in self.digests}
         self.train_end = parse_month("2021-12")
         self.test_start = parse_month("2022-01")
         self.val_end = parse_month("2022-06")
@@ -419,7 +418,7 @@ class TestRunSteps:
         out = run_steps(digests, labels, labels, matrix, *window, steps=(0, 1), config=config)
         assert set(out) == {(s, k) for s in (0, 1) for k in ("high_context", "low_context")}
         for (step, kind), (model, records) in out.items():
-            pooled = PooledDigests(digests[kind], matrix)
+            pooled = {(d.dyad_id, d.month): pool_embedding(d, matrix) for d in digests[kind]}
             train, test, _ = build_dataset(pooled, labels, labels, step, *window)
             expected = train_softmax(train, config)
             probs = predict(expected, np.stack([p.features for p in test]))
@@ -433,14 +432,9 @@ class TestRunSteps:
             ]
             assert all(r.month == r.step + p.digest_month for r, p in zip(records, test))
 
-    # Step 3 pairs 2021-01..09 with train labels and 2022-01..03 with
-    # validation labels; 2021-10..12 and 2022-04..06 it pairs with nothing.
-    @pytest.mark.parametrize("steps, paired", [
-        ((0, 1, 3), [f"2021-{mm:02d}" for mm in range(1, 13)]
-         + [f"2022-{mm:02d}" for mm in range(1, 7)]),
-        ((3,), [f"2021-{mm:02d}" for mm in range(1, 10)] + ["2022-01", "2022-02", "2022-03"]),
-    ])
-    def test_pools_each_paired_digest_once(self, monkeypatch, steps, paired):
+    # Step 3 pairs 2021-01..09 and 2022-01..03 only; every digest is pooled all the same.
+    @pytest.mark.parametrize("steps", [(0, 1, 3), (3,)])
+    def test_pools_every_digest_once_per_call(self, monkeypatch, steps):
         digests, labels, matrix = two_kind_fixture()
         pooled, pool = [], stepshift.pool_embedding
 
@@ -453,7 +447,17 @@ class TestRunSteps:
         run_steps(digests, labels, labels, matrix, *window, steps=steps,
                   config=TrainConfig(epochs=50))
         assert sorted((d.kind, d.month) for d in pooled) == sorted(
-            (kind, parse_month(m)) for kind in digests for m in paired)
+            (d.kind, d.month) for kind in digests for d in digests[kind])
+
+    def test_unpaired_digest_without_embeddings_raises(self):
+        digests, labels, matrix = two_kind_fixture()
+        june = parse_month("2022-06")  # step 3 pairs it with nothing
+        digests["low_context"] = [digest_of("d", "2022-06", ["missing"]) if d.month == june else d
+                                  for d in digests["low_context"]]
+        window = (parse_month("2021-12"), parse_month("2022-01"), parse_month("2022-06"))
+        with pytest.raises(ValueError, match="^digest d/2022-06 has no member embeddings$"):
+            run_steps(digests, labels, labels, matrix, *window, steps=(3,),
+                      config=TrainConfig(epochs=50))
 
     def test_repeated_dyad_month_raises(self):
         digests, labels, matrix = two_kind_fixture()
