@@ -21,7 +21,7 @@ series_<dyad>.json            JSON          ingest.save_series / load_series
 embeddings.f32, .meta.json    f32 + JSON    ingest.save_embeddings / load_embeddings
 trend_<tag>_<dyad>.json       JSON          gp_trend.save_trend_fit / load_trend_fit
 labels_{train,val}.csv        CSV           state_labels.save_labels_csv / load_labels_csv
-index_<dyad>.bin              JSON + f32    hnsw.HnswIndex.save / HnswIndex.load
+index_<dyad>.bin              JSON + f32    hnsw.HnswIndex.save / none
 digests.jsonl                 JSONL         digests.save_digests / load_digests(path, articles_by_id)
 model_step<s>_<kind>.json     JSON          stepshift.save_model / load_model
 forecasts_step<s>_<kind>.csv  CSV           evaluation.save_forecasts_csv / load_forecasts_csv

@@ -340,9 +340,10 @@ def load_digests(path: str | Path, articles_by_id: dict[str, Article]) -> list[D
     """Digests from a JSONL file, each snippet rebuilt by :func:`snippet` from its article.
 
     Keys other than the saved fields are ignored, the ``text`` of older
-    files among them. A row whose snippet ids are not a list of strings,
-    that names an id ``articles_by_id`` lacks, or whose kind, dyad and month
-    an earlier row has, is an error.
+    files among them. A row whose snippet ids are not a non-empty list of
+    strings, that names an id ``articles_by_id`` lacks, whose kind is
+    neither digest kind, or whose kind, dyad and month an earlier row has,
+    is an error.
     """
 
     def article(aid: str) -> Article:
@@ -350,9 +351,17 @@ def load_digests(path: str | Path, articles_by_id: dict[str, Article]) -> list[D
             raise ValueError(f"snippet id {aid!r} has no article")
         return articles_by_id[aid]
 
-    return _files.read_rows(path, lambda row: Digest(
-        dyad_id=_files.field(row, "dyad_id", str),
-        month=months.parse_month(row["month"]),
-        kind=_files.field(row, "kind", str),
-        snippets=[snippet(article(aid)) for aid in _files.strings(row, "snippet_ids")],
-    ), _digest_key)
+    def build(row: dict) -> Digest:
+        kind, ids = _files.field(row, "kind", str), _files.strings(row, "snippet_ids")
+        if kind not in (LOW_CONTEXT, HIGH_CONTEXT):
+            raise ValueError(f"kind is not {LOW_CONTEXT} or {HIGH_CONTEXT}: {kind!r}")
+        if not ids:
+            raise ValueError("snippet_ids is empty")
+        return Digest(
+            dyad_id=_files.dyad(_files.field(row, "dyad_id", str)),
+            month=months.parse_month(row["month"]),
+            kind=kind,
+            snippets=[snippet(article(aid)) for aid in ids],
+        )
+
+    return _files.read_rows(path, build, _digest_key)

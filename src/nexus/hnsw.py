@@ -8,14 +8,14 @@ not call this module: the digests rank each topic's in-month articles
 themselves. The pipeline benchmark in ``nexus_bench/`` still builds and
 saves one index per dyad through the names kept here (the module,
 ``HnswIndex``, the one-field ``HnswConfig``, ``build_index``, ``save`` and
-the ``brute_force_search`` alias). The module is deleted once the
-benchmark stops calling it (ROADMAP item 1).
+the ``brute_force_search`` alias), and nothing reads the file ``save``
+writes. The module is deleted once the benchmark stops calling it
+(ROADMAP item 1).
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,8 +24,6 @@ import numpy as np
 
 from . import _files
 from .digests import normalize
-
-logger = logging.getLogger(__name__)
 
 _MAGIC = b"HNSW"
 
@@ -38,39 +36,29 @@ class HnswConfig:
 
 
 class HnswIndex:
-    """Append-only matrix of L2-normalized vectors with exact top-k search."""
+    """Append-only rows of L2-normalized vectors with exact top-k search."""
 
     def __init__(self, dim: int, config: HnswConfig | None = None):
         self.dim = int(dim)
         self.config = config or HnswConfig()
         self.ids: list[str] = []
         self._row: dict[str, int] = {}
-        self._vectors = np.zeros((0, self.dim), dtype=np.float32)
-
-    def __len__(self) -> int:
-        return len(self.ids)
+        self._rows: list[np.ndarray] = []
 
     @property
     def vectors(self) -> np.ndarray:
-        return self._vectors[: len(self.ids)]
+        return np.array(self._rows, dtype=np.float32).reshape(len(self._rows), self.dim)
 
     def insert(self, article_id: str, vector) -> None:
-        """Insert one vector; duplicate ids replace the stored vector with a warning."""
+        """Append one vector; an id already in the index raises ValueError."""
         v = normalize(vector)
         if v.shape[0] != self.dim:
             raise ValueError(f"dimension mismatch: {v.shape[0]} != {self.dim}")
         if article_id in self._row:
-            logger.warning("duplicate id %s: replacing stored vector", article_id)
-            self._vectors[self._row[article_id]] = v
-            return
-        idx = len(self.ids)
-        if idx == self._vectors.shape[0]:
-            grown = np.zeros((max(2 * idx, 256), self.dim), dtype=np.float32)
-            grown[:idx] = self._vectors
-            self._vectors = grown
-        self._vectors[idx] = v
+            raise ValueError(f"duplicate id {article_id!r} in the index")
+        self._row[article_id] = len(self.ids)
         self.ids.append(article_id)
-        self._row[article_id] = idx
+        self._rows.append(v)
 
     def search(self, query, k: int, allowed: set[str] | None = None) -> list[tuple[str, float]]:
         """Exact top-k (id, cosine similarity), descending, ties by ascending id.
@@ -98,28 +86,6 @@ class HnswIndex:
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
         parts = [_MAGIC, struct.pack("<I", len(blob)), blob, self.vectors.astype("<f4").tobytes()]
         _files.write_atomic(path, lambda fh: fh.writelines(parts))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "HnswIndex":
-        """Read a saved index; a truncated or inconsistent file raises ValueError naming it."""
-        data = Path(path).read_bytes()
-        try:
-            if data[:4] != _MAGIC:
-                raise ValueError("not an index file")
-            (header_len,) = struct.unpack_from("<I", data, 4)
-            header = json.loads(data[8 : 8 + header_len])
-            dim, count = int(header["dim"]), int(header["count"])
-            ids = [str(x) for x in header["ids"]]
-            matrix = data[8 + header_len :]
-            if len(ids) != count or len(matrix) != 4 * count * dim:
-                raise ValueError(f"{len(ids)} ids, {len(matrix)} bytes for {count} x {dim}")
-            index = cls(dim, HnswConfig(seed=int(header["seed"])))
-        except (struct.error, KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: corrupt index file: {exc}") from exc
-        index._vectors = np.frombuffer(matrix, dtype="<f4").reshape(count, dim).astype(np.float32)
-        index.ids = ids
-        index._row = {aid: i for i, aid in enumerate(ids)}
-        return index
 
 
 def build_index(

@@ -486,7 +486,7 @@ def load_series(path: str | Path) -> DyadMonthSeries:
     def build(payload: dict) -> DyadMonthSeries:
         raw = _files.numbers(payload, "raw_fatalities", int)
         return DyadMonthSeries(
-            dyad_id=_files.field(payload, "dyad_id", str),
+            dyad_id=_files.dyad(_files.field(payload, "dyad_id", str)),
             country_id=_files.field(payload, "country_id", str),
             months=np.array([months.parse_month(m) for m in _files.strings(payload, "months")]),
             log_fatalities=np.log1p(np.maximum(raw, 0)),  # DyadMonthSeries rejects raw < 0
@@ -507,10 +507,15 @@ def save_labels_file(labels: dict[str, ArticleLabel], path: str | Path) -> None:
 
 
 def load_labels_file(path: str | Path) -> dict[str, ArticleLabel]:
-    """Article labels by id; a second row for an article, or a wrong JSON type, is an error."""
-    labels = _files.read_rows(path, lambda row: ArticleLabel(
-        article_id=_files.field(row, "article_id", str),
-        dyads=_files.strings(row, "dyads"),
-        gold=_files.field(row, "gold", bool),
-    ), _label_key)
+    """Article labels by id; a second row for an article, a wrong JSON type, or dyads that
+    are not a non-empty, sorted list of distinct ids, as the labellers write them, is an error."""
+
+    def build(row: dict) -> ArticleLabel:
+        dyads = tuple(map(_files.dyad, _files.strings(row, "dyads")))
+        if not dyads or dyads != tuple(sorted(set(dyads))):
+            raise ValueError(f"dyads is not a non-empty sorted list of distinct ids: {list(dyads)}")
+        return ArticleLabel(_files.field(row, "article_id", str), dyads,
+                            _files.field(row, "gold", bool))
+
+    labels = _files.read_rows(path, build, _label_key)
     return {label.article_id: label for label in labels}

@@ -876,10 +876,12 @@ class TestLoadDigestsErrors:
     @pytest.mark.parametrize(
         "field, value",
         [("snippet_ids", ["a2", "a9"]), ("month", 202102), ("snippet_ids", "a"), ("snippet_ids", [2]),
-         ("dyad_id", 7), ("kind", ["x"])],
+         ("dyad_id", 7), ("kind", ["x"]), ("dyad_id", "  "), ("kind", "mid_context"),
+         ("snippet_ids", [])],
     )
     def test_row_at_odds_with_itself_names_path_and_line(self, tmp_path, field, value):
-        # an id with no article, or a field not of its JSON type (the string "a" is not the ids ["a"], 7 not a dyad id)
+        # an id with no article, or a field not of its JSON type (the string "a" is not the ids ["a"], 7 not a dyad id);
+        # the builders make no digest of a blank dyad, of another kind or without a snippet
         path = tmp_path / "digests.jsonl"
         save_digests(self._three(), path)
         lines = path.read_text().splitlines(keepends=True)

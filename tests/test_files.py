@@ -16,7 +16,6 @@ from nexus import _files
 from nexus.digests import HIGH_CONTEXT, LOW_CONTEXT, Digest, load_digests, save_digests, snippet
 from nexus.evaluation import ForecastRecord, emit_report, load_forecasts_csv, save_forecasts_csv
 from nexus.gp_trend import KernelParams, TrendFit, load_trend_fit, save_trend_fit
-from nexus.hnsw import HnswConfig, HnswIndex, build_index
 from nexus.ingest import (
     Article,
     ArticleLabel,
@@ -81,8 +80,6 @@ CASES = {
     "trend.json": (lambda p: save_trend_fit(TREND, p), load_trend_fit, None, save_trend_fit),
     "states.csv": (lambda p: save_labels_csv(STATES, p), load_labels_csv, _label_rows,
                    roundtrip_outputs.resave_labels),
-    "index.bin": (lambda p: build_index(list("abcd"), VECTORS, HnswConfig(seed=3)).save(p),
-                  HnswIndex.load, None, None),
     "digests.jsonl": (lambda p: save_digests(DIGESTS, p), lambda p: load_digests(p, ARTICLES), list,
                       save_digests),
     "model.json": (lambda p: save_model(MODEL, p), load_model, None, save_model),

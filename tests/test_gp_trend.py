@@ -742,6 +742,7 @@ class TestTrendFitRoundTrip:
     @pytest.mark.parametrize("field, value, message", [
         ("start", None, "not a YYYY-MM month: None"),
         ("dyad_id", 7, "dyad_id is not a str: 7"),
+        ("dyad_id", "", "empty dyad_id"),
         ("length_scale", True, "length_scale is not a float: True"),
         ("jitter_level", 2.7, "jitter_level is not an int: 2.7"),
         ("mean", [0.1, "0.2", 0.3], "mean is not a float: '0.2'"),
@@ -752,8 +753,8 @@ class TestTrendFitRoundTrip:
         ("length_scale", 10**400, "length_scale is out of the float range"),
         ("log_posterior", 10**400, "log_posterior is out of the float range"),
         ("mean", [0.1, 10**400], "mean is out of the float range"),
-    ], ids=["start", "dyad_id", "length_scale", "jitter_level", "mean-string", "mean-bool",
-            "mean-not-a-list", "jitter_level-negative", "jitter_level-above-the-levels",
+    ], ids=["start", "dyad_id", "dyad_id-blank", "length_scale", "jitter_level", "mean-string",
+            "mean-bool", "mean-not-a-list", "jitter_level-negative", "jitter_level-above-the-levels",
             "length_scale-past-the-float-range", "log_posterior-past-the-float-range",
             "mean-past-the-float-range"])
     def test_field_of_the_wrong_json_type_names_the_file(self, tmp_path, field, value, message):

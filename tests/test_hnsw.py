@@ -27,7 +27,7 @@ class TestInsert:
     def test_first_insert_becomes_entry(self):
         index = HnswIndex(8, HnswConfig(seed=0))
         index.insert("x", np.ones(8))
-        assert len(index) == 1
+        assert index.ids == ["x"]
         assert index.search(np.ones(8), 1) == [("x", pytest.approx(1.0, abs=1e-6))]
 
     def test_self_retrieval(self):
@@ -50,15 +50,14 @@ class TestInsert:
         with pytest.raises(ValueError):
             index.insert("z", np.ones(5))
 
-    def test_duplicate_id_replaces_vector(self, caplog):
+    def test_duplicate_id_raises_and_keeps_the_index(self):
         index = HnswIndex(4, HnswConfig(seed=0))
         index.insert("a", [1.0, 0.0, 0.0, 0.0])
         index.insert("b", [0.0, 1.0, 0.0, 0.0])
-        with caplog.at_level("WARNING"):
+        with pytest.raises(ValueError, match="duplicate id 'a' in the index"):
             index.insert("a", [0.0, 0.0, 1.0, 0.0])
-        assert "duplicate" in caplog.text
-        assert len(index) == 2
-        assert np.allclose(index.vectors[index.ids.index("a")], [0.0, 0.0, 1.0, 0.0])
+        assert index.ids == ["a", "b"]
+        assert np.array_equal(index.vectors, np.eye(2, 4, dtype=np.float32))
 
 
 class TestSearch:
@@ -180,54 +179,14 @@ class TestExactSearch:
 
 
 class TestPersistence:
-    def test_round_trip_answers_identically(self, small_index, tmp_path):
-        index, ids, data = small_index
-        path = tmp_path / "index.hnsw"
-        index.save(path)
-        loaded = HnswIndex.load(path)
-        assert loaded.ids == index.ids
-        assert loaded.dim == index.dim and loaded.config == index.config
-        assert np.array_equal(loaded.vectors, index.vectors)
-        rng = np.random.default_rng(10)
-        for q in random_unit(rng, 25, 32):
-            assert loaded.search(q, 10) == index.search(q, 10)
-        for qi in (0, 17, 500):
-            assert loaded.search(data[qi], 5) == index.search(data[qi], 5)
-
     def test_header_fields(self, small_index, tmp_path):
-        index, _, _ = small_index
+        index, ids, data = small_index
         path = tmp_path / "index.hnsw"
         index.save(path)
         with open(path, "rb") as fh:
             assert fh.read(4) == b"HNSW"
             (hlen,) = struct.unpack("<I", fh.read(4))
             header = json.loads(fh.read(hlen))
-        for key in ("dim", "count", "seed"):
-            assert key in header
-        assert header["count"] == 1000
-
-    @pytest.mark.parametrize(
-        "corrupt",
-        [
-            lambda data, hlen: data[:6],
-            lambda data, hlen: data[: 8 + hlen // 2],
-            lambda data, hlen: data[: 8 + hlen + 10],
-            lambda data, hlen: data[:-3],
-            lambda data, hlen: data[:8] + data[8 : 8 + hlen].replace(
-                b'"count": 3', b'"count": 2'
-            ) + data[8 + hlen :],
-        ],
-        ids=["length-prefix", "json-header", "matrix", "last-row", "count-mismatch"],
-    )
-    def test_corrupt_file_names_its_path(self, tmp_path, corrupt):
-        index = build_index(["a", "b", "c"], np.eye(3, 4) + 0.5)
-        path = tmp_path / "index.hnsw"
-        index.save(path)
-        data = path.read_bytes()
-        (hlen,) = struct.unpack("<I", data[4:8])
-        broken = corrupt(data, hlen)
-        assert broken != data
-        path.write_bytes(broken)
-        with pytest.raises(ValueError) as excinfo:
-            HnswIndex.load(path)
-        assert str(path) in str(excinfo.value)
+            rows = fh.read()
+        assert header == {"dim": 32, "count": 1000, "seed": 11, "ids": ids}
+        assert rows == np.stack([normalize(v) for v in data]).astype("<f4").tobytes()

@@ -642,6 +642,13 @@ class TestRoundTrips:
         ("dyads", [1], "dyads is not a list of strings: [1]"),
         ("gold", "false", "gold is not a bool: 'false'"),
         ("article_id", 5, "article_id is not a str: 5"),
+        # match_headlines writes tuple(sorted(set)), apply_dyad_filter one id
+        ("dyads", ["", " "], "empty dyad_id"),
+        ("dyads", [], "dyads is not a non-empty sorted list of distinct ids: []"),
+        ("dyads", ["b", "a", "a"],
+         "dyads is not a non-empty sorted list of distinct ids: ['b', 'a', 'a']"),
+        ("dyads", ["a", "a"], "dyads is not a non-empty sorted list of distinct ids: ['a', 'a']"),
+        ("dyads", ["b", "a"], "dyads is not a non-empty sorted list of distinct ids: ['b', 'a']"),
     ])
     def test_labels_field_of_the_wrong_json_type_names_path_and_line(
         self, tmp_path, field, value, message
@@ -658,6 +665,7 @@ class TestRoundTrips:
         ("months", ["2015-01", 24001], "months is not a list of strings: ['2015-01', 24001]"),
         ("months", "2015-01", "months is not a list of strings: '2015-01'"),
         ("dyad_id", 7, "dyad_id is not a str: 7"),
+        ("dyad_id", " ", "empty dyad_id"),
         ("country_id", ["c"], "country_id is not a str: ['c']"),
         ("raw_fatalities", [0, 3.7], "raw_fatalities is not an int: 3.7"),
         ("raw_fatalities", [0, True], "raw_fatalities is not an int: True"),
@@ -665,8 +673,8 @@ class TestRoundTrips:
         ("raw_fatalities", 3, "raw_fatalities is not a list"),
         ("raw_fatalities", [0, -1], "series d1: negative fatalities"),
         ("raw_fatalities", [0, 10**30], "raw_fatalities is out of the int range"),
-    ], ids=["months", "months-string", "dyad_id", "country_id", "raw-float", "raw-bool",
-            "raw-string", "raw-not-a-list", "raw-negative", "raw-past-int64"])
+    ], ids=["months", "months-string", "dyad_id", "dyad_id-blank", "country_id", "raw-float",
+            "raw-bool", "raw-string", "raw-not-a-list", "raw-negative", "raw-past-int64"])
     def test_series_field_of_the_wrong_json_type_names_the_file(
         self, tmp_path, field, value, message
     ):
