@@ -14,16 +14,18 @@ derivative downstream code discretizes into escalation states.
 
 The objective returns its exact gradient in the log-parameters with its
 value (Rasmussen & Williams, *GPML* 2006, eq. 5.9, plus the priors'
-terms). ``_kernel`` alone forms the Matérn Gram K_f, ``_factorize`` alone
+terms). ``_kernel`` alone evaluates the Matérn kernel, ``_factorize`` alone
 factorizes K = K_f + sigma^2 I (+ jitter) and ``_log_prior`` alone sums the
 priors, for the objective, ``log_posterior`` and ``fit_trend`` alike.
-Series run to a few hundred months at most, so dense LAPACK is cheap and
-exact: per dyad and evaluation one ``potrf`` factorizes K, one ``potrs``
-gives alpha = K^-1 y and one ``potri`` gives the lower triangle of K^-1,
-with nothing else of order n^3.
-Only the length-scale term reads that triangle. dK/d ln eta = 2 (K - sigma^2 I)
-(the jitter scales with eta^2), so the amplitude and noise terms need only
-y^T alpha, alpha^T alpha and tr K^-1 (see ``_log_marginal_and_grad``).
+A series' months are contiguous and the kernel is stationary, so K is
+symmetric Toeplitz: the kernel is evaluated on the n lags and K gathered
+from that first column. Series run to a few hundred months at most, so
+dense LAPACK is cheap and exact: per dyad and evaluation one ``potrf``
+factorizes K and one ``potrs`` gives alpha = K^-1 y and x = K^-1 e_0, the
+first column of K^-1, so potrf's n^3 / 3 flops are the only cubic work.
+The gradient's trace terms need only the diagonal sums of K^-1, which
+the Gohberg-Semencul formula (Gohberg & Semencul 1972; Trench 1964)
+gives from x in O(n^2) (see ``_log_marginal_and_grad``).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 
 from . import _files, months
@@ -113,6 +115,8 @@ class TrendFit:
     def __post_init__(self) -> None:
         if not np.isfinite(self.mean).all():
             raise ValueError("mean must be finite")
+        if not math.isfinite(self.log_posterior_at_map):
+            raise ValueError(f"log_posterior_at_map must be finite: {self.log_posterior_at_map}")
         if not 0 <= self.jitter_level <= _JITTER_LEVELS:
             raise ValueError(f"jitter_level must be in 0..{_JITTER_LEVELS}: {self.jitter_level}")
         self.derivative = derivative(self.mean)
@@ -125,10 +129,11 @@ class TrendFit:
 def _kernel(
     distance: np.ndarray, params: KernelParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """r = sqrt(3) d / l, exp(-r) and the Matérn 3/2 Gram K_f = eta^2 (1 + r) exp(-r).
+    """r = sqrt(3) d / l, exp(-r) and the Matérn 3/2 kernel K_f = eta^2 (1 + r) exp(-r).
 
-    `distance` holds month distances d >= 0 (see ``_series_data``); the
-    length-scale gradient reuses r and exp(-r).
+    `distance` holds month distances d >= 0; the objective passes the lags
+    0..n-1 (see ``_series_data``), and the length-scale gradient reuses r
+    and exp(-r).
     """
     r = SQRT3 * distance / params.length_scale
     decay = np.exp(-r)
@@ -164,54 +169,82 @@ def cholesky_with_jitter(gram: np.ndarray, amplitude: float) -> tuple[np.ndarray
 # ---------------------------------------------------------------------------
 
 def _series_data(series: DyadMonthSeries) -> tuple[np.ndarray, np.ndarray]:
-    """Month distances |i - j| (a series' months are contiguous) and log-fatalities, checked."""
+    """Integer lags |i - j| of the series' months and its log-fatalities, checked.
+
+    The objective and the posterior mean need contiguous months, which
+    ``DyadMonthSeries`` guarantees: K is then the symmetric Toeplitz matrix
+    gathered on these lags from its first column.
+    """
     y = np.asarray(series.log_fatalities, dtype=float)
     if y.size == 0 or not np.all(np.isfinite(y)):
         raise ValueError("log-fatalities must be finite and non-empty")
-    x = np.arange(y.size, dtype=float)
-    return np.abs(x[:, None] - x[None, :]), y
+    i = np.arange(y.size)
+    return np.abs(i[:, None] - i[None, :]), y
 
 
-def _factorize(gram: np.ndarray, y: np.ndarray, params: KernelParams):
-    """Log marginal, alpha = K^-1 y, the Cholesky factor of K, jitter level.
+def _factorize(column: np.ndarray, lag: np.ndarray, y: np.ndarray, params: KernelParams):
+    """Log marginal, alpha = K^-1 y, x = K^-1 e_0 and the jitter level.
 
-    K = gram + sigma^2 I (+ jitter), for `gram` the K_f of ``_kernel``, which
-    is left as it is.
+    K = K_f + sigma^2 I (+ jitter) is gathered on `lag` from `column`, the
+    K_f of ``_kernel`` on the lags 0..n-1, which is left as it is.
     """
-    noisy = gram.copy()
-    noisy.flat[:: y.size + 1] += params.noise_sd**2
-    L, level = cholesky_with_jitter(noisy, params.amplitude)
-    alpha = dpotrs(L, y, lower=1)[0]
+    noisy = column.copy()
+    noisy[0] += params.noise_sd**2
+    L, level = cholesky_with_jitter(noisy[lag], params.amplitude)
+    rhs = np.zeros((y.size, 2), order="F")
+    rhs[:, 0], rhs[0, 1] = y, 1.0
+    solved = dpotrs(L, rhs, lower=1)[0]
+    alpha = solved[:, 0]
     value = float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * y.size * LOG_2PI)
-    return value, alpha, L, level
+    return value, alpha, solved[:, 1], level
+
+
+def _inverse_diagonal_sums(x: np.ndarray) -> np.ndarray:
+    """Sums s_k of the diagonals k = 0..n-1 of K^-1, for K symmetric Toeplitz and x = K^-1 e_0.
+
+    By the Gohberg-Semencul formula (Gohberg & Semencul 1972; Trench 1964),
+    x_0 K^-1 = L(x) L(x)^T - L(z) L(z)^T for z = (0, x_(n-1), ..., x_1) and
+    L(v) the lower Toeplitz matrix with first column v. The k-th diagonal
+    of L(v) L(v)^T sums to sum_p (n - k - p) v_p v_(p+k), one correlation.
+    """
+    n = x.size
+    weight = n - np.arange(n)
+    x_sums, z_sums = (
+        np.correlate(weight * v, v, "full")[n - 1:] for v in (x, np.concatenate(([0.0], x[:0:-1])))
+    )
+    return (x_sums - z_sums) / x[0]
 
 
 def _log_marginal_and_grad(
-    distance: np.ndarray, y: np.ndarray, params: KernelParams
+    lag: np.ndarray, y: np.ndarray, params: KernelParams
 ) -> tuple[float, np.ndarray, int]:
     """Log marginal, its gradient in (ln l, ln eta, ln sigma), and the jitter level.
 
     GPML eq. 5.9: d/d theta = 1/2 tr((alpha alpha^T - K^-1) dK/d theta), for
     the matrix actually factorized, K = K_f + sigma^2 I + jitter I, where the
-    jitter of a level above 0 scales with eta^2. With r = sqrt(3) d / l:
+    jitter of a level above 0 scales with eta^2. With r = sqrt(3) k / l on
+    the lags k:
       - dK/d ln eta = 2 (K - sigma^2 I), so the term is
         y^T alpha - sigma^2 alpha^T alpha - n + sigma^2 tr K^-1;
       - dK/d ln sigma = 2 sigma^2 I, so the term is sigma^2 (alpha^T alpha - tr K^-1);
-      - dK/d ln l = eta^2 r^2 e^-r is zero on the diagonal, so the term is
-        1/2 alpha^T dK alpha - <tril K^-1, dK>.
-    Cost: one potrf, one potrs and one potri (the lower triangle of K^-1,
-    its upper triangle left zero), plus O(n^2) elementwise work.
+      - dK/d ln l is the Toeplitz matrix of d_k = eta^2 r^2 e^-r, zero at
+        lag 0, so the term is sum_k d_k (c_k - s_k), for c_k and s_k the sums
+        of the k-th diagonal of alpha alpha^T and of K^-1.
+    K is symmetric Toeplitz, so ``_inverse_diagonal_sums`` gives every s_k,
+    tr K^-1 = s_0 among them, from x = K^-1 e_0 by the Gohberg-Semencul
+    formula (Gohberg & Semencul 1972; Trench 1964). Cost: one potrf, and
+    one potrs for alpha and x together, plus O(n^2) work; K^-1 is never
+    formed, and potrf's n^3 / 3 flops are the only cubic work.
     """
     eta, sigma = params.amplitude, params.noise_sd
-    r, decay, gram = _kernel(distance, params)
-    value, alpha, L, level = _factorize(gram, y, params)
-    inverse_lower = dpotri(L, lower=1)[0]
-    trace = np.trace(inverse_lower)
-    alpha_sq = alpha @ alpha
-    dk_ell = eta**2 * r**2 * decay
+    r, decay, column = _kernel(lag[0], params)
+    value, alpha, x, level = _factorize(column, lag, y, params)
+    s = _inverse_diagonal_sums(x)
+    c = np.correlate(alpha, alpha, "full")[y.size - 1:]
+    trace, alpha_sq = s[0], c[0]
     grad = np.array(
         [
-            0.5 * alpha @ dk_ell @ alpha - np.vdot(inverse_lower, dk_ell),
+            eta**2 * r**2 * decay @ (c - s),
             y @ alpha - sigma**2 * alpha_sq - y.size + sigma**2 * trace,
             sigma**2 * (alpha_sq - trace),
         ]
@@ -221,8 +254,8 @@ def _log_marginal_and_grad(
 
 def log_marginal(series: DyadMonthSeries, params: KernelParams) -> float:
     """Zero-mean GP log marginal likelihood of the series under the kernel."""
-    distance, y = _series_data(series)
-    return _factorize(_kernel(distance, params)[2], y, params)[0]
+    lag, y = _series_data(series)
+    return _factorize(_kernel(lag[0], params)[2], lag, y, params)[0]
 
 
 def _log_prior(theta, prior: PriorSpec) -> float:
@@ -306,9 +339,9 @@ def _objective(group: list[DyadMonthSeries], prior: PriorSpec):
         marginal = 0.0
         grad = -np.exp(2.0 * z) / AMPLITUDE_NOISE_PRIOR_SD**2  # half-Normal terms
         grad[0] = -(z[0] - prior.log_median) / prior.log_sd**2
-        for i, (distance, y) in enumerate(data):
+        for i, (lag, y) in enumerate(data):
             params = KernelParams(theta[0], theta[1 + 2 * i], theta[2 + 2 * i])
-            value, dyad_grad, _ = _log_marginal_and_grad(distance, y, params)
+            value, dyad_grad, _ = _log_marginal_and_grad(lag, y, params)
             marginal += value
             grad[0] += dyad_grad[0]
             grad[1 + 2 * i : 3 + 2 * i] += dyad_grad[1:]
@@ -424,10 +457,10 @@ def fit_trend(series: DyadMonthSeries, prior: PriorSpec, params: KernelParams) -
     `params` come from :func:`fit_map` or :func:`fit_hierarchical`; `prior`
     only scores them for ``log_posterior_at_map``.
     """
-    distance, y = _series_data(series)
-    k_f = _kernel(distance, params)[2]
-    _, alpha, _, level = _factorize(k_f, y, params)
-    mean = k_f @ alpha
+    lag, y = _series_data(series)
+    column = _kernel(lag[0], params)[2]
+    _, alpha, _, level = _factorize(column, lag, y, params)
+    mean = column[lag] @ alpha
     return TrendFit(
         dyad_id=series.dyad_id,
         params=params,

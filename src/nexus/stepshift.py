@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import _files, months
-from .digests import Digest
+from .digests import HIGH_CONTEXT, LOW_CONTEXT, Digest
 from .evaluation import N_CLASSES, ForecastRecord
 
 logger = logging.getLogger(__name__)
@@ -87,6 +87,8 @@ class SoftmaxModel:
             raise ValueError(f"n_iter must be non-negative: {self.n_iter}")
         if self.step is not None and self.step < 0:
             raise ValueError(f"step must be non-negative: {self.step}")
+        if self.kind not in (None, LOW_CONTEXT, HIGH_CONTEXT):
+            raise ValueError(f"kind is not {LOW_CONTEXT}, {HIGH_CONTEXT} or None: {self.kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -386,15 +386,12 @@ def parent_log_marginal_and_grad(distance, y, params, first_level=0):
 
 @st.composite
 def month_grids(draw):
-    """Distinct months: a regular run of 1-80, or 1-80 scattered over 20 years."""
-    if draw(st.booleans()):
-        return np.arange(draw(st.integers(1, 80)), dtype=float)
-    picked = draw(st.lists(st.integers(0, 239), min_size=1, max_size=80, unique=True))
-    return np.array(sorted(picked), dtype=float)
+    """A contiguous run of 1-80 months, as ``_series_data`` makes them."""
+    return np.arange(draw(st.integers(1, 80)))
 
 
 class TestParentKernelOracle:
-    """The potrf + potrs + potri objective against the identity-solve one it replaced."""
+    """The potrf + potrs objective against an identity-solve one that forms K^-1 explicitly."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -403,8 +400,8 @@ class TestParentKernelOracle:
         level=st.integers(0, 4),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(x=np.arange(72.0), z=(math.log(12.0), 0.3, math.log(0.4)), level=0, seed=1)
-    @example(x=np.arange(24.0), z=(math.log(30.0), 0.0, math.log(0.3)), level=4, seed=2)
+    @example(x=np.arange(72), z=(math.log(12.0), 0.3, math.log(0.4)), level=0, seed=1)
+    @example(x=np.arange(24), z=(math.log(30.0), 0.0, math.log(0.3)), level=4, seed=2)
     def test_value_level_and_gradient(self, x, z, level, seed):
         distance = np.abs(x[:, None] - x[None, :])
         y = np.log1p(np.random.default_rng(seed).poisson(5.0, x.size).astype(float))
@@ -432,6 +429,40 @@ class TestParentKernelOracle:
         kappa = np.linalg.cond(L) ** 2
         tolerance = max(1e-9, 10.0 * kappa * np.finfo(float).eps)
         assert np.linalg.norm(grad - expected_grad) <= tolerance * np.linalg.norm(expected_grad)
+
+
+class TestInverseDiagonalSums:
+    """tr K^-1 and <K^-1, Toeplitz(d)> from the first column of K^-1, against np.linalg.inv."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        x=month_grids(),
+        z=st.tuples(*[st.floats(-12.0, 12.0)] * 3),
+        level=st.integers(0, 4),
+    )
+    @example(x=np.arange(1), z=(0.0, 0.0, math.log(0.3)), level=0)
+    @example(x=np.arange(2), z=(math.log(30.0), 0.0, math.log(0.3)), level=4)
+    def test_trace_terms_match_the_inverse(self, x, z, level):
+        lag = np.abs(x[:, None] - x[None, :])
+        params = KernelParams(*np.exp(z))
+        r, decay, column = gp_trend._kernel(lag[0], params)
+        try:
+            with forced_jitter(level):
+                _, _, first, got_level = gp_trend._factorize(column, lag, np.zeros(x.size), params)
+        except FactorizationError:
+            return
+        jitter = 0.0 if got_level == 0 else 1e-8 * 10 ** (got_level - 1) * params.amplitude**2
+        gram = column[lag] + (params.noise_sd**2 + jitter) * np.eye(x.size)
+        inverse = np.linalg.inv(gram)
+        d = params.amplitude**2 * r**2 * decay  # dK/d ln l on the lags, 0 at lag 0
+        sums = gp_trend._inverse_diagonal_sums(first)
+        # the tolerance of TestParentKernelOracle, for the explicit inversion of K
+        tolerance = max(1e-9, 10.0 * np.linalg.cond(gram) * np.finfo(float).eps)
+        assert abs(sums[0] - np.trace(inverse)) <= tolerance * abs(np.trace(inverse))
+        expected = np.vdot(inverse, d[lag])
+        # at length scales of a few thousandths of a month it is subnormal, with fewer digits
+        scale = max(abs(expected), np.finfo(float).tiny)
+        assert abs(2.0 * d @ sums - expected) <= tolerance * scale
 
 
 class TestReferenceFits:
@@ -753,10 +784,12 @@ class TestTrendFitRoundTrip:
         ("length_scale", 10**400, "length_scale is out of the float range"),
         ("log_posterior", 10**400, "log_posterior is out of the float range"),
         ("mean", [0.1, 10**400], "mean is out of the float range"),
+        ("log_posterior", math.nan, "log_posterior_at_map must be finite: nan"),
+        ("log_posterior", -math.inf, "log_posterior_at_map must be finite: -inf"),
     ], ids=["start", "dyad_id", "dyad_id-blank", "length_scale", "jitter_level", "mean-string",
             "mean-bool", "mean-not-a-list", "jitter_level-negative", "jitter_level-above-the-levels",
             "length_scale-past-the-float-range", "log_posterior-past-the-float-range",
-            "mean-past-the-float-range"])
+            "mean-past-the-float-range", "log_posterior-nan", "log_posterior-minus-infinity"])
     def test_field_of_the_wrong_json_type_names_the_file(self, tmp_path, field, value, message):
         path = tmp_path / "fit.json"
         payload = self._saved(path)

@@ -512,6 +512,8 @@ class TestModelRoundTrip:
         ("converged", 1, "converged is not a bool: 1"),
         ("step", "1", "step is not an int: '1'"),
         ("kind", 3, "kind is not a str: 3"),
+        ("kind", "mid_context", "kind is not low_context, high_context or None: 'mid_context'"),
+        ("kind", "", "kind is not low_context, high_context or None: ''"),
         ("config", {"epochs": True}, "epochs is not an int: True"),
         ("n_iter", 2.5, "n_iter is not an int: 2.5"),
         ("weights", [[0.0, 0.0, "0.1"]] * 4, "weights is not a float: '0.1'"),
