@@ -2,16 +2,17 @@
 
 Stages: ingest -> fit-trends -> label -> digest -> forecast -> evaluate.
 Each stage is a module of plain functions over in-memory collections and
-the files they save; seeds are explicit arguments.
+the files they save; seeds are explicit arguments. ``nexus.pipeline.run``,
+which this package does not import, is the one call that runs every stage.
 
-The files the stages save and load, named as the benchmark names them; only
-the benchmark writes ``index_<dyad>.bin``, and no stage reads it. Every
-writer goes through ``_files.write_atomic``; a reader that cannot read its
-file raises ``ValueError`` naming it, and the record's first line for JSONL
-and CSV (a file is read as CSV when its name ends in ``.csv``). A JSON field
-must be the type its reader names; CSV fields are strings, a number the text
-its saver writes. ``digests.jsonl`` holds article ids, whose text comes from
-the articles its reader is given.
+The files the stages save and load, named as ``pipeline.run`` and the
+benchmark name them; only the benchmark writes ``index_<dyad>.bin``, and no
+stage reads it. Every writer goes through ``_files.write_atomic``; a reader
+that cannot read its file raises ``ValueError`` naming it, and the record's
+first line for JSONL and CSV (a file is read as CSV when its name ends in
+``.csv``). A JSON field must be the type its reader names; CSV fields are
+strings, a number the text its saver writes. ``digests.jsonl`` holds article
+ids, whose text comes from the articles its reader is given.
 
 ============================  ============  =========================================================
 file                          format        writer / reader

@@ -18,7 +18,7 @@ line. The loop catches ``KeyError``, ``OverflowError``, ``TypeError`` and
 first, so none writes a repeated key. JSONL and CSV files have no trailer,
 so a file cut exactly at a row boundary reads as a shorter file; atomic
 writes are what prevent such a cut. Every reader reads its fields with
-:func:`field`, :func:`numbers`, :func:`strings`, :func:`csv_number` and :func:`dyad`:
+:func:`field`, :func:`numbers`, :func:`strings`, :func:`csv_number` and :func:`ident`:
 a JSON field must be the JSON type its reader names, and every CSV field is a
 string, a number the text its saver writes.
 """
@@ -251,8 +251,8 @@ def csv_number(row: dict, name: str, kind: type):
                      f"{row[name]!r}")
 
 
-def dyad(text: str) -> str:
-    """``text``, a dyad id, which must not be blank."""
+def ident(text: str, name: str) -> str:
+    """``text``, the id in field ``name``, which must not be blank."""
     if not text.strip():
-        raise ValueError("empty dyad_id")
+        raise ValueError(f"empty {name}")
     return text

@@ -358,7 +358,7 @@ def load_digests(path: str | Path, articles_by_id: dict[str, Article]) -> list[D
         if not ids:
             raise ValueError("snippet_ids is empty")
         return Digest(
-            dyad_id=_files.dyad(_files.field(row, "dyad_id", str)),
+            dyad_id=_files.ident(_files.field(row, "dyad_id", str), "dyad_id"),
             month=months.parse_month(row["month"]),
             kind=kind,
             snippets=[snippet(article(aid)) for aid in ids],

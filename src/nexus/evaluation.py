@@ -45,6 +45,7 @@ logger = logging.getLogger(__name__)
 
 N_CLASSES = 4
 CI_LEVEL = 0.95  # coverage of every bootstrap interval
+WINDOW = 12  # months of state history the conflictology baseline reads
 
 
 @dataclass(frozen=True)
@@ -101,40 +102,37 @@ def conflictology(
     history: dict[int, int],
     step: int,
     horizon: int,
-    window: int = 12,
     n_boot: int = 1000,
     seed: int = 0,
 ) -> np.ndarray:
     """Bootstrap pseudo-probabilities from the trailing state window.
 
-    The window covers the `window` months ending at horizon - step - 1,
+    The window covers the ``WINDOW`` months ending at horizon - step - 1,
     so nothing the forecast could not have seen leaks in; a negative step
     would reach the horizon itself and is an error. Shorter histories
-    degrade to whatever months exist. A window below one month, or one
-    with no state history, is an error.
+    degrade to whatever months exist. A window with no state history is
+    an error.
 
     The result is the exact limit of bootstrapping the window: the pooled
     class shares of the resamples converge to, and under a balanced
     bootstrap equal, ``bincount(states) / len(states)``, which is returned
-    directly in O(window). `n_boot` and `seed` are accepted so callers
+    directly in O(``WINDOW``). `n_boot` and `seed` are accepted so callers
     need not change, but they do not change the result.
     """
     if step < 0:
         raise ValueError(f"step must be non-negative: {step}")
-    if window < 1:
-        raise ValueError(f"window must be at least 1: {window}")
     end = horizon - step - 1
-    wanted = [m for m in range(end - window + 1, end + 1)]
+    wanted = range(end - WINDOW + 1, end + 1)
     states = np.array([history[m] for m in wanted if m in history], dtype=int)
     if states.size == 0:
         raise ValueError(
             f"no state history in window ending {months.format_month(end)}"
         )
-    if states.size < window:
+    if states.size < WINDOW:
         logger.warning(
             "history has %d of %d window months ending %s",
             states.size,
-            window,
+            WINDOW,
             months.format_month(end),
         )
     return np.bincount(states, minlength=N_CLASSES) / states.size
@@ -464,7 +462,7 @@ def load_forecasts_csv(
     """The records of one forecasts CSV; a blank dyad, a number other than the text
     ``save_forecasts_csv`` writes, or a second row for a dyad-month is an error."""
     return _files.read_rows(path, lambda row: ForecastRecord(
-        dyad_id=_files.dyad(row["dyad_id"]),
+        dyad_id=_files.ident(row["dyad_id"], "dyad_id"),
         month=months.parse_month(row["month"]),
         step=step,
         probabilities=tuple(_files.csv_number(row, c, float) for c in _PROB_COLUMNS),

@@ -490,7 +490,7 @@ def save_trend_fit(fit: TrendFit, path: str | Path) -> None:
 
 def load_trend_fit(path: str | Path) -> TrendFit:
     return _files.read_json(path, lambda payload: TrendFit(
-        dyad_id=_files.dyad(_files.field(payload, "dyad_id", str)),
+        dyad_id=_files.ident(_files.field(payload, "dyad_id", str), "dyad_id"),
         params=KernelParams(*(
             _files.field(payload, name, float) for name in ("length_scale", "amplitude", "noise_sd")
         )),

@@ -12,9 +12,9 @@ builds and key-checks every row-file record, and share one contract: a
 bad row never aborts the load but becomes a :class:`RowError` naming its
 first line; a row that repeats the id of an earlier loaded row is one
 such error, "second row for event_id 'e1' (first at line 1)"
-(``article_id`` for articles and probability rows); errors come back,
-and are logged, in line order.
-Classifier labels need a best-dyad probability of at least
+(``article_id`` for articles and probability rows), and a blank id is
+another, "empty event_id"; errors come back, and are logged, in line
+order. Classifier labels need a best-dyad probability of at least
 ``DYAD_THRESHOLD``. All downstream operations are pure functions over the
 loaded collections.
 """
@@ -170,10 +170,6 @@ class EmbeddingMatrix:
                 first = self._row[aid]
                 raise ValueError(f"duplicate embedding id {aid!r} in rows {first} and {i}")
 
-    @property
-    def dim(self) -> int:
-        return int(self.vectors.shape[1])
-
     def __contains__(self, article_id: str) -> bool:
         return article_id in self._row
 
@@ -228,8 +224,8 @@ def load_events(path: str | Path) -> tuple[list[ConflictEvent], list[RowError]]:
 
     def build(row: dict) -> ConflictEvent:
         return ConflictEvent(
-            event_id=_files.field(row, "event_id", str),
-            dyad_id=_files.dyad(_files.field(row, "dyad_id", str)),
+            event_id=_files.ident(_files.field(row, "event_id", str), "event_id"),
+            dyad_id=_files.ident(_files.field(row, "dyad_id", str), "dyad_id"),
             country_id=_files.field(row, "country_id", str),
             date=_parse_date(_files.field(row, "date", str)),
             fatalities=_parse_count(row, "fatalities"),
@@ -247,7 +243,7 @@ def load_articles(path: str | Path) -> tuple[list[Article], list[RowError]]:
 
     def build(row: dict) -> Article:
         return Article(
-            article_id=_files.field(row, "article_id", str),
+            article_id=_files.ident(_files.field(row, "article_id", str), "article_id"),
             date=_parse_date(_files.field(row, "date", str)),
             headline=_files.field(row, "headline", str),
             body=_files.field(row, "body", str),
@@ -311,9 +307,10 @@ def load_dyad_probs(
     """Load per-article dyad probability rows from JSONL; a blank dyad key is a bad row."""
 
     def build(row: dict) -> DyadProbabilityRow:
-        article_id = _files.field(row, "article_id", str)
+        article_id = _files.ident(_files.field(row, "article_id", str), "article_id")
         probs = _files.field(row, "probs", dict)
-        probabilities = {_files.dyad(dyad): _files.field(probs, dyad, float) for dyad in probs}
+        probabilities = {_files.ident(dyad, "dyad_id"): _files.field(probs, dyad, float)
+                         for dyad in probs}
         for dyad, p in probabilities.items():
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability out of [0,1]: {dyad}={p}")
@@ -486,7 +483,7 @@ def load_series(path: str | Path) -> DyadMonthSeries:
     def build(payload: dict) -> DyadMonthSeries:
         raw = _files.numbers(payload, "raw_fatalities", int)
         return DyadMonthSeries(
-            dyad_id=_files.dyad(_files.field(payload, "dyad_id", str)),
+            dyad_id=_files.ident(_files.field(payload, "dyad_id", str), "dyad_id"),
             country_id=_files.field(payload, "country_id", str),
             months=np.array([months.parse_month(m) for m in _files.strings(payload, "months")]),
             log_fatalities=np.log1p(np.maximum(raw, 0)),  # DyadMonthSeries rejects raw < 0
@@ -508,14 +505,17 @@ def save_labels_file(labels: dict[str, ArticleLabel], path: str | Path) -> None:
 
 def load_labels_file(path: str | Path) -> dict[str, ArticleLabel]:
     """Article labels by id; a second row for an article, a wrong JSON type, or dyads that
-    are not a non-empty, sorted list of distinct ids, as the labellers write them, is an error."""
+    are not a non-empty, sorted list of distinct ids, as the labellers write them, is an error.
+    Only a gold label may hold several dyads: ``apply_dyad_filter`` writes one."""
 
     def build(row: dict) -> ArticleLabel:
-        dyads = tuple(map(_files.dyad, _files.strings(row, "dyads")))
+        dyads = tuple(_files.ident(d, "dyad_id") for d in _files.strings(row, "dyads"))
         if not dyads or dyads != tuple(sorted(set(dyads))):
             raise ValueError(f"dyads is not a non-empty sorted list of distinct ids: {list(dyads)}")
-        return ArticleLabel(_files.field(row, "article_id", str), dyads,
-                            _files.field(row, "gold", bool))
+        gold = _files.field(row, "gold", bool)
+        if not gold and len(dyads) > 1:
+            raise ValueError(f"a classifier label holds one dyad, not {list(dyads)}")
+        return ArticleLabel(_files.field(row, "article_id", str), dyads, gold)
 
     labels = _files.read_rows(path, build, _label_key)
     return {label.article_id: label for label in labels}

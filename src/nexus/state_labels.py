@@ -158,7 +158,7 @@ def load_labels_csv(path: str | Path) -> dict[str, dict[int, int]]:
         name, given = STATE_NAMES[EscalationState(code)], row["state_name"]
         if given != name:
             raise ValueError(f"state name {given!r} does not match state code {code} ({name!r})")
-        return _files.dyad(row["dyad_id"]), months.parse_month(row["month"]), code
+        return _files.ident(row["dyad_id"], "dyad_id"), months.parse_month(row["month"]), code
 
     out: dict[str, dict[int, int]] = {}
     for dyad_id, month, code in _files.read_rows(

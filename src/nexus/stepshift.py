@@ -83,6 +83,10 @@ class SoftmaxModel:
             raise ValueError("weights must be finite")
         if self.class_weights.shape != (N_CLASSES,):
             raise ValueError(f"class_weights must have 4 entries: {self.class_weights.shape}")
+        cw = self.class_weights
+        if not (np.isfinite(cw).all() and (cw >= 0).all() and np.count_nonzero(cw) >= 2):
+            raise ValueError("class_weights must be finite and non-negative, two or more "
+                             f"positive: {cw.tolist()}")
         if self.n_iter < 0:
             raise ValueError(f"n_iter must be non-negative: {self.n_iter}")
         if self.step is not None and self.step < 0:

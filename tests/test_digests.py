@@ -647,7 +647,7 @@ class TestOneDigestPerMonth:
 
 
 def build_context_index(matrix, gold_ids):
-    index = HnswIndex(matrix.dim, HnswConfig(seed=5))
+    index = HnswIndex(matrix.vectors.shape[1], HnswConfig(seed=5))
     for aid in matrix.ids:
         if aid not in gold_ids:
             index.insert(aid, matrix.get(aid))

@@ -292,33 +292,24 @@ class TestConflictology:
     def test_contamination_shift(self):
         # horizon 2022-03 with step 3: window must end 2021-11
         history = {parse_month("2021-11"): 3}
-        probs = conflictology(
-            history, step=3, horizon=parse_month("2022-03"), window=1, n_boot=10
-        )
+        probs = conflictology(history, step=3, horizon=parse_month("2022-03"), n_boot=10)
         assert probs[3] == 1.0
         with pytest.raises(ValueError):
             conflictology(
                 {parse_month("2021-12"): 1},
                 step=3,
                 horizon=parse_month("2022-03"),
-                window=1,
             )
 
     def test_negative_step_rejected(self):
         # step -1 would put the horizon month's own state in the window
         history = self._history([2, 1], end="2022-01")
         assert np.array_equal(
-            conflictology(history, step=0, horizon=parse_month("2022-01"), window=1), [0, 0, 1, 0]
+            conflictology(history, step=0, horizon=parse_month("2022-01")), [0, 0, 1, 0]
         )
         for step in (-1, -6):
             with pytest.raises(ValueError, match=f"step must be non-negative: {step}$"):
-                conflictology(history, step=step, horizon=parse_month("2022-01"), window=1)
-
-    @pytest.mark.parametrize("window", [0, -3])
-    def test_window_below_one_month_rejected(self, window):
-        history = self._history([2, 1])
-        with pytest.raises(ValueError, match=f"^window must be at least 1: {window}$"):
-            conflictology(history, step=0, horizon=parse_month("2022-01"), window=window)
+                conflictology(history, step=step, horizon=parse_month("2022-01"))
 
     def test_short_history_degrades(self, caplog):
         history = self._history([2, 2])

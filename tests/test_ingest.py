@@ -413,6 +413,20 @@ class TestLoaderEdgeCases:
         assert [r.article_id for r in rows] == ["b"]
         assert errors == [RowError(1, "empty dyad_id")]
 
+    @pytest.mark.parametrize("loader, good, field", [
+        (load_events, json.loads(event_row("e1", 3)), "event_id"),
+        (load_articles, {"article_id": "a1", "date": "2015-03-14", "headline": "h", "body": "b"},
+         "article_id"),
+        (load_dyad_probs, {"article_id": "a1", "probs": {"d1": 0.9}}, "article_id"),
+    ], ids=["events", "articles", "dyad_probs"])
+    @pytest.mark.parametrize("blank", ["", " ", "\t"])
+    def test_blank_id_is_a_row_error(self, tmp_path, loader, good, field, blank):
+        path = write_jsonl(tmp_path / "rows.jsonl", [json.dumps({**good, field: blank}),
+                                                     json.dumps(good)])
+        loaded, errors = loader(path)
+        assert [getattr(row, field) for row in loaded] == [good[field]]
+        assert errors == [RowError(1, f"empty {field}")]
+
     def test_dyad_probs_duplicate_id(self, tmp_path):
         path = write_jsonl(
             tmp_path / "probs.jsonl",
@@ -649,12 +663,13 @@ class TestRoundTrips:
          "dyads is not a non-empty sorted list of distinct ids: ['b', 'a', 'a']"),
         ("dyads", ["a", "a"], "dyads is not a non-empty sorted list of distinct ids: ['a', 'a']"),
         ("dyads", ["b", "a"], "dyads is not a non-empty sorted list of distinct ids: ['b', 'a']"),
+        ("dyads", ["x", "y"], "a classifier label holds one dyad, not ['x', 'y']"),
     ])
     def test_labels_field_of_the_wrong_json_type_names_path_and_line(
         self, tmp_path, field, value, message
     ):
         path = tmp_path / "labels.jsonl"
-        rows = [{"article_id": aid, "dyads": ["d1"], "gold": True}
+        rows = [{"article_id": aid, "dyads": ["d1"], "gold": False}
                 for aid in ("a", "b")]
         rows[1][field] = value
         path.write_text("".join(json.dumps(row) + "\n" for row in rows))

@@ -487,6 +487,10 @@ class TestRunSteps:
             )
 
 
+# class_weights() makes only finite, non-negative weights with two or more positive
+WEIGHTS_RULE = "class_weights must be finite and non-negative, two or more positive"
+
+
 class TestModelRoundTrip:
     def test_save_load(self, tmp_path):
         pairs = separable_pairs()
@@ -520,6 +524,10 @@ class TestModelRoundTrip:
         ("weights", [[0.0, 0.0, True]] * 4, "weights is not a float: True"),
         ("weights", [0.0] * 4, "weights is not a list of lists"),
         ("class_weights", [1.0, 1.0, 1.0, True], "class_weights is not a float: True"),
+        ("class_weights", [math.nan, 1.0, 1.0, 1.0], f"{WEIGHTS_RULE}: [nan, 1.0, 1.0, 1.0]"),
+        ("class_weights", [-1.0, 1.0, 1.0, 1.0], f"{WEIGHTS_RULE}: [-1.0, 1.0, 1.0, 1.0]"),
+        ("class_weights", [0.0, 0.0, 0.0, 0.0], f"{WEIGHTS_RULE}: [0.0, 0.0, 0.0, 0.0]"),
+        ("class_weights", [0.0, 2.0, 0.0, 0.0], f"{WEIGHTS_RULE}: [0.0, 2.0, 0.0, 0.0]"),
         ("config", [5], "config is not a dict: [5]"),
         ("n_iter", -5, "n_iter must be non-negative: -5"),
         ("step", -1, "step must be non-negative: -1"),
